@@ -134,54 +134,39 @@ class SearchSpace:
     def size(self) -> int:
         return self.k.shape[1]
 
-    def state_tuples(self, e: int) -> list:
-        return [
-            (float(self.k[e, s]), float(self.nu_fwd[e, s]), float(self.nu_rev[e, s]))
-            for s in range(self.size)
-        ]
-
-
-def _in_field(spaces: SearchSpace, d: int):
-    """State field flowing into src of directed edge d (= from its far end)."""
-    e = d // 2
-    return spaces.nu_rev[e] if d % 2 == 0 else spaces.nu_fwd[e]
-
-
-def _out_field(spaces: SearchSpace, d: int):
-    e = d // 2
-    return spaces.nu_fwd[e] if d % 2 == 0 else spaces.nu_rev[e]
-
 
 @dataclass
 class _SweepTables:
-    """Per-directed-edge state quantities reused across one sweep."""
+    """Per-directed-edge state quantities, fixed while the spaces are.
+
+    window caches the message-independent part of the exhaustive inner
+    max (see _window_values), keyed by (neighbour count, tol, b grid).
+    """
 
     u_in: np.ndarray    # (2m, S) field shift into src
     lyp_in: np.ndarray  # (2m, S) log y_+ factor into src
     lym_in: np.ndarray  # (2m, S)
     c_in: np.ndarray    # (2m, S) u_in + outgoing field (BP constraint offset)
+    nu_out: np.ndarray  # (2m, S) outgoing field along each directed edge
     neg_bond: np.ndarray  # (m, S) minus the bond energy of each state
+    window: dict = dc_field(default_factory=dict)
 
 
 def _sweep_tables(inst: QuantumInstance, spaces: SearchSpace) -> _SweepTables:
-    m, s = spaces.k.shape
-    u_in = np.empty((2 * m, s))
-    lyp_in = np.empty((2 * m, s))
-    lym_in = np.empty((2 * m, s))
-    c_in = np.empty((2 * m, s))
-    for d in range(2 * m):
-        e = d // 2
-        k = spaces.k[e]
-        nu_in = _in_field(spaces, d)
-        base = logcosh(nu_in)
-        u_in[d] = field_shift(nu_in, k)
-        lyp_in[d] = logcosh(nu_in + 2.0 * k) - base
-        lym_in[d] = logcosh(nu_in - 2.0 * k) - base
-        c_in[d] = u_in[d] + _out_field(spaces, d)
+    # row d describes directed edge d: 2e runs lo -> hi, 2e + 1 hi -> lo
+    k = np.repeat(spaces.k, 2, axis=0)
+    nu_in = np.empty_like(k)
+    nu_in[0::2], nu_in[1::2] = spaces.nu_rev, spaces.nu_fwd
+    nu_out = np.empty_like(k)
+    nu_out[0::2], nu_out[1::2] = spaces.nu_fwd, spaces.nu_rev
+    base = logcosh(nu_in)
+    u_in = field_shift(nu_in, k)
+    lyp_in = logcosh(nu_in + 2.0 * k) - base
+    lym_in = logcosh(nu_in - 2.0 * k) - base
     neg_bond = -bond_energy(
         inst.couplings[:, None], spaces.k, spaces.nu_fwd, spaces.nu_rev
     )
-    return _SweepTables(u_in, lyp_in, lym_in, c_in, neg_bond)
+    return _SweepTables(u_in, lyp_in, lym_in, u_in + nu_out, nu_out, neg_bond)
 
 
 def _site_term(h, b, lyp, lym):
@@ -189,45 +174,6 @@ def _site_term(h, b, lyp, lym):
     a2 = -2.0 * b + lym
     mx = np.maximum(a1, a2)
     return 2.0 * h * np.exp(-mx) / (np.exp(a1 - mx) + np.exp(a2 - mx))
-
-
-def _combo_arrays(tables: _SweepTables, messages, nbr_dirs, size):
-    """Stack neighbor-state combinations into flat per-combo arrays."""
-    ln = len(nbr_dirs)
-    if ln == 0:
-        zero = np.zeros(1)
-        return {
-            "sum_u": zero, "sum_lyp": zero, "sum_lym": zero, "sum_m": zero,
-            "c_max": np.full(1, -np.inf), "c_min": np.full(1, np.inf),
-            "index": np.zeros((0, 1), dtype=np.int64),
-        }
-    if size ** ln > COMBO_LIMIT:
-        raise SearchSpaceError(
-            f"{size ** ln} state combinations exceed the exhaustive limit; "
-            "use the coordinate or convolution inner strategy"
-        )
-    idx = np.stack(
-        np.meshgrid(*([np.arange(size)] * ln), indexing="ij")
-    ).reshape(ln, -1)
-    sum_u = np.zeros(idx.shape[1])
-    sum_lyp = np.zeros(idx.shape[1])
-    sum_lym = np.zeros(idx.shape[1])
-    sum_m = np.zeros(idx.shape[1])
-    c_max = np.full(idx.shape[1], -np.inf)
-    c_min = np.full(idx.shape[1], np.inf)
-    for pos, d in enumerate(nbr_dirs):
-        sel = idx[pos]
-        sum_u += tables.u_in[d][sel]
-        sum_lyp += tables.lyp_in[d][sel]
-        sum_lym += tables.lym_in[d][sel]
-        sum_m += messages[d ^ 1][sel]
-        c = tables.c_in[d][sel]
-        c_max = np.maximum(c_max, c)
-        c_min = np.minimum(c_min, c)
-    return {
-        "sum_u": sum_u, "sum_lyp": sum_lyp, "sum_lym": sum_lym,
-        "sum_m": sum_m, "c_max": c_max, "c_min": c_min, "index": idx,
-    }
 
 
 def _window_max(h_site, cfg: GSConfig, tol, xlo, xhi, sum_u, lyp_tot, lym_tot):
@@ -250,72 +196,40 @@ def _window_max(h_site, cfg: GSConfig, tol, xlo, xhi, sum_u, lyp_tot, lym_tot):
     return np.where(feasible, value, -np.inf), idx.astype(np.int64)
 
 
-def _inner_exhaustive(h_site, cfg, tol, target, combos):
-    """Max over neighbor-state combinations and grid fields per target state.
-
-    target holds (S,) arrays u, lyp, lym, nu_out for the target edge;
-    combos is the output of _combo_arrays.  Returns ((S,) values, argmax
-    combo ids, b indices).
-    """
-    nf = target["nu_out"][:, None]
-    u_t = target["u"][:, None]
-    xlo = np.maximum(nf, combos["c_max"][None, :] - u_t) - tol
-    xhi = np.minimum(nf, combos["c_min"][None, :] - u_t) + tol
-    lyp_tot = target["lyp"][:, None] + combos["sum_lyp"][None, :]
-    lym_tot = target["lym"][:, None] + combos["sum_lym"][None, :]
-    value, b_idx = _window_max(
-        h_site, cfg, tol, xlo, xhi, combos["sum_u"][None, :], lyp_tot, lym_tot
-    )
-    value = value + combos["sum_m"][None, :]
-    best = np.argmax(value, axis=1)
-    rows = np.arange(value.shape[0])
-    return value[rows, best], best, b_idx[rows, best]
-
-
 _CHUNK_ELEMS = 4_000_000
 
 
-def _degree_groups(graph: ClassicalGraph):
-    """Directed edges bucketed by neighbor count, with neighbor matrices.
-
-    Returns {ln: (dirs (G,), nbrs (G, ln))}; cached on the graph object.
-    """
-    cached = getattr(graph, "_sweep_groups", None)
-    if cached is not None:
-        return cached
-    groups: dict = {}
-    for d in range(2 * graph.m):
-        site = int(graph.src[d])
-        row = [int(x) for x in graph.out_dirs[site] if int(x) != d]
-        groups.setdefault(len(row), []).append((d, row))
-    out = {}
-    for ln, items in groups.items():
-        dirs = np.array([d for d, _ in items], dtype=np.int64)
-        nbrs = np.array([row for _, row in items], dtype=np.int64).reshape(len(items), ln)
-        out[ln] = (dirs, nbrs)
-    graph._sweep_groups = out
-    return out
-
-
-def _batched_exhaustive(h_sites, cfg, tol, tables, messages, dirs, nbrs, out_fields):
-    """Exhaustive inner max for a batch of directed edges of equal degree.
-
-    h_sites (G,), dirs (G,), nbrs (G, ln); returns (G, S) inner values.
-    Processed in chunks so the (G, S, C) intermediates stay bounded.
-    """
-    size = messages.shape[1]
-    ln = nbrs.shape[1]
+def _combo_index(size: int, ln: int) -> np.ndarray:
+    """(ln, size**ln) state index per neighbour position, last one fastest."""
     if ln and size ** ln > COMBO_LIMIT:
         raise SearchSpaceError(
             f"{size ** ln} state combinations exceed the exhaustive limit; "
             "use the coordinate or convolution inner strategy"
         )
-    c = size ** ln
-    idx = (np.stack(np.meshgrid(*([np.arange(size)] * ln), indexing="ij"))
-           .reshape(ln, -1) if ln else np.zeros((0, 1), dtype=np.int64))
+    if not ln:
+        return np.zeros((0, 1), dtype=np.int64)
+    return np.stack(
+        np.meshgrid(*([np.arange(size)] * ln), indexing="ij")
+    ).reshape(ln, -1)
+
+
+def _window_values(h_sites, cfg, tol, tables, dirs, nbrs):
+    """Message-independent part of the exhaustive inner max, shape (G, S, C).
+
+    Entry [g, s, c] is the best site term at src[dirs[g]] for target state
+    s and neighbour-state combination c (-inf when no grid field keeps BP
+    consistency within tol).  This is G*S*C floats, kept for as long as the
+    tables are: 1.2 MB for the 90 directed edges of a 30-spin 3-regular
+    graph at S = 12 (C = 144), 41 MB for a 1000-spin one.  It is built
+    _CHUNK_ELEMS entries at a time, so the temporaries stay below that.
+    """
+    size = tables.u_in.shape[1]
+    ln = nbrs.shape[1]
+    idx = _combo_index(size, ln)
+    c = idx.shape[1]
     g_total = dirs.size
-    result = np.empty((g_total, size))
-    chunk = max(1, _CHUNK_ELEMS // max(size * c, 1))
+    value = np.empty((g_total, size, c))
+    chunk = max(1, _CHUNK_ELEMS // (size * c))
     for lo_g in range(0, g_total, chunk):
         sl = slice(lo_g, min(lo_g + chunk, g_total))
         dd = dirs[sl]
@@ -324,7 +238,6 @@ def _batched_exhaustive(h_sites, cfg, tol, tables, messages, dirs, nbrs, out_fie
         sum_u = np.zeros((g, c))
         sum_lyp = np.zeros((g, c))
         sum_lym = np.zeros((g, c))
-        sum_m = np.zeros((g, c))
         c_max = np.full((g, c), -np.inf)
         c_min = np.full((g, c), np.inf)
         for pos in range(ln):
@@ -333,22 +246,38 @@ def _batched_exhaustive(h_sites, cfg, tol, tables, messages, dirs, nbrs, out_fie
             sum_u += tables.u_in[rows][:, sel]
             sum_lyp += tables.lyp_in[rows][:, sel]
             sum_lym += tables.lym_in[rows][:, sel]
-            sum_m += messages[rows ^ 1][:, sel]
             cc = tables.c_in[rows][:, sel]
             np.maximum(c_max, cc, out=c_max)
             np.minimum(c_min, cc, out=c_min)
-        nf = out_fields[sl][:, :, None]
+        nf = tables.nu_out[dd][:, :, None]
         u_t = tables.u_in[dd][:, :, None]
         xlo = np.maximum(nf, c_max[:, None, :] - u_t) - tol
         xhi = np.minimum(nf, c_min[:, None, :] - u_t) + tol
         lyp_tot = tables.lyp_in[dd][:, :, None] + sum_lyp[:, None, :]
         lym_tot = tables.lym_in[dd][:, :, None] + sum_lym[:, None, :]
-        value, _ = _window_max(
+        value[sl], _ = _window_max(
             h_sites[sl][:, None, None], cfg, tol, xlo, xhi,
             sum_u[:, None, :], lyp_tot, lym_tot,
         )
-        result[sl] = np.max(value + sum_m[:, None, :], axis=2)
-    return result
+    return value
+
+
+def _batched_exhaustive(value, messages, nbrs):
+    """Exhaustive inner max for a batch of directed edges of equal degree.
+
+    value is the (G, S, C) output of _window_values for the batch and nbrs
+    (G, ln) its neighbour directed edges; returns (G, S) inner values.
+    Only this part depends on the messages: it gathers the neighbour
+    messages per combination, adds them and takes the max, allocating one
+    more (G, S, C) array for the sum.
+    """
+    size = messages.shape[1]
+    ln = nbrs.shape[1]
+    idx = _combo_index(size, ln)
+    sum_m = np.zeros((nbrs.shape[0], idx.shape[1]))
+    for pos in range(ln):
+        sum_m += messages[nbrs[:, pos] ^ 1][:, idx[pos]]
+    return np.max(value + sum_m[:, None, :], axis=2)
 
 
 def gs_maxsum_sweep(inst: QuantumInstance, graph: ClassicalGraph,
@@ -357,25 +286,24 @@ def gs_maxsum_sweep(inst: QuantumInstance, graph: ClassicalGraph,
     """One synchronous MaxSum sweep over all directed edges.
 
     messages is (2m, S); returns (new_messages, dead_edges) where
-    dead_edges lists edges whose states are all inadmissible in some
-    direction.  Each finite table is normalized to max zero.  tables may
-    be passed in when the spaces have not changed since the last sweep.
+    dead_edges lists edges whose states are all inadmissible in both
+    directions.  Each finite table is normalized to max zero.  tables may
+    be passed in when the spaces have not changed since the last sweep;
+    they then also keep the window values of every tol swept with them.
     """
     if tables is None:
         tables = _sweep_tables(inst, spaces)
-    size = spaces.size
     new = np.full_like(messages, -np.inf)
-    out_all = np.empty_like(messages)
-    for d in range(2 * graph.m):
-        out_all[d] = _out_field(spaces, d)
-    for ln, (dirs, nbrs) in _degree_groups(graph).items():
+    for ln, (dirs, nbrs) in graph.sweep_groups.items():
         slow = (cfg.inner == "convolution" and ln > 0) or \
                (cfg.inner == "coordinate" and ln > 1)
         if not slow:
-            inner = _batched_exhaustive(
-                inst.fields[graph.src[dirs]], cfg, tol, tables, messages,
-                dirs, nbrs, out_all[dirs],
-            )
+            key = (ln, tol, cfg.delta_b, cfg.half_b)
+            if key not in tables.window:
+                tables.window[key] = _window_values(
+                    inst.fields[graph.src[dirs]], cfg, tol, tables, dirs, nbrs
+                )
+            inner = _batched_exhaustive(tables.window[key], messages, nbrs)
             new[dirs] = tables.neg_bond[dirs // 2] + inner
             continue
         for gi, d in enumerate(dirs):
@@ -383,7 +311,7 @@ def gs_maxsum_sweep(inst: QuantumInstance, graph: ClassicalGraph,
             nbr_dirs = [int(x) for x in nbrs[gi]]
             target = {
                 "u": tables.u_in[d], "lyp": tables.lyp_in[d],
-                "lym": tables.lym_in[d], "nu_out": out_all[d],
+                "lym": tables.lym_in[d], "nu_out": tables.nu_out[d],
             }
             if cfg.inner == "convolution":
                 inner, _, _ = _inner_convolution(
@@ -394,15 +322,11 @@ def gs_maxsum_sweep(inst: QuantumInstance, graph: ClassicalGraph,
                     inst.fields[site], cfg, tol, target, tables, messages, nbr_dirs
                 )
             new[d] = tables.neg_bond[d // 2] + inner
-    dead = []
-    for e in range(graph.m):
-        top = max(new[2 * e].max(), new[2 * e + 1].max())
-        if not np.isfinite(top):
-            dead.append(e)
-        for d in (2 * e, 2 * e + 1):
-            mx = new[d].max()
-            if np.isfinite(mx):
-                new[d] = new[d] - mx
+    mx = new.max(axis=1)
+    finite = np.isfinite(mx)
+    new[finite] -= mx[finite, None]
+    # an edge is dead when neither direction has a finite entry
+    dead = np.flatnonzero(~(finite[0::2] | finite[1::2])).tolist()
     return new, dead
 
 
@@ -646,13 +570,13 @@ def convolution_inner_max(inst: QuantumInstance, graph: ClassicalGraph,
                           cfg: GSConfig):
     """Inner maximization at `site` toward directed edge target_dir via the
     sequential convolution.  Returns per-target-state values (without the
-    bond term), matching _inner_exhaustive up to binning error.
+    bond term), matching exhaustive_inner_max up to binning error.
     """
     tables = _sweep_tables(inst, spaces)
     nbr_dirs = [int(x) for x in graph.out_dirs[site] if int(x) != target_dir]
     target = {
         "u": tables.u_in[target_dir], "lyp": tables.lyp_in[target_dir],
-        "lym": tables.lym_in[target_dir], "nu_out": _out_field(spaces, target_dir),
+        "lym": tables.lym_in[target_dir], "nu_out": tables.nu_out[target_dir],
     }
     values, _, _ = _inner_convolution(
         inst.fields[site], cfg, tol, target, tables, messages, nbr_dirs
@@ -665,16 +589,15 @@ def exhaustive_inner_max(inst: QuantumInstance, graph: ClassicalGraph,
                          site: int, target_dir: int, tol: float,
                          cfg: GSConfig):
     """Reference inner maximization (full enumeration), same contract as
-    convolution_inner_max."""
+    convolution_inner_max: the batched sweep kernel for one directed edge."""
     tables = _sweep_tables(inst, spaces)
-    nbr_dirs = [int(x) for x in graph.out_dirs[site] if int(x) != target_dir]
-    target = {
-        "u": tables.u_in[target_dir], "lyp": tables.lyp_in[target_dir],
-        "lym": tables.lym_in[target_dir], "nu_out": _out_field(spaces, target_dir),
-    }
-    combos = _combo_arrays(tables, messages, nbr_dirs, spaces.size)
-    values, _, _ = _inner_exhaustive(inst.fields[site], cfg, tol, target, combos)
-    return values
+    dirs = np.array([target_dir], dtype=np.int64)
+    nbrs = np.array(
+        [[int(x) for x in graph.out_dirs[site] if int(x) != target_dir]],
+        dtype=np.int64,
+    ).reshape(1, -1)
+    value = _window_values(inst.fields[[site]], cfg, tol, tables, dirs, nbrs)
+    return _batched_exhaustive(value, messages, nbrs)[0]
 
 
 def _random_state(rng, k_vals, nu_vals):

@@ -9,7 +9,9 @@ normalize h_i -> |h_i| and record which sites were flipped.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -142,10 +144,15 @@ class ClassicalGraph:
         self.dst[0::2] = edge_index[:, 1]
         self.dst[1::2] = edge_index[:, 0]
         self.edge_of_dir = np.repeat(np.arange(self.m, dtype=np.int64), 2)
+        # CSR: the directed edges leaving site s are
+        # dir_order[dir_start[s]:dir_start[s + 1]], in increasing index order
+        self.dir_order = np.argsort(self.src, kind="stable")
+        self.degrees = np.bincount(self.src, minlength=self.n)
+        self.dir_start = np.concatenate([[0], np.cumsum(self.degrees)])
         self.out_dirs = [
-            np.flatnonzero(self.src == s) for s in range(self.n)
+            self.dir_order[self.dir_start[s]:self.dir_start[s + 1]]
+            for s in range(self.n)
         ]
-        self.degrees = np.array([len(d) for d in self.out_dirs])
         self.is_forest = self._forest_check()
 
     @classmethod
@@ -171,6 +178,26 @@ class ClassicalGraph:
     def reverse(self, d):
         return d ^ 1
 
+    @cached_property
+    def sweep_groups(self) -> dict:
+        """Directed edges bucketed by the number of other edges at their source.
+
+        Returns {ln: (dirs (G,), nbrs (G, ln))}: dirs in increasing order,
+        nbrs[g] the other directed edges leaving src[dirs[g]] in out_dirs
+        order.  Groups appear in order of their first directed edge.
+        """
+        ln_of_dir = self.degrees[self.src] - 1
+        lns, first = np.unique(ln_of_dir, return_index=True)
+        groups = {}
+        for ln in lns[np.argsort(first)]:
+            dirs = np.flatnonzero(ln_of_dir == ln)
+            around = self.dir_order[
+                self.dir_start[self.src[dirs]][:, None] + np.arange(ln + 1)
+            ]
+            nbrs = around[around != dirs[:, None]].reshape(dirs.size, ln)
+            groups[int(ln)] = (dirs, nbrs)
+        return groups
+
     def bfs_order(self, root: int = 0) -> np.ndarray:
         """Sites in BFS order from root, unseen components appended in index order."""
         seen = np.zeros(self.n, dtype=bool)
@@ -178,10 +205,10 @@ class ClassicalGraph:
         for start in [root] + [s for s in range(self.n) if s != root]:
             if seen[start]:
                 continue
-            queue = [start]
+            queue = deque([start])
             seen[start] = True
             while queue:
-                s = queue.pop(0)
+                s = queue.popleft()
                 order.append(s)
                 for d in self.out_dirs[s]:
                     t = int(self.dst[d])

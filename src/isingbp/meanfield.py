@@ -42,25 +42,21 @@ class MFSolution:
     residual: float
 
 
-_HOP_CHUNK_ELEMS = 4_000_000
+def _hop_tables(j_tanh, tanh_vals, messages):
+    """hop[d][x] = max_y [J_d tanh_x tanh_y + M_d(y)] for directed edge d.
 
-
-def _hop_tables(graph: ClassicalGraph, couplings, tanh_vals, messages):
-    """hop[d][x] = max_y [J_e tanh_x tanh_y + M_d(y)] for directed edge d.
-
-    Chunked over directed edges so the (dirs, x, y) intermediate stays
-    bounded regardless of instance size.
+    j_tanh[d][x] = J_d tanh_x is fixed for a solve and is passed in.  The
+    (x, y) table of one directed edge at a time is built in place in one
+    nb * nb buffer (0.72 MB for the default nb = 301); past that the only
+    memory is the (2m, nb) result.
     """
-    j_dir = couplings[graph.edge_of_dir]
-    nb = tanh_vals.size
-    ndir = 2 * graph.m
+    ndir, nb = j_tanh.shape
     hop = np.empty((ndir, nb))
-    step = max(1, _HOP_CHUNK_ELEMS // (nb * nb))
-    for lo in range(0, ndir, step):
-        hi = min(lo + step, ndir)
-        grid_term = (j_dir[lo:hi, None, None]
-                     * tanh_vals[None, :, None] * tanh_vals[None, None, :])
-        np.max(grid_term + messages[lo:hi, None, :], axis=2, out=hop[lo:hi])
+    buf = np.empty((nb, nb))
+    for d in range(ndir):
+        np.multiply(j_tanh[d][:, None], tanh_vals[None, :], out=buf)
+        buf += messages[d][None, :]
+        np.max(buf, axis=1, out=hop[d])
     return hop
 
 
@@ -84,6 +80,9 @@ def mf_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_FIELD_GRID,
     nb = vals.size
     tanh_vals = np.tanh(2.0 * vals)
     site_term = inst.fields[:, None] / np.cosh(2.0 * vals)[None, :]
+    j_tanh = inst.couplings[graph.edge_of_dir][:, None] * tanh_vals[None, :]
+    site_src = site_term[graph.src]
+    rev = np.arange(2 * graph.m) ^ 1
 
     messages = np.zeros((2 * graph.m, nb))
     if not graph.is_forest:
@@ -97,10 +96,10 @@ def mf_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_FIELD_GRID,
     stale = 0
     for it in range(1, max_iters + 1):
         iterations = it
-        hop = _hop_tables(graph, inst.couplings, tanh_vals, messages)
+        hop = _hop_tables(j_tanh, tanh_vals, messages)
         hop_sum = np.zeros((graph.n, nb))
         np.add.at(hop_sum, graph.dst, hop)
-        new = site_term[graph.src] + hop_sum[graph.src] - hop[np.arange(2 * graph.m) ^ 1]
+        new = site_src + hop_sum[graph.src] - hop[rev]
         new -= new.max(axis=1, keepdims=True)
         residual = float(np.max(np.abs(new - messages))) if graph.m else 0.0
         messages = new
@@ -119,7 +118,8 @@ def mf_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_FIELD_GRID,
         messages = best[1]
         residual = best[0]
 
-    b_star = _extract_fields(inst, graph, vals, tanh_vals, site_term, messages)
+    b_star = _extract_fields(inst, graph, vals, tanh_vals, j_tanh, site_term,
+                             messages)
     return MFSolution(
         b=b_star,
         energy=mf_energy(inst, b_star),
@@ -129,8 +129,8 @@ def mf_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_FIELD_GRID,
     )
 
 
-def _extract_fields(inst, graph, vals, tanh_vals, site_term, messages):
-    hop = _hop_tables(graph, inst.couplings, tanh_vals, messages)
+def _extract_fields(inst, graph, vals, tanh_vals, j_tanh, site_term, messages):
+    hop = _hop_tables(j_tanh, tanh_vals, messages)
     b_star = np.zeros(inst.n)
     b_idx = np.full(inst.n, -1, dtype=np.int64)
     for site in graph.bfs_order():

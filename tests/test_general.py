@@ -21,6 +21,7 @@ from isingbp import (
     mf_maxsum_solve,
     ss_maxsum_solve,
 )
+from isingbp.classical_bp import bond_energy, field_shift, logcosh
 from isingbp.general import _extract, _sweep_tables, candidates_order
 from isingbp.grids import Grid
 from isingbp.meanfield import mf_energy
@@ -69,6 +70,52 @@ def _converge_sweep(inst, g, spaces, cfg, tol, sweeps=60):
     assert residual <= 1e-12
     assert not dead
     return messages
+
+
+def test_sweep_tables_match_per_edge_formulas():
+    inst = generate_rrg(8, 3, law="gaussian", h=1.0, seed=3)
+    g = ClassicalGraph.from_instance(inst)
+    spaces = init_spaces(g, GSConfig(space_size=7), np.random.default_rng(4))
+    tables = _sweep_tables(inst, spaces)
+    for d in range(2 * g.m):
+        e = d // 2
+        k = spaces.k[e]
+        nu_in = spaces.nu_rev[e] if d % 2 == 0 else spaces.nu_fwd[e]
+        nu_out = spaces.nu_fwd[e] if d % 2 == 0 else spaces.nu_rev[e]
+        base = logcosh(nu_in)
+        u = field_shift(nu_in, k)
+        np.testing.assert_array_equal(tables.u_in[d], u)
+        np.testing.assert_array_equal(tables.lyp_in[d], logcosh(nu_in + 2.0 * k) - base)
+        np.testing.assert_array_equal(tables.lym_in[d], logcosh(nu_in - 2.0 * k) - base)
+        np.testing.assert_array_equal(tables.c_in[d], u + nu_out)
+        np.testing.assert_array_equal(tables.nu_out[d], nu_out)
+    np.testing.assert_array_equal(tables.neg_bond, -bond_energy(
+        inst.couplings[:, None], spaces.k, spaces.nu_fwd, spaces.nu_rev))
+
+
+@pytest.mark.parametrize("inner,inst", [
+    ("exhaustive", generate_rrg(8, 3, law="pm_one", h=1.2, seed=1)),
+    ("exhaustive", testutil.random_tree(9, np.random.default_rng(5))),
+    ("coordinate", testutil.star_instance(3, h=0.8, seed=3)),
+    ("convolution", testutil.star_instance(3, h=0.8, seed=3)),
+])
+def test_sweep_with_reused_tables_is_bit_identical(inner, inst):
+    # tables carry cached window values per tol; sweeping one set of tables
+    # at two tolerances must give what fresh tables give at each
+    g = ClassicalGraph.from_instance(inst)
+    cfg = GSConfig(delta_b=0.1, half_b=10, delta_k=0.2, half_k=4,
+                   delta_nu=0.2, half_nu=10, space_size=5, inner=inner)
+    spaces = init_spaces(g, cfg, np.random.default_rng(2))
+    tables = _sweep_tables(inst, spaces)
+    messages = np.zeros((2 * g.m, cfg.space_size))
+    for tol in (0.6, 0.25, 0.6, 0.25):
+        reused, dead_reused = gs_maxsum_sweep(inst, g, spaces, messages, tol,
+                                              cfg, tables=tables)
+        fresh, dead_fresh = gs_maxsum_sweep(inst, g, spaces, messages, tol, cfg)
+        assert reused.tobytes() == fresh.tobytes()
+        assert dead_reused == dead_fresh
+        messages = np.where(np.isfinite(reused), reused, -50.0)
+    assert np.any(np.isfinite(reused))
 
 
 def test_zero_coupling_spaces_reduce_to_product_states():

@@ -174,3 +174,75 @@ def test_round_trip_random_instances(data):
     inst = QuantumInstance(n=n, edge_index=edges, couplings=couplings,
                            fields=fields, seed=data.draw(st.integers(0, 99)))
     assert load_instance(save_instance(inst)) == inst
+
+
+def _quadratic_graph_reference(g, root=0):
+    """out_dirs, BFS order and sweep groups built by per-site scans."""
+    out_dirs = [np.flatnonzero(g.src == s) for s in range(g.n)]
+    seen = np.zeros(g.n, dtype=bool)
+    order = []
+    for start in [root] + [s for s in range(g.n) if s != root]:
+        if seen[start]:
+            continue
+        queue = [start]
+        seen[start] = True
+        while queue:
+            s = queue.pop(0)
+            order.append(s)
+            for d in out_dirs[s]:
+                t = int(g.dst[d])
+                if not seen[t]:
+                    seen[t] = True
+                    queue.append(t)
+    groups = {}
+    for d in range(2 * g.m):
+        row = [int(x) for x in out_dirs[int(g.src[d])] if int(x) != d]
+        groups.setdefault(len(row), []).append((d, row))
+    groups = {
+        ln: (np.array([d for d, _ in items], dtype=np.int64),
+             np.array([r for _, r in items], dtype=np.int64).reshape(len(items), ln))
+        for ln, items in groups.items()
+    }
+    return out_dirs, np.array(order, dtype=np.int64), groups
+
+
+def _random_graph_edges(kind, n, rng):
+    if kind == "gnp":
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.3]
+    elif kind == "forest":
+        # random recursive trees over shuffled sites, some sites left isolated
+        perm = rng.permutation(n)
+        pairs = [(int(perm[i]), int(perm[rng.integers(0, i)]))
+                 for i in range(1, n) if rng.random() < 0.8]
+    else:
+        return generate_rrg(n, 3, law="ferro", h=0.0, seed=int(rng.integers(99))).edge_index
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("kind", ["gnp", "forest", "rrg"])
+@pytest.mark.parametrize("seed", range(4))
+def test_csr_adjacency_matches_quadratic_scan(kind, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9)) * 2 + (kind == "gnp")
+    g = ClassicalGraph(n, _random_graph_edges(kind, n, rng))
+    root = int(rng.integers(n))
+    out_dirs, order, groups = _quadratic_graph_reference(g, root)
+    assert len(g.out_dirs) == n
+    for got, want in zip(g.out_dirs, out_dirs):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(g.degrees, [len(d) for d in out_dirs])
+    assert np.array_equal(g.bfs_order(root), order)
+    assert list(g.sweep_groups) == list(groups)
+    for ln, (dirs, nbrs) in groups.items():
+        assert np.array_equal(g.sweep_groups[ln][0], dirs)
+        assert np.array_equal(g.sweep_groups[ln][1], nbrs)
+        assert g.sweep_groups[ln][1].shape == nbrs.shape
+
+
+def test_csr_adjacency_without_edges():
+    g = ClassicalGraph(3, np.zeros((0, 2), dtype=np.int64))
+    assert [d.size for d in g.out_dirs] == [0, 0, 0]
+    assert np.array_equal(g.degrees, [0, 0, 0])
+    assert np.array_equal(g.bfs_order(1), [1, 0, 2])
+    assert g.sweep_groups == {}

@@ -7,7 +7,7 @@ import testutil
 from isingbp import QuantumInstance, generate_chain, generate_rrg, mf_maxsum_solve
 from isingbp.exact import dense_hamiltonian
 from isingbp.grids import Grid
-from isingbp.meanfield import mf_energy
+from isingbp.meanfield import _hop_tables, mf_energy
 from oracles import mf_chain_minimum
 
 COARSE = Grid(step=0.1, half_count=12)
@@ -80,3 +80,26 @@ def test_best_messages_survive_early_stop():
     assert np.isfinite(sol.energy)
     e0 = float(np.linalg.eigvalsh(dense_hamiltonian(inst))[0])
     assert sol.energy >= e0 - 1e-9
+
+
+def _dense_hop_reference(couplings, tanh_vals, messages):
+    return np.max(couplings[:, None, None] * tanh_vals[None, :, None]
+                  * tanh_vals[None, None, :] + messages[:, None, :], axis=2)
+
+
+@pytest.mark.parametrize("law", ["gaussian", "pm_one", "zero"])
+@pytest.mark.parametrize("grid", [COARSE, Grid(step=0.02, half_count=150),
+                                  Grid(step=0.05, half_count=40, cap=1.1)])
+@pytest.mark.parametrize("ndir", [1, 5, 12])
+def test_hop_tables_bit_identical_to_dense(law, grid, ndir):
+    rng = np.random.default_rng(ndir)
+    couplings = {
+        "gaussian": rng.standard_normal(ndir),
+        "pm_one": rng.choice([-1.0, 1.0], size=ndir),
+        "zero": np.zeros(ndir),
+    }[law]
+    tanh_vals = np.tanh(2.0 * grid.values)
+    messages = rng.uniform(-3.0, 0.0, size=(ndir, tanh_vals.size))
+    j_tanh = couplings[:, None] * tanh_vals[None, :]
+    want = _dense_hop_reference(couplings, tanh_vals, messages)
+    assert np.array_equal(_hop_tables(j_tanh, tanh_vals, messages), want)
