@@ -33,7 +33,12 @@ def field_shift(nu, k):
     Equals (1/2) log[cosh(nu + 2k) / cosh(nu - 2k)]; odd in nu for k = 0,
     bounded by 2|k|.
     """
-    return 0.5 * (logcosh(nu + 2.0 * k) - logcosh(nu - 2.0 * k))
+    return _shift(nu, 2.0 * k)
+
+
+def _shift(nu, k2):
+    """field_shift given the doubled coupling k2 = 2k."""
+    return 0.5 * (logcosh(nu + k2) - logcosh(nu - k2))
 
 
 def bond_energy(j, k, nu1, nu2):
@@ -124,6 +129,20 @@ def _incoming_shift(graph: ClassicalGraph, params: ParameterSet, nu):
     return field_shift(nu[np.arange(2 * graph.m) ^ 1], params.k[graph.edge_of_dir])
 
 
+def _bp_step(graph: ClassicalGraph, nu, b2_src, k2_dir, rev, sites):
+    """One synchronous sweep of R rows of cavity fields, nu of shape (R, 2m).
+
+    b2_src = 2 b[:, src] and k2_dir = 2 k[:, edge_of_dir] per row, rev the
+    reverse of each directed edge, sites = src + r * n flattened over the R
+    rows, so one bincount sums every row's incoming shifts per site.
+    """
+    rows = nu.shape[0]
+    shift_in = _shift(nu[:, rev], k2_dir)
+    total = np.bincount(sites, weights=shift_in.reshape(-1), minlength=rows * graph.n)
+    new = b2_src + total[sites].reshape(nu.shape) - shift_in
+    return np.clip(new, -NU_CAP, NU_CAP)
+
+
 def bp_update(graph: ClassicalGraph, params: ParameterSet, nu) -> np.ndarray:
     """One synchronous cavity-field sweep.
 
@@ -133,39 +152,81 @@ def bp_update(graph: ClassicalGraph, params: ParameterSet, nu) -> np.ndarray:
     nu = _check_sizes(graph, params, nu)
     if graph.m == 0:
         return nu.copy()
-    shift_in = _incoming_shift(graph, params, nu)
-    total = np.bincount(graph.src, weights=shift_in, minlength=graph.n)
-    new = 2.0 * params.b[graph.src] + total[graph.src] - shift_in
-    return np.clip(new, -NU_CAP, NU_CAP)
+    return _bp_step(
+        graph, nu[None], 2.0 * params.b[None, graph.src],
+        2.0 * params.k[None, graph.edge_of_dir], np.arange(2 * graph.m) ^ 1,
+        graph.src,
+    )[0]
+
+
+def bp_fixed_points(graph: ClassicalGraph, b, k, inits, damping: float | None = None,
+                    eps: float = 1e-9, max_iters: int = 10000):
+    """Iterate R independent BP problems on one graph as one batch.
+
+    Row r has fields b[r] (n), couplings k[r] (m) and start inits[r] (2m).
+    Every row damps and stops as bp_fixed_point does; a row that converges
+    is frozen with its fields, iteration count and residual and leaves the
+    batch, so only the others keep iterating, up to max_iters.  Returns
+    (nu of shape (R, 2m), one BPReport per row).
+    """
+    b = np.asarray(b, dtype=np.float64)
+    k = np.asarray(k, dtype=np.float64)
+    nu = np.array(inits, dtype=np.float64)
+    rows = nu.shape[0] if nu.ndim == 2 else -1
+    if b.shape != (rows, graph.n) or k.shape != (rows, graph.m):
+        raise ValueError("parameter shapes do not match the graph")
+    if nu.shape != (rows, 2 * graph.m):
+        raise ValueError("need one cavity field per directed edge")
+    if damping is None:
+        damping = 0.0 if graph.is_forest else 0.5
+    rev = np.arange(2 * graph.m) ^ 1
+    b2_src = 2.0 * b[:, graph.src]
+    k2_dir = 2.0 * k[:, graph.edge_of_dir]
+    sites = (graph.src + graph.n * np.arange(rows)[:, None]).reshape(-1)
+    reports: list = [None] * rows
+    active = np.arange(rows)
+    act = nu
+    residual = np.zeros(rows)
+    for it in range(1, max_iters + 1):
+        new = _bp_step(graph, act, b2_src, k2_dir, rev, sites[:act.size])
+        residual = np.max(np.abs(new - act), axis=1, initial=0.0)
+        act = (1.0 - damping) * new + damping * act
+        done = residual <= eps
+        if done.any():
+            nu[active[done]] = act[done]
+            for r, res in zip(active[done], residual[done]):
+                reports[r] = BPReport(converged=True, iterations=it, residual=float(res))
+            keep = ~done
+            active, act, residual = active[keep], act[keep], residual[keep]
+            b2_src, k2_dir = b2_src[keep], k2_dir[keep]
+            if not active.size:
+                break
+    nu[active] = act
+    for r, res in zip(active, residual):
+        reports[r] = BPReport(converged=False, iterations=max_iters, residual=float(res))
+    return nu, reports
 
 
 def bp_fixed_point(graph: ClassicalGraph, params: ParameterSet, init=None,
                    damping: float | None = None, eps: float = 1e-9,
                    max_iters: int = 10000, rng=None):
-    """Iterate bp_update to a fixed point.
+    """Iterate bp_update to a fixed point (bp_fixed_points with one row).
 
     init may be None (zeros), "random" (uniform in [-1, 1] from rng), or an
     explicit field vector.  Damping defaults to 0 on forests and 0.5 on
     loopy graphs.  Returns (nu, BPReport).
     """
-    if damping is None:
-        damping = 0.0 if graph.is_forest else 0.5
     if init is None:
         nu = np.zeros(2 * graph.m)
     elif isinstance(init, str) and init == "random":
         rng = np.random.default_rng(0) if rng is None else rng
         nu = rng.uniform(-1.0, 1.0, size=2 * graph.m)
     else:
-        nu = np.asarray(init, dtype=np.float64).reshape(-1).copy()
+        nu = np.asarray(init, dtype=np.float64).reshape(-1)
     nu = _check_sizes(graph, params, nu)
-    residual = 0.0
-    for it in range(1, max_iters + 1):
-        new = bp_update(graph, params, nu)
-        residual = float(np.max(np.abs(new - nu))) if graph.m else 0.0
-        nu = (1.0 - damping) * new + damping * nu
-        if residual <= eps:
-            return nu, BPReport(converged=True, iterations=it, residual=residual)
-    return nu, BPReport(converged=False, iterations=max_iters, residual=residual)
+    nus, reports = bp_fixed_points(graph, params.b[None], params.k[None], nu[None],
+                                   damping=damping, eps=eps, max_iters=max_iters)
+    return nus[0], reports[0]
 
 
 def observables(inst: QuantumInstance, graph: ClassicalGraph,

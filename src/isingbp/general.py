@@ -31,7 +31,8 @@ import numpy as np
 from .classical_bp import (
     ParameterSet,
     bond_energy,
-    bp_fixed_point,
+    bp_fixed_point,  # noqa: F401  (perfbench/tracing.py wraps general.bp_fixed_point)
+    bp_fixed_points,
     field_shift,
     logcosh,
     observables,
@@ -755,37 +756,51 @@ def _extract(inst, graph, spaces, messages, tol, cfg):
     return b, k, nu, maxsum_energy, disagreements
 
 
-def _refit(inst, graph, b, k, nu_init, cfg, rng):
-    """BP refit of extracted parameters; returns (obs, nu, report, fallback).
+def _refit(inst, graph, candidates, cfg, rng):
+    """BP refit of every candidate's extracted parameters in one batch.
 
-    Fixed points with mean |<s^z>| below delta_m are rejected; if none
-    passes, the lowest-energy one is used anyway and flagged.
+    candidates are (label, b, k, nu_init).  Each candidate gets the starts
+    nu_init, zeros and bp_restarts uniform draws from rng, drawn candidate
+    by candidate, and all (candidate, start) rows run as one
+    bp_fixed_points call.  Returns one (obs, nu, report, fallback, reports)
+    per candidate, reports holding every start's BPReport.  Fixed points
+    with mean |<s^z>| below delta_m are rejected; if none passes, the
+    lowest-energy one is used anyway and flagged.
     """
-    params = ParameterSet(b, k)
-    inits = [np.asarray(nu_init), np.zeros(2 * graph.m)]
-    for _ in range(cfg.bp_restarts):
-        inits.append(rng.uniform(-2.0, 2.0, size=2 * graph.m))
-    fixed = []
-    backup = None
-    for init in inits:
-        nu, rep = bp_fixed_point(
-            graph, params, init=init, eps=cfg.bp_eps, max_iters=cfg.bp_max_iters
-        )
-        obs = observables(inst, graph, params, nu)
-        if rep.converged:
-            if not any(np.max(np.abs(nu - f[1])) < 1e-7 for f in fixed):
-                fixed.append((obs, nu, rep))
-        elif backup is None or rep.residual < backup[2].residual:
-            backup = (obs, nu, rep)
-    if not fixed:
-        obs, nu, rep = backup
-        return obs, nu, rep, False
-    passing = [f for f in fixed if cfg.delta_m == 0.0
-               or float(np.mean(np.abs(f[0].sigma_z))) >= cfg.delta_m]
-    fallback = not passing
-    pool = passing if passing else fixed
-    obs, nu, rep = min(pool, key=lambda f: f[0].energy)
-    return obs, nu, rep, fallback
+    params = [ParameterSet(b, k) for _, b, k, _ in candidates]
+    starts = 2 + cfg.bp_restarts
+    inits = []
+    for _, _, _, nu_init in candidates:
+        inits += [np.asarray(nu_init), np.zeros(2 * graph.m)]
+        inits += [rng.uniform(-2.0, 2.0, size=2 * graph.m)
+                  for _ in range(cfg.bp_restarts)]
+    nus, reports = bp_fixed_points(
+        graph,
+        np.repeat(np.stack([p.b for p in params]), starts, axis=0),
+        np.repeat(np.stack([p.k for p in params]), starts, axis=0),
+        np.stack(inits),
+        eps=cfg.bp_eps, max_iters=cfg.bp_max_iters,
+    )
+    out = []
+    for c, p in enumerate(params):
+        rows = slice(c * starts, (c + 1) * starts)
+        fixed = []
+        backup = None
+        for nu, rep in zip(nus[rows], reports[rows]):
+            obs = observables(inst, graph, p, nu)
+            if rep.converged:
+                if not any(np.max(np.abs(nu - f[1])) < 1e-7 for f in fixed):
+                    fixed.append((obs, nu, rep))
+            elif backup is None or rep.residual < backup[2].residual:
+                backup = (obs, nu, rep)
+        if not fixed:
+            out.append((*backup, False, reports[rows]))
+            continue
+        passing = [f for f in fixed if cfg.delta_m == 0.0
+                   or float(np.mean(np.abs(f[0].sigma_z))) >= cfg.delta_m]
+        pool = passing if passing else fixed
+        out.append((*min(pool, key=lambda f: f[0].energy), not passing, reports[rows]))
+    return out
 
 
 def gs_solve(inst: QuantumInstance, cfg: GSConfig | None = None) -> GSResult:
@@ -900,9 +915,16 @@ def gs_solve(inst: QuantumInstance, cfg: GSConfig | None = None) -> GSResult:
         raise SearchSpaceError("no admissible extraction and no seeds enabled")
 
     refits = []
-    for label, b, k, nu0 in candidates:
-        obs, nu, rep, fallback = _refit(inst, graph, b, k, nu0, cfg, rng)
+    refit_log = []
+    fits = _refit(inst, graph, candidates, cfg, rng)
+    for (label, b, k, _), (obs, nu, rep, fallback, starts) in zip(candidates, fits):
         refits.append((obs.energy, label, b, k, nu, obs, rep, fallback))
+        refit_log.append({
+            "label": label, "energy": obs.energy,
+            "starts": [{"converged": r.converged, "iterations": r.iterations}
+                       for r in starts],
+            "delta_m_fallback": fallback,
+        })
     refits.sort(key=lambda r: (r[0], candidates_order(r[1])))
     energy, label, b, k, nu, obs, rep, fallback = refits[0]
 
@@ -918,7 +940,10 @@ def gs_solve(inst: QuantumInstance, cfg: GSConfig | None = None) -> GSResult:
         chosen=label,
         delta_m_fallback=fallback,
         disagreements=int(last["disagreements"]) if last else 0,
-        diagnostics={"rounds": rounds_log},
+        diagnostics={
+            "rounds": rounds_log,
+            "refits": {"candidates": refit_log, "winner": label},
+        },
     )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,11 +26,13 @@ class Grid:
         if self.cap is not None and self.cap < 0:
             raise ValueError("cap must be >= 0")
 
-    @property
+    @cached_property
     def values(self) -> np.ndarray:
+        """The grid values, computed once per grid and read-only."""
         v = self.step * np.arange(-self.half_count, self.half_count + 1)
         if self.cap is not None:
             v = v[np.abs(v) <= self.cap + 1e-12]
+        v.setflags(write=False)
         return v
 
     @property

@@ -1,6 +1,6 @@
 """Acceptance-line reporting: one PASS/FAIL line per criterion at the end."""
 
-ACCEPTANCE: dict = {}
+from acceptance_log import ACCEPTANCE
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -64,3 +64,66 @@ def classical_ground_energy(inst) -> float:
         sigma = 1.0 - 2.0 * ((code >> np.arange(inst.n)) & 1)
         best = min(best, energy_of_config(inst, sigma))
     return float(best)
+
+
+def bp_fixed_point_loop(graph, b, k, init, damping, eps, max_iters):
+    """Damped synchronous BP on one parameter set, one update at a time.
+
+    nu'_{i->j} = 2 b_i + sum_{l in di \\ j} field_shift(nu_{l->i}, k_il),
+    clamped to +-NU_CAP, then nu <- (1 - damping) nu' + damping nu, until
+    the largest change of an update is <= eps.  Returns (nu, BPReport).
+    """
+    from isingbp.classical_bp import NU_CAP, BPReport, field_shift
+
+    rev = np.arange(2 * graph.m) ^ 1
+    nu = np.array(init, dtype=np.float64)
+    residual = 0.0
+    for it in range(1, max_iters + 1):
+        if graph.m:
+            shift_in = field_shift(nu[rev], k[graph.edge_of_dir])
+            total = np.bincount(graph.src, weights=shift_in, minlength=graph.n)
+            new = np.clip(2.0 * b[graph.src] + total[graph.src] - shift_in,
+                          -NU_CAP, NU_CAP)
+            residual = float(np.max(np.abs(new - nu)))
+        else:
+            new = nu.copy()
+            residual = 0.0
+        nu = (1.0 - damping) * new + damping * nu
+        if residual <= eps:
+            return nu, BPReport(converged=True, iterations=it, residual=residual)
+    return nu, BPReport(converged=False, iterations=max_iters, residual=residual)
+
+
+def refit_one(inst, graph, b, k, nu_init, cfg, rng):
+    """Refit of one gs candidate, start by start.
+
+    Starts are nu_init, zeros and cfg.bp_restarts uniform draws in [-2, 2]
+    from rng.  Converged fixed points are deduplicated (max change < 1e-7),
+    those with mean |<s^z>| below delta_m rejected unless none passes
+    (then flagged), and the lowest energy kept; with no converged start
+    the least-residual run is returned unflagged.  Returns (obs, nu,
+    report, fallback).
+    """
+    from isingbp.classical_bp import ParameterSet, observables
+
+    params = ParameterSet(b, k)
+    damping = 0.0 if graph.is_forest else 0.5
+    inits = [np.asarray(nu_init), np.zeros(2 * graph.m)]
+    for _ in range(cfg.bp_restarts):
+        inits.append(rng.uniform(-2.0, 2.0, size=2 * graph.m))
+    fixed, backup = [], None
+    for init in inits:
+        nu, rep = bp_fixed_point_loop(graph, params.b, params.k, init, damping,
+                                      cfg.bp_eps, cfg.bp_max_iters)
+        obs = observables(inst, graph, params, nu)
+        if rep.converged:
+            if not any(np.max(np.abs(nu - f[1])) < 1e-7 for f in fixed):
+                fixed.append((obs, nu, rep))
+        elif backup is None or rep.residual < backup[2].residual:
+            backup = (obs, nu, rep)
+    if not fixed:
+        return (*backup, False)
+    passing = [f for f in fixed if cfg.delta_m == 0.0
+               or float(np.mean(np.abs(f[0].sigma_z))) >= cfg.delta_m]
+    obs, nu, rep = min(passing or fixed, key=lambda f: f[0].energy)
+    return obs, nu, rep, not passing

@@ -10,6 +10,7 @@ from isingbp import ClassicalGraph, ParameterSet, bp_fixed_point, observables
 from isingbp.classical_bp import (
     NU_CAP,
     bond_energy,
+    bp_fixed_points,
     bp_update,
     field_shift,
     logcosh,
@@ -20,6 +21,8 @@ from isingbp.enumeration import (
     classical_expectations,
     quantum_expectation,
 )
+from isingbp.instance import generate_rrg
+from oracles import bp_fixed_point_loop
 
 finite = st.floats(-50, 50, allow_nan=False)
 
@@ -157,3 +160,86 @@ def test_shape_validation():
         bp_update(graph, good, np.zeros(5))
     with pytest.raises(ValueError):
         bp_update(graph, ParameterSet(np.zeros(3), np.zeros(3)), np.zeros(6))
+
+
+def _assert_rows_match_loop(graph, b, k, inits, damping, eps, max_iters,
+                            explicit_damping=False):
+    """The kernel (default damping unless explicit) against the loop per row."""
+    nus, reports = bp_fixed_points(graph, b, k, inits,
+                                   damping=damping if explicit_damping else None,
+                                   eps=eps, max_iters=max_iters)
+    assert nus.shape == (len(inits), 2 * graph.m)
+    assert len(reports) == len(inits)
+    for r in range(len(inits)):
+        nu, rep = bp_fixed_point_loop(graph, b[r], k[r], inits[r], damping,
+                                      eps, max_iters)
+        assert np.array_equal(nus[r], nu)
+        assert reports[r] == rep
+    return reports
+
+
+def test_batched_fixed_points_match_loop_on_loopy_graph():
+    inst = generate_rrg(12, 3, law="pm_one", h=1.0, seed=3)
+    graph = ClassicalGraph.from_instance(inst)
+    rng = np.random.default_rng(11)
+    scales = np.array([0.2, 0.5, 1.0, 1.5, 2.0, 0.3, 1.2, 1.8])[:, None]
+    b = 0.8 * rng.standard_normal((8, graph.n))
+    k = scales * rng.standard_normal((8, graph.m))
+    inits = rng.uniform(-2.0, 2.0, (8, 2 * graph.m))
+    reports = _assert_rows_match_loop(graph, b, k, inits, 0.5, 1e-9, 150)
+    done = {r.iterations for r in reports if r.converged}
+    assert len(done) >= 2
+    assert any(not r.converged and r.iterations == 150 for r in reports)
+    # an explicit damping reaches every row as well
+    _assert_rows_match_loop(graph, b, k, inits, 0.3, 1e-9, 150,
+                            explicit_damping=True)
+
+
+def test_batched_fixed_points_match_loop_on_forest():
+    rng = np.random.default_rng(4)
+    inst = testutil.random_tree(9, rng)
+    graph = ClassicalGraph.from_instance(inst)
+    assert graph.is_forest
+    b = 0.6 * rng.standard_normal((4, graph.n))
+    k = 0.5 * rng.standard_normal((4, graph.m))
+    inits = np.zeros((4, 2 * graph.m))
+    reports = _assert_rows_match_loop(graph, b, k, inits, 0.0, 1e-9, 10000)
+    assert all(r.converged for r in reports)
+
+
+def test_batched_fixed_points_on_edgeless_graph():
+    graph = ClassicalGraph(4, np.zeros((0, 2)))
+    b = np.random.default_rng(0).standard_normal((3, 4))
+    reports = _assert_rows_match_loop(graph, b, np.zeros((3, 0)),
+                                      np.zeros((3, 0)), 0.0, 1e-9, 10)
+    assert all(r.converged and r.iterations == 1 for r in reports)
+
+
+def test_single_row_is_bp_fixed_point():
+    inst = generate_rrg(12, 3, law="pm_one", h=1.0, seed=5)
+    graph = ClassicalGraph.from_instance(inst)
+    rng = np.random.default_rng(2)
+    params = ParameterSet(0.5 * rng.standard_normal(graph.n),
+                          0.7 * rng.standard_normal(graph.m))
+    init = rng.uniform(-1.0, 1.0, 2 * graph.m)
+    _assert_rows_match_loop(graph, params.b[None], params.k[None], init[None],
+                            0.5, 1e-9, 10000)
+    for start, ref_init in ((None, np.zeros(2 * graph.m)), (init, init),
+                            ("random", np.random.default_rng(9).uniform(
+                                -1.0, 1.0, 2 * graph.m))):
+        nu, rep = bp_fixed_point(graph, params, init=start,
+                                 rng=np.random.default_rng(9))
+        ref_nu, ref_rep = bp_fixed_point_loop(graph, params.b, params.k,
+                                              ref_init, 0.5, 1e-9, 10000)
+        assert np.array_equal(nu, ref_nu)
+        assert rep == ref_rep
+
+
+def test_batched_shape_validation():
+    graph = ClassicalGraph.from_instance(testutil.random_tree(4, np.random.default_rng(0)))
+    with pytest.raises(ValueError):
+        bp_fixed_points(graph, np.zeros((2, 4)), np.zeros((2, 3)), np.zeros((2, 5)))
+    with pytest.raises(ValueError):
+        bp_fixed_points(graph, np.zeros((2, 4)), np.zeros((1, 3)), np.zeros((2, 6)))
+    with pytest.raises(ValueError):
+        bp_fixed_points(graph, np.zeros(4), np.zeros(3), np.zeros(6))

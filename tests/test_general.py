@@ -1,5 +1,7 @@
 """Joint-parameter solver: degenerations, inner maximizations, search loop."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -22,11 +24,12 @@ from isingbp import (
     ss_maxsum_solve,
 )
 from isingbp.classical_bp import bond_energy, field_shift, logcosh
+from isingbp import general
 from isingbp.general import _extract, _sweep_tables, candidates_order
 from isingbp.grids import Grid
 from isingbp.meanfield import mf_energy
 from isingbp.symmetric import ss_energy
-from oracles import mf_chain_minimum, ss_chain_minimum
+from oracles import mf_chain_minimum, refit_one, ss_chain_minimum
 
 
 def test_config_validation():
@@ -182,6 +185,52 @@ def test_solver_dominates_its_seeds():
     loopy = generate_rrg(8, 3, law="gaussian", h=1.0, seed=2)
     res = gs_solve(loopy, GSConfig(space_size=8, outer_rounds=4, seed=1))
     assert res.energy <= mf_maxsum_solve(loopy, seed=1).energy + 1e-9
+
+
+def test_batched_refit_matches_per_candidate_loop(monkeypatch):
+    inst = generate_rrg(12, 3, law="pm_one", h=0.5, seed=7)
+    # bp_max_iters only caps the refit; the runs that never converge stop sooner
+    cfg = GSConfig(k_cap=2.0, outer_rounds=4, bp_max_iters=2000)
+    seen = {}
+    batched = general._refit
+
+    def capture(inst_, graph, candidates, cfg_, rng):
+        seen.update(graph=graph, candidates=list(candidates),
+                    state=copy.deepcopy(rng.bit_generator.state))
+        return batched(inst_, graph, candidates, cfg_, rng)
+
+    monkeypatch.setattr(general, "_refit", capture)
+    res = gs_solve(inst, cfg)
+    graph, candidates = seen["graph"], seen["candidates"]
+    rng_batch, rng_loop = np.random.default_rng(), np.random.default_rng()
+    rng_batch.bit_generator.state = copy.deepcopy(seen["state"])
+    rng_loop.bit_generator.state = copy.deepcopy(seen["state"])
+
+    fits = batched(inst, graph, candidates, cfg, rng_batch)
+    assert len(fits) == len(candidates)
+    for (label, b, k, nu0), (obs, nu, rep, fallback, starts) in zip(candidates, fits):
+        ref_obs, ref_nu, ref_rep, ref_fallback = refit_one(inst, graph, b, k, nu0,
+                                                           cfg, rng_loop)
+        assert obs.energy == ref_obs.energy, label
+        assert np.array_equal(nu, ref_nu), label
+        assert rep == ref_rep, label
+        assert fallback == ref_fallback, label
+        assert len(starts) == 2 + cfg.bp_restarts
+    assert rng_batch.bit_generator.state == rng_loop.bit_generator.state
+
+    log = res.diagnostics["refits"]
+    assert log["winner"] == res.chosen
+    assert [c["label"] for c in log["candidates"]] == [c[0] for c in candidates]
+    for entry, fit in zip(log["candidates"], fits):
+        assert entry["energy"] == fit[0].energy
+        assert entry["delta_m_fallback"] == fit[3]
+        assert entry["starts"] == [{"converged": r.converged, "iterations": r.iterations}
+                                   for r in fit[4]]
+    # this instance has refit starts that never converge; they must show
+    flags = [s["converged"] for c in log["candidates"] for s in c["starts"]]
+    assert not all(flags)
+    assert all(s["iterations"] == cfg.bp_max_iters
+               for c in log["candidates"] for s in c["starts"] if not s["converged"])
 
 
 def test_solver_deterministic():

@@ -26,6 +26,31 @@ def test_grid_snap():
     assert np.allclose(g.snap([0.2, -0.7]), [0.0, -0.5])
 
 
+@pytest.mark.parametrize("grid", [
+    Grid(step=0.05, half_count=40),
+    Grid(step=0.05, half_count=40, cap=1.5),
+    Grid(step=0.3, half_count=5, cap=0.0),
+])
+def test_grid_values_cached_and_snap_unchanged(grid):
+    v = grid.values
+    assert grid.values is v
+    assert not v.flags.writeable
+    with pytest.raises(ValueError):
+        v[0] = 1.0
+    # the values and the nearest-value formula as computed before caching
+    ref = grid.step * np.arange(-grid.half_count, grid.half_count + 1)
+    if grid.cap is not None:
+        ref = ref[np.abs(ref) <= grid.cap + 1e-12]
+    assert np.array_equal(v, ref)
+    assert grid.size == ref.size
+    x = np.random.default_rng(0).uniform(-4.0, 4.0, 200)
+    idx = np.clip(np.rint((x - ref[0]) / grid.step), 0, ref.size - 1)
+    assert np.array_equal(grid.snap(x), ref[idx.astype(np.int64)])
+    for xi in x[:20]:
+        assert grid.snap(float(xi)) == ref[int(np.clip(np.rint((xi - ref[0]) / grid.step),
+                                                       0, ref.size - 1))]
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(step=0.0, half_count=2),
     dict(step=-0.1, half_count=2),
