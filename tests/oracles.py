@@ -127,3 +127,19 @@ def refit_one(inst, graph, b, k, nu_init, cfg, rng):
                or float(np.mean(np.abs(f[0].sigma_z))) >= cfg.delta_m]
     obs, nu, rep = min(passing or fixed, key=lambda f: f[0].energy)
     return obs, nu, rep, not passing
+
+
+def hop_tables_dense(j_tanh, tanh_vals, messages):
+    """Mean-field hop tables by a full max over every column.
+
+    hop[d][x] = max_y fl(fl(j_tanh[d][x] tanh_y) + M_d(y)), with the (x, y)
+    table of one directed edge at a time built in one nb * nb buffer.
+    """
+    ndir, nb = j_tanh.shape
+    hop = np.empty((ndir, nb))
+    buf = np.empty((nb, nb))
+    for d in range(ndir):
+        np.multiply(j_tanh[d][:, None], tanh_vals[None, :], out=buf)
+        buf += messages[d][None, :]
+        np.max(buf, axis=1, out=hop[d])
+    return hop

@@ -1,14 +1,17 @@
 """Product-state solver against transfer-matrix oracles and exact bounds."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import testutil
-from isingbp import QuantumInstance, generate_chain, generate_rrg, mf_maxsum_solve
+from isingbp import (QuantumInstance, generate_chain, generate_rrg, meanfield,
+                     mf_maxsum_solve)
 from isingbp.exact import dense_hamiltonian
 from isingbp.grids import Grid
-from isingbp.meanfield import _hop_tables, mf_energy
-from oracles import mf_chain_minimum
+from isingbp.meanfield import DEFAULT_FIELD_GRID, _hop_tables, mf_energy
+from oracles import hop_tables_dense, mf_chain_minimum
 
 COARSE = Grid(step=0.1, half_count=12)
 
@@ -42,7 +45,6 @@ def test_chain_grid_optimum(law, h, seed):
 def test_chain_default_grid_optimum():
     inst = generate_chain(8, law="gaussian", h=0.8, seed=6)
     sol = mf_maxsum_solve(inst)
-    from isingbp.meanfield import DEFAULT_FIELD_GRID
     assert np.isclose(sol.energy, mf_chain_minimum(inst, DEFAULT_FIELD_GRID),
                       atol=1e-10)
 
@@ -83,15 +85,46 @@ def test_best_messages_survive_early_stop():
 
 
 def _dense_hop_reference(couplings, tanh_vals, messages):
-    return np.max(couplings[:, None, None] * tanh_vals[None, :, None]
-                  * tanh_vals[None, None, :] + messages[:, None, :], axis=2)
+    rows = [np.max(c * tanh_vals[:, None] * tanh_vals[None, :] + m[None, :],
+                   axis=1)
+            for c, m in zip(couplings, messages)]
+    return np.array(rows).reshape(messages.shape)
 
 
-@pytest.mark.parametrize("law", ["gaussian", "pm_one", "zero"])
-@pytest.mark.parametrize("grid", [COARSE, Grid(step=0.02, half_count=150),
-                                  Grid(step=0.05, half_count=40, cap=1.1)])
-@pytest.mark.parametrize("ndir", [1, 5, 12])
-def test_hop_tables_bit_identical_to_dense(law, grid, ndir):
+def _messages(kind, rng, shape):
+    """uniform on [-3, 0]; constant; tenths (uniform rounded to 0.1, so
+    columns tie exactly); deep (uniform on [-50, 0])."""
+    if kind == "constant":
+        return np.full(shape, -0.7)
+    draw = rng.uniform(-50.0 if kind == "deep" else -3.0, 0.0, size=shape)
+    return np.round(draw, 1) if kind == "tenths" else draw
+
+
+_HOP_GRIDS = {
+    "grid0": COARSE,
+    "grid1": Grid(step=0.02, half_count=150),
+    "grid2": Grid(step=0.05, half_count=40, cap=1.1),
+    # fewer values than the kernel has row groups
+    "nb1": Grid(step=0.1, half_count=0),
+    "nb3": Grid(step=0.1, half_count=1),
+}
+
+
+def _hop_cases():
+    """(ndir, grid, law, messages) with ids ndir-grid-law[-messages]."""
+    return [
+        pytest.param(ndir, grid, law, kind,
+                     id="-".join([str(ndir), name, law]
+                                 + ([kind] if kind != "uniform" else [])))
+        for name, grid in _HOP_GRIDS.items()
+        for ndir in (0, 1, 5, 12, 90)
+        for law in ("gaussian", "pm_one", "zero")
+        for kind in ("uniform", "constant", "tenths", "deep")
+    ]
+
+
+@pytest.mark.parametrize("ndir,grid,law,messages", _hop_cases())
+def test_hop_tables_bit_identical_to_dense(ndir, grid, law, messages):
     rng = np.random.default_rng(ndir)
     couplings = {
         "gaussian": rng.standard_normal(ndir),
@@ -99,7 +132,43 @@ def test_hop_tables_bit_identical_to_dense(law, grid, ndir):
         "zero": np.zeros(ndir),
     }[law]
     tanh_vals = np.tanh(2.0 * grid.values)
-    messages = rng.uniform(-3.0, 0.0, size=(ndir, tanh_vals.size))
+    msgs = _messages(messages, rng, (ndir, tanh_vals.size))
     j_tanh = couplings[:, None] * tanh_vals[None, :]
-    want = _dense_hop_reference(couplings, tanh_vals, messages)
-    assert np.array_equal(_hop_tables(j_tanh, tanh_vals, messages), want)
+    want = _dense_hop_reference(couplings, tanh_vals, msgs)
+    assert np.array_equal(_hop_tables(j_tanh, tanh_vals, msgs), want)
+
+
+@pytest.mark.parametrize("inst", [
+    generate_rrg(30, 3, law="pm_one", h=1.5, seed=77),
+    generate_rrg(30, 3, law="pm_one", h=2.5, seed=77),
+    generate_chain(14, law="gaussian", h=1.0, seed=42),
+], ids=["rrg-h1.5", "rrg-h2.5", "chain"])
+def test_solve_identical_with_dense_hop_tables(inst, monkeypatch):
+    got = mf_maxsum_solve(inst, seed=3)
+    monkeypatch.setattr(meanfield, "_hop_tables", hop_tables_dense)
+    want = mf_maxsum_solve(inst, seed=3)
+    assert np.array_equal(got.b, want.b)
+    assert (got.energy, got.iterations, got.residual, got.converged) == (
+        want.energy, want.iterations, want.residual, want.converged)
+
+
+@pytest.mark.parametrize("messages", ["constant", "uniform"])
+@pytest.mark.parametrize("law", ["zero", "pm_one"])
+def test_hop_tables_peak_memory(law, messages):
+    # constant messages give the widest windows (with zero couplings every
+    # column of every group survives), uniform ones the most windows per block
+    ndir = 90
+    rng = np.random.default_rng(0)
+    tanh_vals = np.tanh(2.0 * DEFAULT_FIELD_GRID.values)
+    nb = tanh_vals.size
+    couplings = {"zero": np.zeros(ndir),
+                 "pm_one": rng.choice([-1.0, 1.0], size=ndir)}[law]
+    j_tanh = couplings[:, None] * tanh_vals[None, :]
+    msgs = _messages(messages, rng, (ndir, nb))
+    tracemalloc.start()
+    try:
+        _hop_tables(j_tanh, tanh_vals, msgs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * nb * nb * 8
