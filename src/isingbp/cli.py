@@ -51,8 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                      help="solver option override (repeatable)")
-    run.add_argument("--inner", choices=("exhaustive", "coordinate", "convolution"),
-                     help="inner maximization strategy (gs only)")
     run.add_argument("--csv", default="-", help="CSV output path, - for stdout")
     run.add_argument("--jsonl", help="JSONL output path")
 
@@ -66,8 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--seed", type=int, default=0)
     cmp_.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                       help="gs option override (repeatable)")
-    cmp_.add_argument("--inner", choices=("exhaustive", "coordinate", "convolution"),
-                      help="inner maximization strategy (gs only)")
     cmp_.add_argument("--csv", default="-", help="CSV output path, - for stdout")
     cmp_.add_argument("--jsonl", help="JSONL output path")
     return parser
@@ -106,12 +102,8 @@ def _cmd_run(args, methods) -> int:
     inst = load_instance(Path(args.instance).read_text())
     h_values = _parse_h(args.h)
     overrides = parse_overrides(args.set)
-    if args.inner:
-        overrides["inner"] = args.inner
     per_method = {m: dict(overrides) if m == "gs" or len(methods) == 1 else {}
                   for m in methods}
-    if len(methods) == 1 and methods[0] != "gs":
-        per_method[methods[0]].pop("inner", None)
     name = Path(args.instance).name
     records = run_grid(inst, name, methods, h_values,
                        base_seed=args.seed, overrides=per_method)

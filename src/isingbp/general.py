@@ -12,8 +12,11 @@ the surrounding edges) is exhaustive by default.  Closed-form pieces keep
 it cheap: for a fixed combination of edge states the admissible local
 fields form an interval, and the site energy is unimodal in the field, so
 the best grid field is the clipped rounding of the unconstrained optimum.
-A sequential convolution over neighbors (binned partial sums) and a
-coordinate-ascent fallback are provided for high degrees.
+The sweep, the reference inner max and the site maximization of the
+extraction all sum the per-edge quantities over neighbour-state
+combinations with one accumulator (_accumulate).  The inner strategy
+"convolution" instead folds neighbours in one at a time into binned
+partial sums: approximate, but its memory does not grow as S**degree.
 
 Extraction reads the best state per edge from the edge weights, the field
 per site from the site shift maximizer, and then refits the cavity fields
@@ -87,7 +90,7 @@ class GSConfig:
     conv_y_bins: int = 64
 
     def __post_init__(self):
-        if self.inner not in ("exhaustive", "coordinate", "convolution"):
+        if self.inner not in ("exhaustive", "convolution"):
             raise ValueError(f"unknown inner strategy {self.inner!r}")
         if not (0.0 <= self.resample_fraction <= 1.0):
             raise ValueError("resample_fraction must be in [0, 1]")
@@ -177,7 +180,7 @@ def _site_term(h, b, lyp, lym):
     return 2.0 * h * np.exp(-mx) / (np.exp(a1 - mx) + np.exp(a2 - mx))
 
 
-def _window_max(h_site, cfg: GSConfig, tol, xlo, xhi, sum_u, lyp_tot, lym_tot):
+def _window_max(h_site, cfg: GSConfig, xlo, xhi, sum_u, lyp_tot, lym_tot):
     """Best site term over grid fields b with 2b + sum_u inside [xlo, xhi].
 
     Returns (value, b_index) arrays; infeasible windows give -inf.  The
@@ -204,14 +207,29 @@ def _combo_index(size: int, ln: int) -> np.ndarray:
     """(ln, size**ln) state index per neighbour position, last one fastest."""
     if ln and size ** ln > COMBO_LIMIT:
         raise SearchSpaceError(
-            f"{size ** ln} state combinations exceed the exhaustive limit; "
-            "use the coordinate or convolution inner strategy"
+            f"{size} states on each of {ln} edges give {size ** ln} state "
+            f"combinations, above the limit of {COMBO_LIMIT}; use a smaller "
+            "space_size"
         )
     if not ln:
         return np.zeros((0, 1), dtype=np.int64)
     return np.stack(
         np.meshgrid(*([np.arange(size)] * ln), indexing="ij")
     ).reshape(ln, -1)
+
+
+def _accumulate(table, rows, idx, op=np.add, start=0.0):
+    """Fold a (2m, S) table over neighbour-state combinations, shape (G, C).
+
+    Entry [g, c] folds table[rows[g, pos], idx[pos, c]] over the neighbour
+    positions pos with the ufunc op, starting from start: sums of the
+    per-edge quantities, and with np.maximum / np.minimum the bounds that
+    BP consistency puts on the local field.
+    """
+    out = np.full((rows.shape[0], idx.shape[1]), start)
+    for pos in range(rows.shape[1]):
+        op(out, table[rows[:, pos]][:, idx[pos]], out=out)
+    return out
 
 
 def _window_values(h_sites, cfg, tol, tables, dirs, nbrs):
@@ -225,40 +243,27 @@ def _window_values(h_sites, cfg, tol, tables, dirs, nbrs):
     _CHUNK_ELEMS entries at a time, so the temporaries stay below that.
     """
     size = tables.u_in.shape[1]
-    ln = nbrs.shape[1]
-    idx = _combo_index(size, ln)
+    idx = _combo_index(size, nbrs.shape[1])
     c = idx.shape[1]
     g_total = dirs.size
     value = np.empty((g_total, size, c))
     chunk = max(1, _CHUNK_ELEMS // (size * c))
     for lo_g in range(0, g_total, chunk):
         sl = slice(lo_g, min(lo_g + chunk, g_total))
-        dd = dirs[sl]
-        nn = nbrs[sl]
-        g = dd.size
-        sum_u = np.zeros((g, c))
-        sum_lyp = np.zeros((g, c))
-        sum_lym = np.zeros((g, c))
-        c_max = np.full((g, c), -np.inf)
-        c_min = np.full((g, c), np.inf)
-        for pos in range(ln):
-            rows = nn[:, pos]
-            sel = idx[pos]
-            sum_u += tables.u_in[rows][:, sel]
-            sum_lyp += tables.lyp_in[rows][:, sel]
-            sum_lym += tables.lym_in[rows][:, sel]
-            cc = tables.c_in[rows][:, sel]
-            np.maximum(c_max, cc, out=c_max)
-            np.minimum(c_min, cc, out=c_min)
+        dd, nn = dirs[sl], nbrs[sl]
+        c_max = _accumulate(tables.c_in, nn, idx, np.maximum, -np.inf)
+        c_min = _accumulate(tables.c_in, nn, idx, np.minimum, np.inf)
         nf = tables.nu_out[dd][:, :, None]
         u_t = tables.u_in[dd][:, :, None]
         xlo = np.maximum(nf, c_max[:, None, :] - u_t) - tol
         xhi = np.minimum(nf, c_min[:, None, :] - u_t) + tol
-        lyp_tot = tables.lyp_in[dd][:, :, None] + sum_lyp[:, None, :]
-        lym_tot = tables.lym_in[dd][:, :, None] + sum_lym[:, None, :]
+        lyp_tot = (tables.lyp_in[dd][:, :, None]
+                   + _accumulate(tables.lyp_in, nn, idx)[:, None, :])
+        lym_tot = (tables.lym_in[dd][:, :, None]
+                   + _accumulate(tables.lym_in, nn, idx)[:, None, :])
         value[sl], _ = _window_max(
-            h_sites[sl][:, None, None], cfg, tol, xlo, xhi,
-            sum_u[:, None, :], lyp_tot, lym_tot,
+            h_sites[sl][:, None, None], cfg, xlo, xhi,
+            _accumulate(tables.u_in, nn, idx)[:, None, :], lyp_tot, lym_tot,
         )
     return value
 
@@ -272,12 +277,8 @@ def _batched_exhaustive(value, messages, nbrs):
     messages per combination, adds them and takes the max, allocating one
     more (G, S, C) array for the sum.
     """
-    size = messages.shape[1]
-    ln = nbrs.shape[1]
-    idx = _combo_index(size, ln)
-    sum_m = np.zeros((nbrs.shape[0], idx.shape[1]))
-    for pos in range(ln):
-        sum_m += messages[nbrs[:, pos] ^ 1][:, idx[pos]]
+    idx = _combo_index(messages.shape[1], nbrs.shape[1])
+    sum_m = _accumulate(messages, nbrs ^ 1, idx)
     return np.max(value + sum_m[:, None, :], axis=2)
 
 
@@ -296,33 +297,20 @@ def gs_maxsum_sweep(inst: QuantumInstance, graph: ClassicalGraph,
         tables = _sweep_tables(inst, spaces)
     new = np.full_like(messages, -np.inf)
     for ln, (dirs, nbrs) in graph.sweep_groups.items():
-        slow = (cfg.inner == "convolution" and ln > 0) or \
-               (cfg.inner == "coordinate" and ln > 1)
-        if not slow:
-            key = (ln, tol, cfg.delta_b, cfg.half_b)
-            if key not in tables.window:
-                tables.window[key] = _window_values(
-                    inst.fields[graph.src[dirs]], cfg, tol, tables, dirs, nbrs
+        if cfg.inner == "convolution" and ln > 0:
+            for d, nbr_dirs in zip(dirs, nbrs):
+                new[d] = tables.neg_bond[d // 2] + _inner_convolution(
+                    inst.fields[graph.src[d]], cfg, tol, tables, messages,
+                    d, nbr_dirs,
                 )
-            inner = _batched_exhaustive(tables.window[key], messages, nbrs)
-            new[dirs] = tables.neg_bond[dirs // 2] + inner
             continue
-        for gi, d in enumerate(dirs):
-            site = int(graph.src[d])
-            nbr_dirs = [int(x) for x in nbrs[gi]]
-            target = {
-                "u": tables.u_in[d], "lyp": tables.lyp_in[d],
-                "lym": tables.lym_in[d], "nu_out": tables.nu_out[d],
-            }
-            if cfg.inner == "convolution":
-                inner, _, _ = _inner_convolution(
-                    inst.fields[site], cfg, tol, target, tables, messages, nbr_dirs
-                )
-            else:
-                inner = _inner_coordinate(
-                    inst.fields[site], cfg, tol, target, tables, messages, nbr_dirs
-                )
-            new[d] = tables.neg_bond[d // 2] + inner
+        key = (ln, tol, cfg.delta_b, cfg.half_b)
+        if key not in tables.window:
+            tables.window[key] = _window_values(
+                inst.fields[graph.src[dirs]], cfg, tol, tables, dirs, nbrs
+            )
+        inner = _batched_exhaustive(tables.window[key], messages, nbrs)
+        new[dirs] = tables.neg_bond[dirs // 2] + inner
     mx = new.max(axis=1)
     finite = np.isfinite(mx)
     new[finite] -= mx[finite, None]
@@ -346,109 +334,31 @@ def gs_weights(inst: QuantumInstance, graph: ClassicalGraph,
     return bond + messages[0::2] + messages[1::2]
 
 
-def _site_shift_max(inst, graph, spaces, tables, messages, tol, cfg, site):
+def _site_shift_max(inst, graph, tables, messages, tol, cfg, site):
     """Joint max at one site over its field and all incident edge states.
 
     Returns (value, b_value, {dir: state index}).  This is the site
     counterpart of the message update: BP consistency must hold for every
-    outgoing direction at once.
+    outgoing direction at once.  An isolated site has one (empty)
+    combination and an unconstrained field.
     """
-    dirs = [int(x) for x in graph.out_dirs[site]]
-    ln = len(dirs)
-    size = spaces.size
-    if ln == 0:
-        val = _site_term(inst.fields[site], 0.0, 0.0, 0.0)
-        return float(val), 0.0, {}
-    if size ** ln > COMBO_LIMIT:
-        raise SearchSpaceError("site combination count exceeds the limit")
-    idx = np.stack(
-        np.meshgrid(*([np.arange(size)] * ln), indexing="ij")
-    ).reshape(ln, -1)
-    sum_u = np.zeros(idx.shape[1])
-    lyp = np.zeros(idx.shape[1])
-    lym = np.zeros(idx.shape[1])
-    sum_m = np.zeros(idx.shape[1])
-    c_max = np.full(idx.shape[1], -np.inf)
-    c_min = np.full(idx.shape[1], np.inf)
-    for pos, d in enumerate(dirs):
-        sel = idx[pos]
-        sum_u += tables.u_in[d][sel]
-        lyp += tables.lyp_in[d][sel]
-        lym += tables.lym_in[d][sel]
-        sum_m += messages[d ^ 1][sel]
-        c = tables.c_in[d][sel]
-        c_max = np.maximum(c_max, c)
-        c_min = np.minimum(c_min, c)
+    rows = graph.out_dirs[site][None, :]
+    idx = _combo_index(tables.u_in.shape[1], rows.shape[1])
     value, b_idx = _window_max(
-        inst.fields[site], cfg, tol, c_max - tol, c_min + tol, sum_u, lyp, lym
+        inst.fields[site], cfg,
+        _accumulate(tables.c_in, rows, idx, np.maximum, -np.inf) - tol,
+        _accumulate(tables.c_in, rows, idx, np.minimum, np.inf) + tol,
+        _accumulate(tables.u_in, rows, idx),
+        _accumulate(tables.lyp_in, rows, idx),
+        _accumulate(tables.lym_in, rows, idx),
     )
-    value = value + sum_m
+    value = (value + _accumulate(messages, rows ^ 1, idx))[0]
     best = int(np.argmax(value))
-    choice = {d: int(idx[pos, best]) for pos, d in enumerate(dirs)}
-    return float(value[best]), float(b_idx[best] * cfg.delta_b), choice
+    choice = {int(d): int(idx[pos, best]) for pos, d in enumerate(rows[0])}
+    return float(value[best]), float(b_idx[0, best] * cfg.delta_b), choice
 
 
-def _inner_coordinate(h_site, cfg, tol, target, tables, messages, nbr_dirs,
-                      rounds: int = 10):
-    """Coordinate-ascent inner max: cycle neighbor edges, one at a time.
-
-    Starts from each neighbor's best-message state; feasible values only
-    ever improve, but the result is a lower bound on the exhaustive max.
-    """
-    size = tables.u_in.shape[1]
-    n_t = target["u"].size
-    ln = len(nbr_dirs)
-    current = np.tile(
-        np.array([int(np.argmax(messages[d ^ 1])) for d in nbr_dirs]), (n_t, 1)
-    )
-    best_val = np.full(n_t, -np.inf)
-
-    def evaluate(sel):
-        # sel: (n_t, ln) chosen state per neighbor edge, per target
-        sum_u = np.zeros(n_t)
-        lyp = np.zeros(n_t)
-        lym = np.zeros(n_t)
-        sum_m = np.zeros(n_t)
-        c_max = np.full(n_t, -np.inf)
-        c_min = np.full(n_t, np.inf)
-        for pos, d in enumerate(nbr_dirs):
-            s = sel[:, pos]
-            sum_u += tables.u_in[d][s]
-            lyp += tables.lyp_in[d][s]
-            lym += tables.lym_in[d][s]
-            sum_m += messages[d ^ 1][s]
-            c = tables.c_in[d][s]
-            c_max = np.maximum(c_max, c)
-            c_min = np.minimum(c_min, c)
-        xlo = np.maximum(target["nu_out"], c_max - target["u"]) - tol
-        xhi = np.minimum(target["nu_out"], c_min - target["u"]) + tol
-        value, _ = _window_max(
-            h_site, cfg, tol, xlo, xhi, sum_u,
-            target["lyp"] + lyp, target["lym"] + lym,
-        )
-        return value + sum_m
-
-    best_val = evaluate(current)
-    for _ in range(rounds):
-        changed = False
-        for pos in range(ln):
-            trial = np.repeat(current[:, None, :], size, axis=1)
-            trial[:, :, pos] = np.arange(size)[None, :]
-            vals = np.stack(
-                [evaluate(trial[:, s, :]) for s in range(size)], axis=1
-            )
-            pick = np.argmax(vals, axis=1)
-            improved = vals[np.arange(n_t), pick] > best_val + 1e-15
-            if np.any(improved):
-                current[improved, pos] = pick[improved]
-                best_val = np.maximum(best_val, vals[np.arange(n_t), pick])
-                changed = True
-        if not changed:
-            break
-    return best_val
-
-
-def _inner_convolution(h_site, cfg, tol, target, tables, messages, nbr_dirs):
+def _inner_convolution(h_site, cfg, tol, tables, messages, target, nbr_dirs):
     """Sequential inner max: fold neighbor edges one at a time into a table.
 
     The table is indexed by the accumulated field shift x_plus, a running
@@ -457,12 +367,13 @@ def _inner_convolution(h_site, cfg, tol, target, tables, messages, nbr_dirs):
     checks used the right total), and the two accumulated log flip-weight
     factors, binned logarithmically.  Values are max-merged per bin, so
     each fold costs (table entries) x (states) instead of the full product.
-    Returns (values, table entry count, bin widths) per target state.
+    target is the directed edge the message goes out along and nbr_dirs
+    the other edges leaving its source; returns the value per target state.
     """
     x_step = cfg.conv_x_step if cfg.conv_x_step is not None else cfg.delta_nu
     k_scale = max(
         float(np.max(np.abs(tables.u_in[d]))) for d in nbr_dirs
-    ) if nbr_dirs else 0.0
+    ) if len(nbr_dirs) else 0.0
     y_span = 0.0
     for d in nbr_dirs:
         y_span += max(
@@ -473,7 +384,10 @@ def _inner_convolution(h_site, cfg, tol, target, tables, messages, nbr_dirs):
     y_step = 2.0 * y_span / max(cfg.conv_y_bins - 1, 1)
 
     b_max = cfg.half_b * cfg.delta_b
-    u_t_max = float(np.max(np.abs(target["u"]))) if target["u"].size else 0.0
+    t_u, t_nu = tables.u_in[target], tables.nu_out[target]
+    t_lyp, t_lym = tables.lyp_in[target], tables.lym_in[target]
+    n_t = t_u.size
+    u_t_max = float(np.max(np.abs(t_u))) if n_t else 0.0
     nu_max = cfg.half_nu * cfg.delta_nu
     x_plus_span = k_scale * len(nbr_dirs) + x_step
     x_rem_span = 2.0 * b_max + u_t_max + x_plus_span + nu_max + tol + x_step
@@ -495,16 +409,14 @@ def _inner_convolution(h_site, cfg, tol, target, tables, messages, nbr_dirs):
     }
 
     for d in nbr_dirs:
-        s = tables.u_in.shape[1]
         u = tables.u_in[d]
-        nu_out = _out_field_from_tables(tables, d)
+        nu_out = tables.nu_out[d]
         xp = entries["xp"][:, None] * x_step + u[None, :]
         xr = entries["xr"][:, None] * x_step - u[None, :]
         pred = (entries["xp"] + entries["xr"])[:, None] * x_step - u[None, :]
         ok = np.abs(nu_out[None, :] - pred) <= tol + 1e-12
         if not np.any(ok):
-            n_t = target["u"].size
-            return np.full(n_t, -np.inf), 0, (x_step, y_step)
+            return np.full(n_t, -np.inf)
         yp = entries["yp"][:, None] * y_step + tables.lyp_in[d][None, :]
         ym = entries["ym"][:, None] * y_step + tables.lym_in[d][None, :]
         val = entries["val"][:, None] + messages[d ^ 1][None, :]
@@ -526,24 +438,18 @@ def _inner_convolution(h_site, cfg, tol, target, tables, messages, nbr_dirs):
         last = np.flatnonzero(new_group)
         last = np.append(last[1:] - 1, order.size - 1)
         take = order[last]
-        entries = {
-            "xp": cols["xp"][order[last]],
-            "xr": cols["xr"][order[last]],
-            "yp": cols["yp"][order[last]],
-            "ym": cols["ym"][order[last]],
-            "val": vals[take],
-        }
+        entries = {name: col[take] for name, col in cols.items()}
+        entries["val"] = vals[take]
 
     b_vals = cfg.b_grid().values
-    n_t = target["u"].size
     out = np.full(n_t, -np.inf)
     xp_c = entries["xp"] * x_step
     xr_c = entries["xr"] * x_step
     lyp_c = entries["yp"] * y_step
     lym_c = entries["ym"] * y_step
     for t in range(n_t):
-        want_rem = 2.0 * b_vals + target["u"][t]
-        need_xp = target["nu_out"][t] - 2.0 * b_vals
+        want_rem = 2.0 * b_vals + t_u[t]
+        need_xp = t_nu[t] - 2.0 * b_vals
         for bi, b in enumerate(b_vals):
             mask = (np.abs(xp_c - need_xp[bi]) <= tol + 1e-12) & (
                 np.abs(xr_c - want_rem[bi]) <= 0.5 * x_step + 1e-12
@@ -551,18 +457,13 @@ def _inner_convolution(h_site, cfg, tol, target, tables, messages, nbr_dirs):
             if not np.any(mask):
                 continue
             site = _site_term(
-                h_site, b, lyp_c[mask] + target["lyp"][t],
-                lym_c[mask] + target["lym"][t],
+                h_site, b, lyp_c[mask] + t_lyp[t],
+                lym_c[mask] + t_lym[t],
             )
             cand = float(np.max(site + entries["val"][mask]))
             if cand > out[t]:
                 out[t] = cand
-    return out, entries["val"].size, (x_step, y_step)
-
-
-def _out_field_from_tables(tables, d):
-    # c_in = u_in + outgoing field, so recover it without the spaces object
-    return tables.c_in[d] - tables.u_in[d]
+    return out
 
 
 def convolution_inner_max(inst: QuantumInstance, graph: ClassicalGraph,
@@ -573,16 +474,11 @@ def convolution_inner_max(inst: QuantumInstance, graph: ClassicalGraph,
     sequential convolution.  Returns per-target-state values (without the
     bond term), matching exhaustive_inner_max up to binning error.
     """
-    tables = _sweep_tables(inst, spaces)
-    nbr_dirs = [int(x) for x in graph.out_dirs[site] if int(x) != target_dir]
-    target = {
-        "u": tables.u_in[target_dir], "lyp": tables.lyp_in[target_dir],
-        "lym": tables.lym_in[target_dir], "nu_out": tables.nu_out[target_dir],
-    }
-    values, _, _ = _inner_convolution(
-        inst.fields[site], cfg, tol, target, tables, messages, nbr_dirs
+    dirs = graph.out_dirs[site]
+    return _inner_convolution(
+        inst.fields[site], cfg, tol, _sweep_tables(inst, spaces), messages,
+        target_dir, dirs[dirs != target_dir],
     )
-    return values
 
 
 def exhaustive_inner_max(inst: QuantumInstance, graph: ClassicalGraph,
@@ -740,7 +636,7 @@ def _extract(inst, graph, spaces, messages, tol, cfg):
     seen_edges = set()
     for site in range(graph.n):
         val, b_val, choice = _site_shift_max(
-            inst, graph, spaces, tables, messages, tol, cfg, site
+            inst, graph, tables, messages, tol, cfg, site
         )
         shift_total += val
         b[site] = b_val

@@ -143,3 +143,57 @@ def hop_tables_dense(j_tanh, tanh_vals, messages):
         buf += messages[d][None, :]
         np.max(buf, axis=1, out=hop[d])
     return hop
+
+
+def site_shift_max_loop(inst, graph, tables, messages, tol, cfg, site):
+    """Joint max at one site, one incident edge at a time.
+
+    Over every combination of incident edge states (last edge fastest),
+    the local field may take the grid values b with 2b + sum(u_in) inside
+    [max(c_in) - tol, min(c_in) + tol]; the best is the site term at the
+    unconstrained optimum b* = (sum(lym) - sum(lyp)) / 4 rounded to the
+    grid and clipped into that window, plus the incoming messages.  An
+    isolated site takes b = 0.  Returns (value, b_value, {dir: state}).
+    """
+    def site_term(h, b, lyp, lym):
+        a1 = 2.0 * b + lyp
+        a2 = -2.0 * b + lym
+        mx = np.maximum(a1, a2)
+        return 2.0 * h * np.exp(-mx) / (np.exp(a1 - mx) + np.exp(a2 - mx))
+
+    h = inst.fields[site]
+    dirs = [int(x) for x in graph.out_dirs[site]]
+    size = tables.u_in.shape[1]
+    if not dirs:
+        return float(site_term(h, 0.0, 0.0, 0.0)), 0.0, {}
+    idx = np.stack(
+        np.meshgrid(*([np.arange(size)] * len(dirs)), indexing="ij")
+    ).reshape(len(dirs), -1)
+    sum_u = np.zeros(idx.shape[1])
+    lyp = np.zeros(idx.shape[1])
+    lym = np.zeros(idx.shape[1])
+    sum_m = np.zeros(idx.shape[1])
+    c_max = np.full(idx.shape[1], -np.inf)
+    c_min = np.full(idx.shape[1], np.inf)
+    for pos, d in enumerate(dirs):
+        sel = idx[pos]
+        sum_u += tables.u_in[d][sel]
+        lyp += tables.lyp_in[d][sel]
+        lym += tables.lym_in[d][sel]
+        sum_m += messages[d ^ 1][sel]
+        c = tables.c_in[d][sel]
+        c_max = np.maximum(c_max, c)
+        c_min = np.minimum(c_min, c)
+    db = cfg.delta_b
+    ilo = np.ceil((c_max - tol - sum_u) / (2.0 * db) - 1e-9)
+    ihi = np.floor((c_min + tol - sum_u) / (2.0 * db) + 1e-9)
+    ilo = np.maximum(ilo, -cfg.half_b)
+    ihi = np.minimum(ihi, cfg.half_b)
+    feasible = ilo <= ihi
+    b_star = (lym - lyp) / 4.0
+    b_idx = np.where(feasible, np.clip(np.rint(b_star / db), ilo, ihi), 0.0)
+    value = np.where(feasible, site_term(h, b_idx * db, lyp, lym), -np.inf)
+    value = value + sum_m
+    best = int(np.argmax(value))
+    choice = {d: int(idx[pos, best]) for pos, d in enumerate(dirs)}
+    return float(value[best]), float(b_idx.astype(np.int64)[best] * db), choice

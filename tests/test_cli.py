@@ -83,7 +83,7 @@ def test_run_gs_with_overrides(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["run", "--instance", str(path), "--method", "gs",
                      "--h", "0.5", "--set", "space_size=6",
-                     "--set", "outer_rounds=2", "--inner", "coordinate"]) == 0
+                     "--set", "outer_rounds=2", "--set", "inner=convolution"]) == 0
     rows = _parse_csv(capsys.readouterr().out)
     assert rows[1][2] == "gs"
     assert float(rows[1][4]) < 0

@@ -1,6 +1,7 @@
 """Joint-parameter solver: degenerations, inner maximizations, search loop."""
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,16 +26,29 @@ from isingbp import (
 )
 from isingbp.classical_bp import bond_energy, field_shift, logcosh
 from isingbp import general
-from isingbp.general import _extract, _sweep_tables, candidates_order
+from isingbp.general import (
+    SearchSpaceError,
+    _extract,
+    _site_shift_max,
+    _sweep_tables,
+    candidates_order,
+)
 from isingbp.grids import Grid
 from isingbp.meanfield import mf_energy
 from isingbp.symmetric import ss_energy
-from oracles import mf_chain_minimum, refit_one, ss_chain_minimum
+from oracles import (
+    mf_chain_minimum,
+    refit_one,
+    site_shift_max_loop,
+    ss_chain_minimum,
+)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         GSConfig(inner="bogus")
+    with pytest.raises(ValueError):
+        GSConfig(inner="coordinate")
     with pytest.raises(ValueError):
         GSConfig(delta_b=-0.1)
     with pytest.raises(ValueError):
@@ -99,7 +113,6 @@ def test_sweep_tables_match_per_edge_formulas():
 @pytest.mark.parametrize("inner,inst", [
     ("exhaustive", generate_rrg(8, 3, law="pm_one", h=1.2, seed=1)),
     ("exhaustive", testutil.random_tree(9, np.random.default_rng(5))),
-    ("coordinate", testutil.star_instance(3, h=0.8, seed=3)),
     ("convolution", testutil.star_instance(3, h=0.8, seed=3)),
 ])
 def test_sweep_with_reused_tables_is_bit_identical(inner, inst):
@@ -244,7 +257,7 @@ def test_solver_deterministic():
     np.testing.assert_array_equal(a.k, b.k)
 
 
-@pytest.mark.parametrize("inner", ["coordinate", "convolution"])
+@pytest.mark.parametrize("inner", ["convolution"])
 def test_alternate_inner_strategies_run(inner):
     inst = testutil.star_instance(3, h=0.8, seed=3)
     cfg = GSConfig(space_size=6, outer_rounds=3, seed=2, inner=inner)
@@ -292,6 +305,68 @@ def test_convolution_brackets_exhaustive():
         ok_high = np.where(np.isfinite(conv), conv <= hi + eps + 1e-9, True)
         violations += int(np.sum(~(ok_low & ok_high)[both]))
     assert violations == 0
+
+
+def _isolated_site_instance():
+    # a triangle with a tail, and site 5 coupled to nothing
+    return QuantumInstance(
+        n=6, edge_index=[[0, 1], [0, 2], [1, 2], [2, 4], [3, 4]],
+        couplings=[1.0, 0.7, -0.5, 1.2, -0.9],
+        fields=[0.5, 1.0, 1.5, 0.3, 0.8, 1.1], seed=0,
+    )
+
+
+@pytest.mark.parametrize("inst", [
+    generate_rrg(12, 3, law="pm_one", h=1.0, seed=2),
+    testutil.random_tree(10, np.random.default_rng(3)),
+    testutil.star_instance(4, h=0.7, seed=1),
+    generate_rrg(10, 4, law="gaussian", h=0.9, seed=6),
+    _isolated_site_instance(),
+], ids=["pm_one-3rrg", "tree", "star", "gaussian-4rrg", "isolated-site"])
+def test_site_shift_max_matches_per_site_loop(inst):
+    g = ClassicalGraph.from_instance(inst)
+    cfg = GSConfig(space_size=6, k_cap=1.0)
+    spaces = init_spaces(g, cfg, np.random.default_rng(11))
+    tables = _sweep_tables(inst, spaces)
+    rng = np.random.default_rng(12)
+    messages = rng.standard_normal((2 * g.m, cfg.space_size))
+    messages[rng.random(messages.shape) < 0.1] = -np.inf
+    infeasible = 0
+    # the small tolerances leave some sites without any admissible combination
+    for tol in (0.05, 0.2, 1.0):
+        for site in range(g.n):
+            value, b, choice = _site_shift_max(inst, g, tables, messages, tol,
+                                               cfg, site)
+            ref_value, ref_b, ref_choice = site_shift_max_loop(
+                inst, g, tables, messages, tol, cfg, site)
+            assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+            assert np.float64(b).tobytes() == np.float64(ref_b).tobytes()
+            assert choice == ref_choice
+            infeasible += value == -np.inf
+    assert infeasible > 0
+
+
+def test_combination_limit_raises_before_allocating():
+    cfg = GSConfig(space_size=20)
+    for leaves, call in ((7, "inner"), (6, "site")):
+        inst = testutil.star_instance(leaves, h=0.8, seed=1)
+        g = ClassicalGraph.from_instance(inst)
+        spaces = init_spaces(g, cfg, np.random.default_rng(0))
+        tables = _sweep_tables(inst, spaces)
+        messages = np.zeros((2 * g.m, cfg.space_size))
+        tracemalloc.start()
+        try:
+            # 20**6 combinations of the centre's other edges, or of all of them
+            with pytest.raises(SearchSpaceError, match="64000000.*space_size"):
+                if call == "inner":
+                    exhaustive_inner_max(inst, g, spaces, messages, 0,
+                                         int(g.out_dirs[0][0]), 0.2, cfg)
+                else:
+                    _site_shift_max(inst, g, tables, messages, 0.2, cfg, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, call
 
 
 def test_resample_keeps_best_states():
