@@ -2,9 +2,24 @@
 
 The Hamiltonian is applied without ever forming the matrix: the coupling
 part is diagonal in the z basis and the transverse part maps a state
-vector to a sum of single-bit-flipped copies of itself.  Ground states
-come from the two-vector (modified) Lanczos iteration, which only ever
-holds a handful of state vectors in memory.
+vector to a sum of single-bit-flipped copies of itself.
+
+Ground states come from an explicitly restarted Lanczos iteration with
+full reorthogonalisation, run in the sector that is even under the global
+spin flip Pi = prod_i sigma^x_i.  Pi flips every bit of a basis index,
+which reverses the state vector, so an even state is [u, u[::-1]] / sqrt(2)
+and only its first half u (2^(n-1) amplitudes) is stored.  The even sector
+always holds a ground state: every transverse field is >= 0
+(`QuantumInstance` guarantees it), so H has no positive off-diagonal entry
+in the z basis, Perron-Frobenius gives it a non-negative ground vector psi,
+and psi + Pi psi is a Pi-even ground vector.  This holds on any graph and
+with any field zero.  In the ordered phase it also removes the parity-odd
+partner that is nearly degenerate with the ground state (4.4e-4 above it
+on a 12-spin chain at h = 0.3, against 0.065 for the next even state),
+which is what makes the iteration converge in tens of steps.
+
+Memory: the Krylov basis holds KRYLOV half vectors, KRYLOV * 2^(n-1) * 8
+bytes, about 1.3 GB at n = 24.
 """
 
 from __future__ import annotations
@@ -17,6 +32,14 @@ from .instance import QuantumInstance
 
 APPLY_LIMIT = 24
 DENSE_LIMIT = 12
+# Lanczos basis size per restart cycle.  On a 20-spin Gaussian chain at
+# h = 0.3 and tol 1e-4 (2-core Xeon) 8 vectors took 18.7 s (494
+# applications of H), 12 took 11.5 s (355), 20 took 5.2 s (148) and
+# 30 took 6.4 s (162)
+KRYLOV = 20
+# a new Lanczos direction this short, relative to max(1, |Ritz value|),
+# is rounding noise: the Krylov space is invariant under H
+INVARIANT = 1e-12
 
 
 class SizeError(ValueError):
@@ -28,10 +51,8 @@ def _check_size(inst: QuantumInstance, limit: int):
         raise SizeError(f"n={inst.n} exceeds the limit of {limit} spins")
 
 
-def diagonal_energies(inst: QuantumInstance) -> np.ndarray:
-    """<s|H_coupling|s> for every basis state, -sum_ij J_ij s_i s_j."""
-    _check_size(inst, APPLY_LIMIT)
-    size = 1 << inst.n
+def _diagonal(inst: QuantumInstance, size: int) -> np.ndarray:
+    """-sum_ij J_ij s_i s_j for the first `size` basis states."""
     idx = np.arange(size, dtype=np.int64)
     diag = np.zeros(size)
     for (i, j), coupling in zip(inst.edge_index, inst.couplings):
@@ -40,10 +61,27 @@ def diagonal_energies(inst: QuantumInstance) -> np.ndarray:
     return diag
 
 
+def diagonal_energies(inst: QuantumInstance) -> np.ndarray:
+    """<s|H_coupling|s> for every basis state, -sum_ij J_ij s_i s_j."""
+    _check_size(inst, APPLY_LIMIT)
+    return _diagonal(inst, 1 << inst.n)
+
+
 def _flip(v: np.ndarray, site: int, n: int) -> np.ndarray:
     """State vector with bit `site` of the basis index flipped."""
     block = 1 << site
     return v.reshape(-1, 2, block)[:, ::-1, :].reshape(-1)
+
+
+def _subtract_flips(w: np.ndarray, v: np.ndarray, fields) -> np.ndarray:
+    """w -= fields[i] * (v with bit i flipped), for every site i < len(fields)."""
+    for site, h in enumerate(fields):
+        if h != 0.0:
+            block = 1 << site
+            vr = v.reshape(-1, 2, block)
+            wr = w.reshape(-1, 2, block)
+            wr -= h * vr[:, ::-1, :]
+    return w
 
 
 def apply_h(inst: QuantumInstance, v: np.ndarray,
@@ -55,15 +93,18 @@ def apply_h(inst: QuantumInstance, v: np.ndarray,
         raise ValueError("state vector length must be 2^n")
     if diag is None:
         diag = diagonal_energies(inst)
-    w = diag * v
-    for site in range(inst.n):
-        h = inst.fields[site]
-        if h != 0.0:
-            block = 1 << site
-            vr = v.reshape(-1, 2, block)
-            wr = w.reshape(-1, 2, block)
-            wr[:, 0, :] -= h * vr[:, 1, :]
-            wr[:, 1, :] -= h * vr[:, 0, :]
+    return _subtract_flips(diag * v, v, inst.fields)
+
+
+def _apply_even(fields: np.ndarray, diag: np.ndarray,
+                u: np.ndarray) -> np.ndarray:
+    """First half of H [u, u[::-1]]: H restricted to the Pi-even sector.
+
+    Sites 0..n-2 flip within the half; flipping the top site maps index k
+    to k + 2^(n-1), whose amplitude in the even state is u[::-1][k]."""
+    w = _subtract_flips(diag * u, u, fields[:-1])
+    if fields[-1] != 0.0:
+        w -= fields[-1] * u[::-1]
     return w
 
 
@@ -94,75 +135,65 @@ def sigma_x_expectations(inst: QuantumInstance, v: np.ndarray) -> np.ndarray:
 
 def ground_state(inst: QuantumInstance, seed: int = 0, tol: float = 1e-8,
                  max_iters: int = 200000) -> GroundState:
-    """Modified Lanczos: diagonalize H in span{v, Hv}, keep the lower Ritz
-    vector, repeat until the eigenvector residual |Hv - (v.Hv) v| drops
-    below tol.  The reported Ritz value sits above the true ground energy
-    by at most the residual, and generically by residual squared over the
-    spectral gap, so the default gives energies good to ~1e-12.
+    """Ground state by restarted Lanczos in the Pi-even sector.
 
-    A start vector that is already an eigenvector gives a zero residual;
-    at the first step that is treated as a degenerate start and reseeded a
-    bounded number of times.
+    Each cycle builds an orthonormal Krylov basis of up to KRYLOV half
+    vectors, starting from a seeded random vector and then from the lowest
+    Ritz vector of the previous cycle, and reorthogonalises every new
+    direction against the whole basis after the three-term recurrence.  It
+    stops when the Ritz residual |H x - theta x| = |beta * y_last| drops to
+    tol * max(1, |theta|) or the Krylov space is invariant, and then
+    reports converged=True; otherwise it stops after `max_iters`
+    applications of H with converged=False.  Either way the energy is the
+    lowest Ritz value, which lies above the ground energy, by at most the
+    residual and generically by the residual squared over the even-sector
+    gap, so the default tol gives energies good to ~1e-12.
+
+    `iterations` counts applications of H.  `vector` is the full 2^n state,
+    Pi-even (equal to its reverse) and normalized, so every <sigma_i^z> of
+    it is 0.  Memory is KRYLOV * 2^(n-1) * 8 bytes for the basis.
     """
     _check_size(inst, APPLY_LIMIT)
-    diag = diagonal_energies(inst)
-    rng = np.random.default_rng(seed)
-    size = 1 << inst.n
-
-    for attempt in range(10):
-        v = rng.standard_normal(size)
-        v /= np.linalg.norm(v)
-        w = apply_h(inst, v, diag)
-        energy = float(v @ w)
-        iterations = 0
-        converged = False
-        reseed = False
-        stagnant = 0
-        prev = np.inf
-        for it in range(1, max_iters + 1):
-            iterations = it
-            a = float(v @ w)
-            r = w - a * v
-            beta = float(np.linalg.norm(r))
-            scale_a = max(1.0, abs(a))
-            if beta <= tol * scale_a:
-                if it == 1 and beta <= 1e-14 * scale_a:
-                    reseed = True  # start vector was an eigenvector
-                    break
-                energy, converged = a, True
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+    half = 1 << (inst.n - 1)
+    diag = _diagonal(inst, half)
+    u = np.random.default_rng(seed).standard_normal(half)
+    u /= np.linalg.norm(u)
+    basis = np.empty((min(KRYLOV, half), half))
+    applications = 0
+    while True:
+        basis[0] = u
+        alpha, beta = [], []
+        for j in range(basis.shape[0]):
+            w = _apply_even(inst.fields, diag, basis[j])
+            applications += 1
+            a = float(basis[j] @ w)
+            w -= a * basis[j]
+            if beta:
+                w -= beta[-1] * basis[j - 1]
+            # full reorthogonalisation: one Gram-Schmidt pass against the
+            # whole basis removes what the three-term recurrence lost
+            c = basis[:j + 1] @ w
+            w -= c @ basis[:j + 1]
+            alpha.append(a + float(c[j]))
+            b = float(np.linalg.norm(w))
+            ritz, vecs = np.linalg.eigh(
+                np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+            theta, y = float(ritz[0]), vecs[:, 0]
+            scale = max(1.0, abs(theta))
+            converged = (abs(b * float(y[-1])) <= tol * scale
+                         or b <= INVARIANT * scale)
+            if converged or applications >= max_iters:
                 break
-            # nearly degenerate ground pairs leave a tiny residual that
-            # shrinks far slower than the Ritz value; accept stagnation
-            # once the value has stopped moving at machine level
-            stagnant = stagnant + 1 if abs(a - prev) <= 1e-14 * scale_a else 0
-            prev = a
-            if stagnant >= 200:
-                energy, converged = a, beta <= 1e-5 * scale_a
-                break
-            u = r / beta
-            z = apply_h(inst, u, diag)
-            c = float(u @ z)
-            # lower eigenvalue of [[a, beta], [beta, c]]
-            half_gap = 0.5 * (a - c)
-            root = np.hypot(half_gap, beta)
-            lam = 0.5 * (a + c) - root
-            c1 = lam - a
-            norm = np.hypot(beta, c1)
-            c0, c1 = beta / norm, c1 / norm
-            v = c0 * v + c1 * u
-            w = c0 * w + c1 * z  # stays equal to H v
-            scale = np.linalg.norm(v)
-            v /= scale
-            w /= scale
-            energy = lam
-        if not reseed or attempt == 9:
-            # ten dense random starts that are all exact eigenvectors mean
-            # H is a multiple of the identity; any of them is the answer
-            return GroundState(
-                energy=float(energy if not reseed else float(v @ w)),
-                vector=v,
-                sigma_x=sigma_x_expectations(inst, v),
-                iterations=iterations,
-                converged=converged or reseed,
-            )
-    raise RuntimeError("unreachable")
+            if j + 1 < basis.shape[0]:
+                basis[j + 1] = w / b
+                beta.append(b)
+        u = y @ basis[:len(alpha)]
+        u /= np.linalg.norm(u)
+        if converged or applications >= max_iters:
+            break
+    vector = np.concatenate([u, u[::-1]]) / np.sqrt(2.0)
+    return GroundState(energy=theta, vector=vector,
+                       sigma_x=sigma_x_expectations(inst, vector),
+                       iterations=applications, converged=converged)

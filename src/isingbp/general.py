@@ -26,6 +26,7 @@ reporting energy and observables.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -203,8 +204,13 @@ def _window_max(h_site, cfg: GSConfig, xlo, xhi, sum_u, lyp_tot, lym_tot):
 _CHUNK_ELEMS = 4_000_000
 
 
+@functools.lru_cache(maxsize=16)
 def _combo_index(size: int, ln: int) -> np.ndarray:
-    """(ln, size**ln) state index per neighbour position, last one fastest."""
+    """(ln, size**ln) state index per neighbour position, last one fastest.
+
+    Read-only and shared between calls with the same (size, ln); the
+    cache keeps 16 tables, each at most ln * COMBO_LIMIT * 8 bytes.  A
+    call over the limit raises every time: lru_cache stores no exception."""
     if ln and size ** ln > COMBO_LIMIT:
         raise SearchSpaceError(
             f"{size} states on each of {ln} edges give {size ** ln} state "
@@ -212,10 +218,13 @@ def _combo_index(size: int, ln: int) -> np.ndarray:
             "space_size"
         )
     if not ln:
-        return np.zeros((0, 1), dtype=np.int64)
-    return np.stack(
-        np.meshgrid(*([np.arange(size)] * ln), indexing="ij")
-    ).reshape(ln, -1)
+        idx = np.zeros((0, 1), dtype=np.int64)
+    else:
+        idx = np.stack(
+            np.meshgrid(*([np.arange(size)] * ln), indexing="ij")
+        ).reshape(ln, -1)
+    idx.flags.writeable = False
+    return idx
 
 
 def _accumulate(table, rows, idx, op=np.add, start=0.0):

@@ -66,6 +66,21 @@ def classical_ground_energy(inst) -> float:
     return float(best)
 
 
+def free_fermion_chain_energy(inst) -> float:
+    """Ground energy of an open transverse-field Ising chain, edges (i, i+1).
+
+    The chain maps to free fermions (Lieb, Schultz and Mattis 1961; Pfeuty
+    1970): E0 = -sum of the singular values of the bidiagonal M with
+    M[i, i] = h_i and M[i, i+1] = J_i.
+    """
+    mat = np.diag(np.asarray(inst.fields, dtype=np.float64))
+    for (i, j), coupling in zip(inst.edge_index, inst.couplings):
+        if j != i + 1:
+            raise ValueError("free fermions need chain edges (i, i+1)")
+        mat[i, j] = coupling
+    return float(-np.sum(np.linalg.svd(mat, compute_uv=False)))
+
+
 def bp_fixed_point_loop(graph, b, k, init, damping, eps, max_iters):
     """Damped synchronous BP on one parameter set, one update at a time.
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import testutil
-from isingbp import ClassicalGraph, QuantumInstance, ground_state
+from isingbp import ClassicalGraph, QuantumInstance, generate_chain, ground_state
 from isingbp.enumeration import (
     classical_expectations,
     quantum_expectation,
@@ -17,7 +17,7 @@ from isingbp.exact import (
     diagonal_energies,
     sigma_x_expectations,
 )
-from oracles import classical_ground_energy
+from oracles import classical_ground_energy, free_fermion_chain_energy
 
 
 def _random_instance(seed):
@@ -127,3 +127,60 @@ def test_ground_state_deterministic():
     b = ground_state(inst, seed=11)
     assert a.energy == b.energy
     assert a.iterations == b.iterations
+
+
+def test_free_fermion_oracle_matches_dense():
+    inst = generate_chain(8, law="gaussian", h=0.7, seed=3)
+    e_dense = float(np.linalg.eigvalsh(dense_hamiltonian(inst))[0])
+    assert abs(free_fermion_chain_energy(inst) - e_dense) <= 1e-12
+
+
+@pytest.mark.parametrize("h", [0.3, 1.0, 2.5])
+@pytest.mark.parametrize("n", [6, 10, 14])
+def test_ground_state_matches_free_fermions(n, h):
+    inst = generate_chain(n, law="gaussian", h=h, seed=42)
+    gs = ground_state(inst, tol=1e-8)
+    assert gs.converged
+    assert abs(gs.energy - free_fermion_chain_energy(inst)) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_even_sector_holds_ground_state_with_zero_fields(seed):
+    # loopy graphs with some h_i = 0: Perron-Frobenius still puts a ground
+    # state in the parity-even sector
+    rng = np.random.default_rng(100 + seed)
+    n = int(rng.integers(4, 9))
+    pairs = {tuple(p) for p in testutil.random_tree(n, rng).edge_index.tolist()}
+    while len(pairs) < n + 1:
+        pairs.add(tuple(sorted(rng.choice(n, size=2, replace=False).tolist())))
+    edges = testutil.canonical_pairs(sorted(pairs))
+    fields = rng.uniform(0.0, 2.0, n)
+    fields[rng.choice(n, size=2, replace=False)] = 0.0
+    inst = QuantumInstance(n=n, edge_index=edges,
+                           couplings=rng.standard_normal(len(edges)),
+                           fields=fields, seed=0)
+    e_dense = float(np.linalg.eigvalsh(dense_hamiltonian(inst))[0])
+    gs = ground_state(inst)
+    assert gs.converged
+    assert abs(gs.energy - e_dense) <= 1e-9
+
+
+def test_vector_is_parity_even_and_normalized():
+    inst = generate_chain(9, law="gaussian", h=0.6, seed=4)
+    gs = ground_state(inst)
+    assert gs.vector.shape == (1 << inst.n,)
+    assert np.array_equal(gs.vector, gs.vector[::-1])
+    assert abs(np.linalg.norm(gs.vector) - 1.0) <= 1e-12
+    np.testing.assert_allclose(gs.sigma_x,
+                               sigma_x_expectations(inst, gs.vector))
+
+
+def test_unconverged_run_is_reported():
+    inst = generate_chain(10, law="gaussian", h=0.3, seed=42)
+    e_dense = float(np.linalg.eigvalsh(dense_hamiltonian(inst))[0])
+    gs = ground_state(inst, max_iters=5)
+    assert not gs.converged
+    assert gs.iterations == 5
+    assert gs.energy >= e_dense
+    with pytest.raises(ValueError):
+        ground_state(inst, max_iters=0)

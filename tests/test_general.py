@@ -28,6 +28,7 @@ from isingbp.classical_bp import bond_energy, field_shift, logcosh
 from isingbp import general
 from isingbp.general import (
     SearchSpaceError,
+    _combo_index,
     _extract,
     _site_shift_max,
     _sweep_tables,
@@ -367,6 +368,19 @@ def test_combination_limit_raises_before_allocating():
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000, call
+
+
+def test_combo_index_is_cached_read_only_and_limit_checked():
+    idx = _combo_index(4, 3)
+    assert _combo_index(4, 3) is idx
+    assert not idx.flags.writeable
+    # last position fastest: column c is c written in base 4
+    np.testing.assert_array_equal(
+        idx.T, [[c // 16, c // 4 % 4, c % 4] for c in range(64)])
+    np.testing.assert_array_equal(_combo_index(4, 0), np.zeros((0, 1)))
+    for _ in range(2):
+        with pytest.raises(SearchSpaceError, match="space_size"):
+            _combo_index(20, 6)
 
 
 def test_resample_keeps_best_states():

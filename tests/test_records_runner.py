@@ -118,6 +118,10 @@ def test_run_cell_exact_matches_ground_state():
     ref = ground_state(inst.with_uniform_field(0.7), seed=9)
     assert np.isclose(rec.E_per_spin, ref.energy / 5, atol=1e-12)
     assert rec.converged
+    # the exact state is parity-even, so q_z is 0 by symmetry
+    assert rec.q_z == 0.0
+    assert rec.iters == ref.iterations
+    assert rec.row()[CSV_COLUMNS.index("converged")] == "true"
 
 
 def test_run_cell_own_fields_and_zero_field():
