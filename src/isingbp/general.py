@@ -14,7 +14,9 @@ fields form an interval, and the site energy is unimodal in the field, so
 the best grid field is the clipped rounding of the unconstrained optimum.
 The sweep, the reference inner max and the site maximization of the
 extraction all sum the per-edge quantities over neighbour-state
-combinations with one accumulator (_accumulate).  The inner strategy
+combinations with one accumulator (_accumulate), and all three work
+through blocks of at most _BLOCK_ELEMS combinations (_blocks), so their
+temporaries take a fixed few MB at any graph size.  The inner strategy
 "convolution" instead folds neighbours in one at a time into binned
 partial sums: approximate, but its memory does not grow as S**degree.
 
@@ -184,24 +186,45 @@ def _site_term(h, b, lyp, lym):
 def _window_max(h_site, cfg: GSConfig, xlo, xhi, sum_u, lyp_tot, lym_tot):
     """Best site term over grid fields b with 2b + sum_u inside [xlo, xhi].
 
-    Returns (value, b_index) arrays; infeasible windows give -inf.  The
-    site term is unimodal in b, so the best grid point is the rounded
-    unconstrained optimum clipped into the window.
+    Returns (value, b_index) arrays of the broadcast shape; infeasible
+    windows give -inf and index 0.  The site term is unimodal in b, so the
+    best grid point is the rounded unconstrained optimum clipped into the
+    window.  It costs three exp, so it is evaluated on the feasible
+    entries only and scattered into the -inf table.
     """
     db = cfg.delta_b
-    ilo = np.ceil((xlo - sum_u) / (2.0 * db) - 1e-9)
-    ihi = np.floor((xhi - sum_u) / (2.0 * db) + 1e-9)
-    ilo = np.maximum(ilo, -cfg.half_b)
-    ihi = np.minimum(ihi, cfg.half_b)
+    ilo = np.maximum(np.ceil((xlo - sum_u) / (2.0 * db) - 1e-9), -cfg.half_b)
+    ihi = np.minimum(np.floor((xhi - sum_u) / (2.0 * db) + 1e-9), cfg.half_b)
     feasible = ilo <= ihi
-    b_star = (lym_tot - lyp_tot) / 4.0
-    idx = np.clip(np.rint(b_star / db), ilo, ihi)
-    idx = np.where(feasible, idx, 0.0)
-    value = _site_term(h_site, idx * db, lyp_tot, lym_tot)
-    return np.where(feasible, value, -np.inf), idx.astype(np.int64)
+    shape = feasible.shape
+    lyp = np.broadcast_to(lyp_tot, shape)[feasible]
+    lym = np.broadcast_to(lym_tot, shape)[feasible]
+    idx = np.clip(np.rint((lym - lyp) / 4.0 / db), ilo[feasible], ihi[feasible])
+    value = np.full(shape, -np.inf)
+    value[feasible] = _site_term(np.broadcast_to(h_site, shape)[feasible],
+                                 idx * db, lyp, lym)
+    b_idx = np.zeros(shape, dtype=np.int64)
+    b_idx[feasible] = idx
+    return value, b_idx
 
 
-_CHUNK_ELEMS = 4_000_000
+# Entries per block of the site kernels: 256 KB per float64 temporary, so
+# their working set stays fixed whatever the table size.
+_BLOCK_ELEMS = 1 << 15
+
+
+def _blocks(g_total, size, c):
+    """(G slice, C slice) pairs tiling a (g_total, size, c) table.
+
+    Each block holds at most _BLOCK_ELEMS entries, or one (1, size, 1)
+    column when size alone is larger; C is split only when one (size, c)
+    row does not fit.  The first block is the largest.
+    """
+    c_step = min(c, max(1, _BLOCK_ELEMS // size))
+    g_step = max(1, _BLOCK_ELEMS // (size * c_step))
+    for lo_g in range(0, g_total, g_step):
+        for lo_c in range(0, c, c_step):
+            yield slice(lo_g, lo_g + g_step), slice(lo_c, lo_c + c_step)
 
 
 @functools.lru_cache(maxsize=16)
@@ -248,31 +271,27 @@ def _window_values(h_sites, cfg, tol, tables, dirs, nbrs):
     s and neighbour-state combination c (-inf when no grid field keeps BP
     consistency within tol).  This is G*S*C floats, kept for as long as the
     tables are: 1.2 MB for the 90 directed edges of a 30-spin 3-regular
-    graph at S = 12 (C = 144), 41 MB for a 1000-spin one.  It is built
-    _CHUNK_ELEMS entries at a time, so the temporaries stay below that.
+    graph at S = 12 (C = 144), 41 MB for a 1000-spin one.  It is filled
+    one _blocks block at a time, so the temporaries take a fixed few MB.
     """
     size = tables.u_in.shape[1]
     idx = _combo_index(size, nbrs.shape[1])
-    c = idx.shape[1]
-    g_total = dirs.size
-    value = np.empty((g_total, size, c))
-    chunk = max(1, _CHUNK_ELEMS // (size * c))
-    for lo_g in range(0, g_total, chunk):
-        sl = slice(lo_g, min(lo_g + chunk, g_total))
-        dd, nn = dirs[sl], nbrs[sl]
-        c_max = _accumulate(tables.c_in, nn, idx, np.maximum, -np.inf)
-        c_min = _accumulate(tables.c_in, nn, idx, np.minimum, np.inf)
+    value = np.empty((dirs.size, size, idx.shape[1]))
+    for gs, cs in _blocks(*value.shape):
+        dd, nn, ii = dirs[gs], nbrs[gs], idx[:, cs]
+        c_max = _accumulate(tables.c_in, nn, ii, np.maximum, -np.inf)
+        c_min = _accumulate(tables.c_in, nn, ii, np.minimum, np.inf)
         nf = tables.nu_out[dd][:, :, None]
         u_t = tables.u_in[dd][:, :, None]
         xlo = np.maximum(nf, c_max[:, None, :] - u_t) - tol
         xhi = np.minimum(nf, c_min[:, None, :] - u_t) + tol
         lyp_tot = (tables.lyp_in[dd][:, :, None]
-                   + _accumulate(tables.lyp_in, nn, idx)[:, None, :])
+                   + _accumulate(tables.lyp_in, nn, ii)[:, None, :])
         lym_tot = (tables.lym_in[dd][:, :, None]
-                   + _accumulate(tables.lym_in, nn, idx)[:, None, :])
-        value[sl], _ = _window_max(
-            h_sites[sl][:, None, None], cfg, xlo, xhi,
-            _accumulate(tables.u_in, nn, idx)[:, None, :], lyp_tot, lym_tot,
+                   + _accumulate(tables.lym_in, nn, ii)[:, None, :])
+        value[gs, :, cs], _ = _window_max(
+            h_sites[gs][:, None, None], cfg, xlo, xhi,
+            _accumulate(tables.u_in, nn, ii)[:, None, :], lyp_tot, lym_tot,
         )
     return value
 
@@ -282,13 +301,23 @@ def _batched_exhaustive(value, messages, nbrs):
 
     value is the (G, S, C) output of _window_values for the batch and nbrs
     (G, ln) its neighbour directed edges; returns (G, S) inner values.
-    Only this part depends on the messages: it gathers the neighbour
-    messages per combination, adds them and takes the max, allocating one
-    more (G, S, C) array for the sum.
+    Only this part depends on the messages: block by block it gathers the
+    neighbour messages per combination, adds them to the window values in
+    one reused buffer and takes the max.
     """
-    idx = _combo_index(messages.shape[1], nbrs.shape[1])
-    sum_m = _accumulate(messages, nbrs ^ 1, idx)
-    return np.max(value + sum_m[:, None, :], axis=2)
+    g_total, size, c = value.shape
+    idx = _combo_index(size, nbrs.shape[1])
+    out = np.full((g_total, size), -np.inf)
+    buf = None
+    for gs, cs in _blocks(g_total, size, c):
+        part = value[gs, :, cs]
+        if buf is None:
+            buf = np.empty(part.size)
+        total = buf[:part.size].reshape(part.shape)
+        sum_m = _accumulate(messages, nbrs[gs] ^ 1, idx[:, cs])
+        np.add(part, sum_m[:, None, :], out=total)
+        np.maximum(out[gs], total.max(axis=2), out=out[gs])
+    return out
 
 
 def gs_maxsum_sweep(inst: QuantumInstance, graph: ClassicalGraph,
@@ -343,28 +372,49 @@ def gs_weights(inst: QuantumInstance, graph: ClassicalGraph,
     return bond + messages[0::2] + messages[1::2]
 
 
-def _site_shift_max(inst, graph, tables, messages, tol, cfg, site):
-    """Joint max at one site over its field and all incident edge states.
+def _site_maxes(inst, graph, tables, messages, tol, cfg):
+    """Joint max at every site over its field and all incident edge states.
 
-    Returns (value, b_value, {dir: state index}).  This is the site
-    counterpart of the message update: BP consistency must hold for every
-    outgoing direction at once.  An isolated site has one (empty)
-    combination and an unconstrained field.
+    Returns (value (n,), b (n,), pick (2m,)), pick[d] being the state of
+    directed edge d at the maximizer of its source site (the first one in
+    combination order).  This is the site counterpart of the message
+    update: BP consistency must hold for every outgoing direction at once.
+    Sites of equal degree are evaluated together, in _blocks blocks of
+    their (G, C) table; an isolated site has one (empty) combination and
+    an unconstrained field.
     """
-    rows = graph.out_dirs[site][None, :]
-    idx = _combo_index(tables.u_in.shape[1], rows.shape[1])
-    value, b_idx = _window_max(
-        inst.fields[site], cfg,
-        _accumulate(tables.c_in, rows, idx, np.maximum, -np.inf) - tol,
-        _accumulate(tables.c_in, rows, idx, np.minimum, np.inf) + tol,
-        _accumulate(tables.u_in, rows, idx),
-        _accumulate(tables.lyp_in, rows, idx),
-        _accumulate(tables.lym_in, rows, idx),
-    )
-    value = (value + _accumulate(messages, rows ^ 1, idx))[0]
-    best = int(np.argmax(value))
-    choice = {int(d): int(idx[pos, best]) for pos, d in enumerate(rows[0])}
-    return float(value[best]), float(b_idx[0, best] * cfg.delta_b), choice
+    size = tables.u_in.shape[1]
+    value = np.empty(graph.n)
+    b = np.empty(graph.n)
+    pick = np.empty(2 * graph.m, dtype=np.int64)
+    for ln, (sites, rows) in graph.site_groups.items():
+        idx = _combo_index(size, ln)
+        best = np.full(sites.size, -np.inf)
+        col = np.zeros(sites.size, dtype=np.int64)
+        b_idx = np.zeros(sites.size, dtype=np.int64)
+        for gs, cs in _blocks(sites.size, 1, idx.shape[1]):
+            rr, ii = rows[gs], idx[:, cs]
+            val, b_blk = _window_max(
+                inst.fields[sites[gs]][:, None], cfg,
+                _accumulate(tables.c_in, rr, ii, np.maximum, -np.inf) - tol,
+                _accumulate(tables.c_in, rr, ii, np.minimum, np.inf) + tol,
+                _accumulate(tables.u_in, rr, ii),
+                _accumulate(tables.lyp_in, rr, ii),
+                _accumulate(tables.lym_in, rr, ii),
+            )
+            val += _accumulate(messages, rr ^ 1, ii)
+            at = np.argmax(val, axis=1)
+            g = np.arange(at.size)
+            # a later block wins only when strictly better, so the first
+            # maximum counts, as in np.argmax over the whole row
+            win = (val[g, at] > best[gs]) | (cs.start == 0)
+            best[gs] = np.where(win, val[g, at], best[gs])
+            col[gs] = np.where(win, at + cs.start, col[gs])
+            b_idx[gs] = np.where(win, b_blk[g, at], b_idx[gs])
+        value[sites] = best
+        b[sites] = b_idx * cfg.delta_b
+        pick[rows] = idx[:, col].T
+    return value, b, pick
 
 
 def _inner_convolution(h_site, cfg, tol, tables, messages, target, nbr_dirs):
@@ -589,16 +639,22 @@ def gs_resample(spaces: SearchSpace, weights: np.ndarray, cfg: GSConfig,
                 float(spaces.nu_rev[e, best]),
             )
         guard = 0
+        while center is not None and guard < 60 and len(states) < s:
+            # as many proposals as free slots: each of them would be drawn
+            # one at a time too, with its three normals in this order
+            z = rng.standard_normal((min(s - len(states), 60 - guard), 3))
+            for st in zip(
+                k_grid.snap(center[0] + z[:, 0] * radius * cfg.delta_k).tolist(),
+                nu_grid.snap(center[1] + z[:, 1] * radius * cfg.delta_nu).tolist(),
+                nu_grid.snap(center[2] + z[:, 2] * radius * cfg.delta_nu).tolist(),
+            ):
+                guard += 1
+                if st not in have:
+                    have.add(st)
+                    states.append(st)
         while len(states) < s:
             guard += 1
-            if center is not None and guard <= 60:
-                st = (
-                    float(k_grid.snap(center[0] + rng.standard_normal() * radius * cfg.delta_k)),
-                    float(nu_grid.snap(center[1] + rng.standard_normal() * radius * cfg.delta_nu)),
-                    float(nu_grid.snap(center[2] + rng.standard_normal() * radius * cfg.delta_nu)),
-                )
-            else:
-                st = _random_state(rng, k_vals, nu_vals)
+            st = _random_state(rng, k_vals, nu_vals)
             if st in have and guard < 400:
                 continue
             have.add(st)
@@ -639,22 +695,12 @@ def _extract(inst, graph, spaces, messages, tol, cfg):
     nu[0::2] = spaces.nu_fwd[np.arange(graph.m), edge_pick]
     nu[1::2] = spaces.nu_rev[np.arange(graph.m), edge_pick]
 
-    b = np.zeros(graph.n)
+    value, b, pick = _site_maxes(inst, graph, tables, messages, tol, cfg)
     shift_total = 0.0
-    disagreements = 0
-    seen_edges = set()
-    for site in range(graph.n):
-        val, b_val, choice = _site_shift_max(
-            inst, graph, tables, messages, tol, cfg, site
-        )
+    for val in value.tolist():  # in site order
         shift_total += val
-        b[site] = b_val
-        for d, s_idx in choice.items():
-            e = d // 2
-            if e not in seen_edges:
-                seen_edges.add(e)
-                if s_idx != int(edge_pick[e]):
-                    disagreements += 1
+    # an edge counts once, at its first site lo, along directed edge 2e
+    disagreements = int(np.count_nonzero(pick[0::2] != edge_pick))
     edge_shift = np.max(weights, axis=1)
     finite = np.isfinite(edge_shift)
     maxsum_energy = -(shift_total - float(edge_shift[finite].sum()))

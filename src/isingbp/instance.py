@@ -198,6 +198,21 @@ class ClassicalGraph:
             groups[int(ln)] = (dirs, nbrs)
         return groups
 
+    @cached_property
+    def site_groups(self) -> dict:
+        """Sites bucketed by degree.
+
+        Returns {deg: (sites (G,), dirs (G, deg))}: sites in increasing
+        order, dirs[g] the directed edges leaving sites[g] in out_dirs
+        order.  Groups appear in order of increasing degree.
+        """
+        groups = {}
+        for deg in np.unique(self.degrees):
+            sites = np.flatnonzero(self.degrees == deg)
+            dirs = self.dir_order[self.dir_start[sites][:, None] + np.arange(deg)]
+            groups[int(deg)] = (sites, dirs)
+        return groups
+
     def bfs_order(self, root: int = 0) -> np.ndarray:
         """Sites in BFS order from root, unseen components appended in index order."""
         seen = np.zeros(self.n, dtype=bool)

@@ -75,7 +75,8 @@ def _envelope(p: np.ndarray, q: np.ndarray):
     if p.size > _DENSE_FRONT_LIMIT:
         return p, q
     hull_p, hull_q = [], []
-    for x, y in zip(p, q):
+    # Python floats: the same IEEE arithmetic as numpy scalars, faster
+    for x, y in zip(p.tolist(), q.tolist()):
         while len(hull_p) >= 2:
             x1, y1 = hull_p[-2], hull_q[-2]
             x2, y2 = hull_p[-1], hull_q[-1]
@@ -138,11 +139,13 @@ def ss_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_COUPLING_GRID,
         new = np.empty_like(messages)
         for d in range(2 * graph.m):
             site = int(graph.src[d])
-            front = (np.ones(1), np.zeros(1))
-            for d_out in graph.out_dirs[site]:
-                if int(d_out) == d:
-                    continue
-                front = _compose(front, fronts[int(d_out) ^ 1])
+            others = [fronts[int(d_out) ^ 1] for d_out in graph.out_dirs[site]
+                      if int(d_out) != d]
+            # the first front is a hull already, and enveloping a hull
+            # leaves it unchanged; a leaf keeps the identity front
+            front = others[0] if others else (np.ones(1), np.zeros(1))
+            for other in others[1:]:
+                front = _compose(front, other)
             c = inst.fields[site] * sech
             new[d] = bond_gain[graph.edge_of_dir[d]] + _eval_front(front, c)
         new -= new.max(axis=1, keepdims=True)

@@ -160,6 +160,69 @@ def hop_tables_dense(j_tanh, tanh_vals, messages):
     return hop
 
 
+def _site_term(h, b, lyp, lym):
+    """Transverse-field term of a site: 2h / (e^a1 + e^a2), scaled by max."""
+    a1 = 2.0 * b + lyp
+    a2 = -2.0 * b + lym
+    mx = np.maximum(a1, a2)
+    return 2.0 * h * np.exp(-mx) / (np.exp(a1 - mx) + np.exp(a2 - mx))
+
+
+def _combos(size, ln):
+    """(ln, size**ln) state index per neighbour position, last one fastest."""
+    if not ln:
+        return np.zeros((0, 1), dtype=np.int64)
+    return np.stack(
+        np.meshgrid(*([np.arange(size)] * ln), indexing="ij")
+    ).reshape(ln, -1)
+
+
+def _fold(table, rows, idx, op=np.add, start=0.0):
+    """out[g, c] = start op table[rows[g, 0], idx[0, c]] op ... per position."""
+    out = np.full((rows.shape[0], idx.shape[1]), start)
+    for pos in range(rows.shape[1]):
+        out = op(out, table[rows[:, pos]][:, idx[pos]])
+    return out
+
+
+def window_values_dense(h_sites, cfg, tol, tables, dirs, nbrs):
+    """Window table of the exhaustive inner max, built in one piece.
+
+    Entry [g, s, c]: for target state s of directed edge dirs[g] and
+    neighbour-state combination c, the best site term over grid fields b
+    with 2b + sum(u_in) inside [max(nu_out, c_max - u_t) - tol,
+    min(nu_out, c_min - u_t) + tol] (the target's own BP constraint and
+    its neighbours'), at the rounded unconstrained optimum clipped into
+    that window; -inf when the window holds no grid field.
+    """
+    size = tables.u_in.shape[1]
+    idx = _combos(size, nbrs.shape[1])
+    c_max = _fold(tables.c_in, nbrs, idx, np.maximum, -np.inf)[:, None, :]
+    c_min = _fold(tables.c_in, nbrs, idx, np.minimum, np.inf)[:, None, :]
+    nf = tables.nu_out[dirs][:, :, None]
+    u_t = tables.u_in[dirs][:, :, None]
+    xlo = np.maximum(nf, c_max - u_t) - tol
+    xhi = np.minimum(nf, c_min - u_t) + tol
+    sum_u = _fold(tables.u_in, nbrs, idx)[:, None, :]
+    lyp = tables.lyp_in[dirs][:, :, None] + _fold(tables.lyp_in, nbrs, idx)[:, None, :]
+    lym = tables.lym_in[dirs][:, :, None] + _fold(tables.lym_in, nbrs, idx)[:, None, :]
+    db = cfg.delta_b
+    ilo = np.maximum(np.ceil((xlo - sum_u) / (2.0 * db) - 1e-9), -cfg.half_b)
+    ihi = np.minimum(np.floor((xhi - sum_u) / (2.0 * db) + 1e-9), cfg.half_b)
+    feasible = ilo <= ihi
+    b_star = (lym - lyp) / 4.0
+    b_idx = np.where(feasible, np.clip(np.rint(b_star / db), ilo, ihi), 0.0)
+    value = _site_term(h_sites[:, None, None], b_idx * db, lyp, lym)
+    return np.where(feasible, value, -np.inf)
+
+
+def batched_exhaustive_dense(value, messages, nbrs):
+    """Inner max over the whole (G, S, C) table of window values plus the
+    summed incoming messages of each combination."""
+    idx = _combos(messages.shape[1], nbrs.shape[1])
+    return np.max(value + _fold(messages, nbrs ^ 1, idx)[:, None, :], axis=2)
+
+
 def site_shift_max_loop(inst, graph, tables, messages, tol, cfg, site):
     """Joint max at one site, one incident edge at a time.
 
@@ -170,17 +233,11 @@ def site_shift_max_loop(inst, graph, tables, messages, tol, cfg, site):
     grid and clipped into that window, plus the incoming messages.  An
     isolated site takes b = 0.  Returns (value, b_value, {dir: state}).
     """
-    def site_term(h, b, lyp, lym):
-        a1 = 2.0 * b + lyp
-        a2 = -2.0 * b + lym
-        mx = np.maximum(a1, a2)
-        return 2.0 * h * np.exp(-mx) / (np.exp(a1 - mx) + np.exp(a2 - mx))
-
     h = inst.fields[site]
     dirs = [int(x) for x in graph.out_dirs[site]]
     size = tables.u_in.shape[1]
     if not dirs:
-        return float(site_term(h, 0.0, 0.0, 0.0)), 0.0, {}
+        return float(_site_term(h, 0.0, 0.0, 0.0)), 0.0, {}
     idx = np.stack(
         np.meshgrid(*([np.arange(size)] * len(dirs)), indexing="ij")
     ).reshape(len(dirs), -1)
@@ -207,8 +264,132 @@ def site_shift_max_loop(inst, graph, tables, messages, tol, cfg, site):
     feasible = ilo <= ihi
     b_star = (lym - lyp) / 4.0
     b_idx = np.where(feasible, np.clip(np.rint(b_star / db), ilo, ihi), 0.0)
-    value = np.where(feasible, site_term(h, b_idx * db, lyp, lym), -np.inf)
+    value = np.where(feasible, _site_term(h, b_idx * db, lyp, lym), -np.inf)
     value = value + sum_m
     best = int(np.argmax(value))
     choice = {d: int(idx[pos, best]) for pos, d in enumerate(dirs)}
     return float(value[best]), float(b_idx.astype(np.int64)[best] * db), choice
+
+
+def extract_loop(inst, graph, spaces, messages, tol, cfg, tables, weights):
+    """Extraction site by site with site_shift_max_loop.
+
+    Each edge takes its best state by weight; each site its field from the
+    joint site max.  maxsum_energy is minus the sum of the site maxima (in
+    site order) plus the sum of the finite edge maxima; disagreements
+    counts edges whose state at the site max, read at the first site that
+    sees the edge, differs from the per-edge pick.  Returns (b, k, nu,
+    maxsum_energy, disagreements).
+    """
+    edge_pick = np.argmax(weights, axis=1)
+    k = spaces.k[np.arange(graph.m), edge_pick]
+    nu = np.empty(2 * graph.m)
+    nu[0::2] = spaces.nu_fwd[np.arange(graph.m), edge_pick]
+    nu[1::2] = spaces.nu_rev[np.arange(graph.m), edge_pick]
+    b = np.zeros(graph.n)
+    shift_total = 0.0
+    disagreements = 0
+    seen = set()
+    for site in range(graph.n):
+        val, b[site], choice = site_shift_max_loop(inst, graph, tables, messages,
+                                                   tol, cfg, site)
+        shift_total += val
+        for d, s_idx in choice.items():
+            if d // 2 not in seen:
+                seen.add(d // 2)
+                disagreements += s_idx != int(edge_pick[d // 2])
+    edge_shift = np.max(weights, axis=1)
+    finite = np.isfinite(edge_shift)
+    maxsum_energy = -(shift_total - float(edge_shift[finite].sum()))
+    return b, k, nu, maxsum_energy, disagreements
+
+
+def gs_resample_loop(spaces, weights, cfg, rng, centers=None, radius_bins=None,
+                     dead_edges=()):
+    """gs resampling one proposal and one grid snap at a time.
+
+    Per edge the best (1 - resample_fraction) states by weight are kept
+    (stable order, duplicates dropped; none for a dead edge), then up to
+    60 proposals are drawn around the centre (per edge from centers, else
+    the best kept state): three normals, k then nu_fwd then nu_rev, each
+    scaled by radius times its grid step and snapped to its grid.  A
+    duplicate is redrawn; after the 60 proposals, or with no centre, states
+    are uniform grid draws, duplicates allowed from the 400th try on.
+    Returns (k, nu_fwd, nu_rev, kept).
+    """
+    m, s = spaces.k.shape
+    radius = cfg.proposal_radius_bins if radius_bins is None else radius_bins
+    n_new = int(round(cfg.resample_fraction * s))
+    k_grid, nu_grid = cfg.k_grid(), cfg.nu_grid()
+    out = np.empty((3, m, s))
+    kept = np.full((m, s), -1, dtype=np.int64)
+    for e in range(m):
+        order = [] if e in dead_edges else list(
+            np.argsort(-weights[e], kind="stable")[: s - n_new])
+        states = []
+        for old in order:
+            st = (float(spaces.k[e, old]), float(spaces.nu_fwd[e, old]),
+                  float(spaces.nu_rev[e, old]))
+            if st not in states:
+                kept[e, len(states)] = old
+                states.append(st)
+        center = None if centers is None else centers.get(e)
+        if center is None and order:
+            center = (float(spaces.k[e, order[0]]),
+                      float(spaces.nu_fwd[e, order[0]]),
+                      float(spaces.nu_rev[e, order[0]]))
+        guard = 0
+        while len(states) < s:
+            guard += 1
+            if center is not None and guard <= 60:
+                st = (
+                    float(k_grid.snap(center[0] + rng.standard_normal() * radius * cfg.delta_k)),
+                    float(nu_grid.snap(center[1] + rng.standard_normal() * radius * cfg.delta_nu)),
+                    float(nu_grid.snap(center[2] + rng.standard_normal() * radius * cfg.delta_nu)),
+                )
+            else:
+                st = (float(rng.choice(k_grid.values)),
+                      float(rng.choice(nu_grid.values)),
+                      float(rng.choice(nu_grid.values)))
+            if st in states and guard < 400:
+                continue
+            states.append(st)
+        out[:, e] = np.array(states).T
+    return out[0], out[1], out[2], kept
+
+
+def envelope_loop(p, q):
+    """Upper envelope of the lines c -> p*c + q on c >= 0.
+
+    Sort by slope (ties: highest intercept first) and keep one line per
+    slope; drop lines whose intercept some steeper line matches or beats;
+    then, unless more than the dense limit remain, a convex-hull scan on
+    numpy scalars pops the last hull line while the new one reaches the
+    line before it no later than the last did.  Returns (p, q) arrays.
+    """
+    from isingbp.symmetric import _DENSE_FRONT_LIMIT
+
+    order = np.lexsort((-q, p))
+    p, q = p[order], q[order]
+    keep = np.ones(p.size, dtype=bool)
+    keep[1:] = p[1:] > p[:-1]
+    p, q = p[keep], q[keep]
+    rev_max = np.maximum.accumulate(q[::-1])[::-1]
+    keep = np.ones(p.size, dtype=bool)
+    keep[:-1] = q[:-1] > rev_max[1:]
+    p, q = p[keep], q[keep]
+    if p.size > _DENSE_FRONT_LIMIT:
+        return p, q
+    hull_p, hull_q = [], []
+    for x, y in zip(p, q):
+        while len(hull_p) >= 2:
+            x1, y1 = hull_p[-2], hull_q[-2]
+            x2, y2 = hull_p[-1], hull_q[-1]
+            if (y2 - y1) * (x - x1) <= (y - y1) * (x2 - x1):
+                hull_p.pop()
+                hull_q.pop()
+            else:
+                break
+        hull_p.append(x)
+        hull_q.append(y)
+    return np.asarray(hull_p), np.asarray(hull_q)

@@ -27,21 +27,28 @@ from isingbp import (
 from isingbp.classical_bp import bond_energy, field_shift, logcosh
 from isingbp import general
 from isingbp.general import (
+    _BLOCK_ELEMS,
     SearchSpaceError,
+    _batched_exhaustive,
     _combo_index,
     _extract,
-    _site_shift_max,
+    _site_maxes,
     _sweep_tables,
+    _window_values,
     candidates_order,
 )
 from isingbp.grids import Grid
 from isingbp.meanfield import mf_energy
 from isingbp.symmetric import ss_energy
 from oracles import (
+    batched_exhaustive_dense,
+    extract_loop,
+    gs_resample_loop,
     mf_chain_minimum,
     refit_one,
     site_shift_max_loop,
     ss_chain_minimum,
+    window_values_dense,
 )
 
 
@@ -317,43 +324,163 @@ def _isolated_site_instance():
     )
 
 
-@pytest.mark.parametrize("inst", [
+def _infeasible_spaces(g, size):
+    # k = 0 makes every field shift 0, so BP consistency asks for
+    # nu_out = 2b; with every nu at 2 and b on a grid holding only 0, no
+    # window within a tol below 2 holds a field
+    return SearchSpace(k=np.zeros((g.m, size)), nu_fwd=np.full((g.m, size), 2.0),
+                       nu_rev=np.full((g.m, size), 2.0))
+
+
+KERNEL_CASES = [
     generate_rrg(12, 3, law="pm_one", h=1.0, seed=2),
     testutil.random_tree(10, np.random.default_rng(3)),
     testutil.star_instance(4, h=0.7, seed=1),
     generate_rrg(10, 4, law="gaussian", h=0.9, seed=6),
     _isolated_site_instance(),
-], ids=["pm_one-3rrg", "tree", "star", "gaussian-4rrg", "isolated-site"])
-def test_site_shift_max_matches_per_site_loop(inst):
+]
+KERNEL_IDS = ["pm_one-3rrg", "tree", "star", "gaussian-4rrg", "isolated-site"]
+
+
+def _kernel_inputs(inst, infeasible):
     g = ClassicalGraph.from_instance(inst)
-    cfg = GSConfig(space_size=6, k_cap=1.0)
-    spaces = init_spaces(g, cfg, np.random.default_rng(11))
-    tables = _sweep_tables(inst, spaces)
+    cfg = GSConfig(space_size=6, k_cap=1.0, half_b=0 if infeasible else 60)
+    if infeasible:
+        spaces = _infeasible_spaces(g, cfg.space_size)
+    else:
+        spaces = init_spaces(g, cfg, np.random.default_rng(11))
     rng = np.random.default_rng(12)
     messages = rng.standard_normal((2 * g.m, cfg.space_size))
     messages[rng.random(messages.shape) < 0.1] = -np.inf
-    infeasible = 0
+    return g, cfg, spaces, _sweep_tables(inst, spaces), messages
+
+
+@pytest.mark.parametrize("infeasible", [False, True], ids=["random", "infeasible"])
+@pytest.mark.parametrize("inst", KERNEL_CASES, ids=KERNEL_IDS)
+def test_window_kernels_match_dense_oracles(inst, infeasible):
+    # sources of degree 1 to 4 (ln 0 to 3 other edges)
+    g, cfg, spaces, tables, messages = _kernel_inputs(inst, infeasible)
+    finite = 0
+    for tol in (0.05, 0.5, 1.0):
+        for ln, (dirs, nbrs) in g.sweep_groups.items():
+            h = inst.fields[g.src[dirs]]
+            value = _window_values(h, cfg, tol, tables, dirs, nbrs)
+            want = window_values_dense(h, cfg, tol, tables, dirs, nbrs)
+            assert value.shape == want.shape == (dirs.size, 6, 6 ** ln)
+            assert value.tobytes() == want.tobytes()
+            inner = _batched_exhaustive(value, messages, nbrs)
+            assert inner.tobytes() == batched_exhaustive_dense(
+                want, messages, nbrs).tobytes()
+            finite += int(np.isfinite(value).sum())
+    assert (finite == 0) == infeasible
+
+
+def test_window_kernels_split_blocks_match_dense(monkeypatch):
+    # blocks smaller than one (S, C) row split the combinations as well
+    inst = generate_rrg(10, 4, law="gaussian", h=0.9, seed=6)
+    g, cfg, spaces, tables, messages = _kernel_inputs(inst, False)
+    dirs, nbrs = g.sweep_groups[3]
+    h = inst.fields[g.src[dirs]]
+    want = window_values_dense(h, cfg, 0.5, tables, dirs, nbrs)
+    for elems in (100, 6 * 216 - 1, 6 * 216 + 1, 3 * 6 * 216):
+        monkeypatch.setattr(general, "_BLOCK_ELEMS", elems)
+        value = _window_values(h, cfg, 0.5, tables, dirs, nbrs)
+        assert value.tobytes() == want.tobytes()
+        assert _batched_exhaustive(value, messages, nbrs).tobytes() == (
+            batched_exhaustive_dense(want, messages, nbrs).tobytes())
+        got = _site_maxes(inst, g, tables, messages, 0.5, cfg)
+        for site in range(g.n):
+            ref_value, ref_b, ref_choice = site_shift_max_loop(
+                inst, g, tables, messages, 0.5, cfg, site)
+            assert got[0][site] == ref_value and got[1][site] == ref_b
+            assert {d: int(got[2][d]) for d in ref_choice} == ref_choice
+
+
+def test_window_values_peak_memory():
+    # G = 36 directed edges, S = 20, C = 400: the table is 2.3 MB, while
+    # building it in one piece held about 17 temporaries of that size
+    inst = generate_rrg(12, 3, law="pm_one", h=1.0, seed=2)
+    g = ClassicalGraph.from_instance(inst)
+    cfg = GSConfig(space_size=20, k_cap=1.0)
+    spaces = init_spaces(g, cfg, np.random.default_rng(0))
+    tables = _sweep_tables(inst, spaces)
+    dirs, nbrs = g.sweep_groups[2]
+    h = inst.fields[g.src[dirs]]
+    _combo_index(20, 2)
+    tracemalloc.start()
+    try:
+        value = _window_values(h, cfg, 0.5, tables, dirs, nbrs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value.shape == (36, 20, 400)
+    assert np.any(np.isfinite(value))
+    assert peak < value.nbytes + 24 * _BLOCK_ELEMS * 8
+
+
+def _check_site_maxes(inst, infeasible):
+    g, cfg, spaces, tables, messages = _kernel_inputs(inst, infeasible)
+    infeasible_sites = 0
     # the small tolerances leave some sites without any admissible combination
     for tol in (0.05, 0.2, 1.0):
+        value, b, pick = _site_maxes(inst, g, tables, messages, tol, cfg)
+        assert value.shape == b.shape == (g.n,) and pick.shape == (2 * g.m,)
         for site in range(g.n):
-            value, b, choice = _site_shift_max(inst, g, tables, messages, tol,
-                                               cfg, site)
             ref_value, ref_b, ref_choice = site_shift_max_loop(
                 inst, g, tables, messages, tol, cfg, site)
-            assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
-            assert np.float64(b).tobytes() == np.float64(ref_b).tobytes()
-            assert choice == ref_choice
-            infeasible += value == -np.inf
-    assert infeasible > 0
+            assert np.float64(value[site]).tobytes() == np.float64(ref_value).tobytes()
+            assert np.float64(b[site]).tobytes() == np.float64(ref_b).tobytes()
+            assert {d: int(pick[d]) for d in ref_choice} == ref_choice
+            infeasible_sites += value[site] == -np.inf
+    if infeasible:
+        # only the isolated site, whose field is unconstrained, is feasible
+        assert infeasible_sites == 3 * int(np.count_nonzero(g.degrees))
+    else:
+        assert infeasible_sites > 0
+    # with every message into a site -inf its maximum is -inf, and its
+    # field and states are those of combination 0, feasible or not
+    for site in np.flatnonzero(g.degrees):
+        cut = messages.copy()
+        cut[g.out_dirs[site] ^ 1] = -np.inf
+        value, b, pick = _site_maxes(inst, g, tables, cut, 1.0, cfg)
+        ref_value, ref_b, ref_choice = site_shift_max_loop(
+            inst, g, tables, cut, 1.0, cfg, site)
+        assert value[site] == ref_value == -np.inf
+        assert b[site] == ref_b
+        assert {d: int(pick[d]) for d in ref_choice} == ref_choice
+
+
+@pytest.mark.parametrize("inst", KERNEL_CASES, ids=KERNEL_IDS)
+def test_site_shift_max_matches_per_site_loop(inst):
+    _check_site_maxes(inst, infeasible=False)
+
+
+@pytest.mark.parametrize("inst", KERNEL_CASES, ids=KERNEL_IDS)
+def test_site_maxes_on_infeasible_windows_match_per_site_loop(inst):
+    _check_site_maxes(inst, infeasible=True)
+
+
+@pytest.mark.parametrize("inst", KERNEL_CASES, ids=KERNEL_IDS)
+def test_grouped_extract_matches_per_site_loop(inst):
+    g, cfg, spaces, tables, messages = _kernel_inputs(inst, False)
+    # finite edge weights, as gs_solve extracts only then
+    messages = np.where(np.isfinite(messages), messages, -3.0)
+    weights = gs_weights(inst, g, spaces, messages)
+    for tol in (0.05, 0.2, 1.0):
+        got = _extract(inst, g, spaces, messages, tol, cfg)
+        want = extract_loop(inst, g, spaces, messages, tol, cfg, tables, weights)
+        for a, b in zip(got[:3], want[:3]):
+            assert a.tobytes() == b.tobytes()
+        assert np.float64(got[3]).tobytes() == np.float64(want[3]).tobytes()
+        assert got[4] == want[4]
 
 
 def test_combination_limit_raises_before_allocating():
     cfg = GSConfig(space_size=20)
-    for leaves, call in ((7, "inner"), (6, "site")):
+    for leaves, call in ((7, "inner"), (6, "extract")):
         inst = testutil.star_instance(leaves, h=0.8, seed=1)
         g = ClassicalGraph.from_instance(inst)
         spaces = init_spaces(g, cfg, np.random.default_rng(0))
-        tables = _sweep_tables(inst, spaces)
         messages = np.zeros((2 * g.m, cfg.space_size))
         tracemalloc.start()
         try:
@@ -363,7 +490,7 @@ def test_combination_limit_raises_before_allocating():
                     exhaustive_inner_max(inst, g, spaces, messages, 0,
                                          int(g.out_dirs[0][0]), 0.2, cfg)
                 else:
-                    _site_shift_max(inst, g, tables, messages, 0.2, cfg, 0)
+                    _extract(inst, g, spaces, messages, 0.2, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -401,6 +528,40 @@ def test_resample_keeps_best_states():
                                   np.random.default_rng(3), dead_edges={1})
     assert np.all(kept_dead[1] == -1)
     assert kept_dead[0, 0] == np.argmax(weights[0])
+
+
+@pytest.mark.parametrize("centers,dead", [
+    (None, ()), ("best", ()), ("best", (0, 3)), ("far", (1,)),
+], ids=["own-best", "centers", "dead-edges", "far-centers"])
+def test_resample_matches_scalar_loop(centers, dead):
+    inst = generate_rrg(12, 3, law="pm_one", h=1.0, seed=2)
+    g = ClassicalGraph.from_instance(inst)
+    # a coarse capped k grid makes duplicate proposals; the far case has
+    # 3 states in all (k in -0.1, 0, 0.1 and nu 0) for 10 slots, so its
+    # 60 proposals run out, uniform draws follow and, from the 400th try
+    # on, duplicates are kept
+    far = centers == "far"
+    cfg = GSConfig(space_size=10, k_cap=0.1 if far else 0.3, delta_k=0.1,
+                   half_nu=0 if far else 120,
+                   proposal_radius_bins=60.0 if far else 5.0)
+    rng = np.random.default_rng(4)
+    spaces = init_spaces(g, cfg, rng)
+    weights = rng.standard_normal((g.m, cfg.space_size))
+    cmap = None if centers is None else {
+        e: (float(spaces.k[e, 0]), float(spaces.nu_fwd[e, 0]),
+            float(spaces.nu_rev[e, 0])) for e in range(0, g.m, 2)}
+    for radius in (None, 1.0):
+        rng_new, rng_old = np.random.default_rng(9), np.random.default_rng(9)
+        new, kept = gs_resample(spaces, weights, cfg, rng_new, centers=cmap,
+                                radius_bins=radius, dead_edges=set(dead))
+        k, nf, nr, kept_old = gs_resample_loop(spaces, weights, cfg, rng_old,
+                                               centers=cmap, radius_bins=radius,
+                                               dead_edges=set(dead))
+        assert new.k.tobytes() == k.tobytes()
+        assert new.nu_fwd.tobytes() == nf.tobytes()
+        assert new.nu_rev.tobytes() == nr.tobytes()
+        assert np.array_equal(kept, kept_old)
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
 
 def test_weights_are_bond_scores():

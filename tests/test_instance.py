@@ -238,6 +238,14 @@ def test_csr_adjacency_matches_quadratic_scan(kind, seed):
         assert np.array_equal(g.sweep_groups[ln][0], dirs)
         assert np.array_equal(g.sweep_groups[ln][1], nbrs)
         assert g.sweep_groups[ln][1].shape == nbrs.shape
+    degrees = sorted({len(d) for d in out_dirs})
+    assert list(g.site_groups) == degrees
+    for deg, (sites, dirs) in g.site_groups.items():
+        want = [s for s in range(n) if len(out_dirs[s]) == deg]
+        assert np.array_equal(sites, want)
+        assert dirs.shape == (len(want), deg)
+        for s, row in zip(want, dirs):
+            assert np.array_equal(row, out_dirs[s])
 
 
 def test_csr_adjacency_without_edges():
@@ -246,3 +254,6 @@ def test_csr_adjacency_without_edges():
     assert np.array_equal(g.degrees, [0, 0, 0])
     assert np.array_equal(g.bfs_order(1), [1, 0, 2])
     assert g.sweep_groups == {}
+    sites, dirs = g.site_groups[0]
+    assert list(g.site_groups) == [0]
+    assert np.array_equal(sites, [0, 1, 2]) and dirs.shape == (3, 0)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import testutil
 from isingbp import (
@@ -15,7 +17,7 @@ from isingbp.enumeration import quantum_expectation
 from isingbp.exact import dense_hamiltonian
 from isingbp.grids import Grid
 from isingbp.symmetric import _compose, _envelope, ss_energy
-from oracles import ss_chain_minimum
+from oracles import envelope_loop, ss_chain_minimum
 
 COARSE = Grid(step=0.05, half_count=16)
 
@@ -42,6 +44,22 @@ def test_chain_grid_optimum(law, h, seed):
     assert sol.converged
     assert np.isclose(sol.energy, ss_chain_minimum(inst, COARSE), atol=1e-10)
     assert np.isclose(sol.energy, ss_energy(inst, sol.k), atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_star_grid_optimum(seed):
+    # the centre composes the fronts of three of its four edges per message
+    inst = testutil.star_instance(4, h=0.9, seed=seed)
+    grid = Grid(step=0.1, half_count=8)
+    sech = 1.0 / np.cosh(2.0 * grid.values)
+    k = np.stack(np.meshgrid(*([grid.values] * 4), indexing="ij")).reshape(4, -1)
+    s = np.stack(np.meshgrid(*([sech] * 4), indexing="ij")).reshape(4, -1)
+    energy = (-np.sum(inst.couplings[:, None] * np.tanh(2.0 * k), axis=0)
+              - inst.fields[0] * np.prod(s, axis=0)
+              - np.sum(inst.fields[1:, None] * s, axis=0))
+    sol = ss_maxsum_solve(inst, grid=grid)
+    assert sol.converged
+    assert np.isclose(sol.energy, energy.min(), atol=1e-10)
 
 
 def test_chain_default_grid_optimum():
@@ -104,3 +122,47 @@ def test_compose_matches_pairwise_maximum():
         full = np.max(c * (pa[:, None] * pb[None, :]) + qa[:, None] + qb[None, :])
         kept = np.max(c * front[0] + front[1])
         assert np.isclose(kept, full, atol=1e-12)
+
+
+# quarter steps make tied slopes and (p, q) points on one line common
+_QUARTERS = st.integers(-12, 12).map(lambda i: i / 4)
+_LINES = st.lists(
+    st.tuples(st.one_of(_QUARTERS.map(abs), st.floats(0.0, 2.0)),
+              st.one_of(_QUARTERS, st.floats(-5.0, 5.0))),
+    max_size=40,
+)
+
+
+def _arrays(lines):
+    p = np.array([x for x, _ in lines], dtype=np.float64)
+    q = np.array([y for _, y in lines], dtype=np.float64)
+    return p, q
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LINES)
+@example([(1.0, 0.0), (1.0, 1.0), (1.0, -1.0), (0.5, 2.0)])  # tied slopes
+@example([(0.0, 2.0), (1.0, 1.0), (2.0, 0.0), (3.0, -1.0)])  # collinear
+def test_envelope_matches_numpy_scalar_scan(lines):
+    p, q = _arrays(lines)
+    got = _envelope(p.copy(), q.copy())
+    want = envelope_loop(p.copy(), q.copy())
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.float64
+        assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LINES)
+@example([(0.0, 2.0), (1.0, 1.0), (2.0, 0.0), (3.0, -1.0)])
+def test_envelope_is_idempotent(lines):
+    # ss_maxsum_solve starts a site's composition from its first front
+    # instead of composing it with the identity front (1, 0): both give the
+    # front's own envelope, which must be the front itself
+    front = _envelope(*_arrays(lines))
+    again = _envelope(front[0].copy(), front[1].copy())
+    via_identity = _compose((np.ones(1), np.zeros(1)), front)
+    for a, b, c in zip(front, again, via_identity):
+        assert a.tobytes() == b.tobytes()
+        # adding the identity's zero intercept can only turn -0.0 into 0.0
+        assert np.array_equal(a, c)
