@@ -10,6 +10,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .instance import (
     InstanceError,
     GenerationError,
@@ -43,37 +45,40 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True, help="output JSON path")
 
     run = sub.add_parser("run", help="run one method on an instance")
-    run.add_argument("--instance", required=True)
     run.add_argument("--method", required=True, choices=METHODS)
-    run.add_argument("--h", default="",
-                     help="comma-separated field values; empty keeps the "
-                          "instance's own fields")
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                     help="solver option override (repeatable)")
-    run.add_argument("--csv", default="-", help="CSV output path, - for stdout")
-    run.add_argument("--jsonl", help="JSONL output path")
-
     cmp_ = sub.add_parser("compare", help="run several methods side by side")
-    cmp_.add_argument("--instance", required=True)
     cmp_.add_argument("--methods", default="mf,ss,gs",
                       help="comma-separated subset of " + ",".join(METHODS))
-    cmp_.add_argument("--h", default="",
-                      help="comma-separated field values; empty keeps the "
-                           "instance's own fields")
-    cmp_.add_argument("--seed", type=int, default=0)
-    cmp_.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                      help="gs option override (repeatable)")
-    cmp_.add_argument("--csv", default="-", help="CSV output path, - for stdout")
-    cmp_.add_argument("--jsonl", help="JSONL output path")
+    for cmd, target in ((run, "--method"), (cmp_, "gs, which must be in --methods")):
+        cmd.add_argument("--instance", required=True)
+        cmd.add_argument("--h", default="",
+                         help="comma-separated field values and lo:hi:count "
+                              "ranges (np.linspace); empty keeps the "
+                              "instance's own fields")
+        cmd.add_argument("--seed", type=int, default=0,
+                         help="base seed; every cell's solver seed derives "
+                              "from it")
+        cmd.add_argument("--set", action="append", default=[],
+                         metavar="KEY=VALUE",
+                         help=f"option override for {target} (repeatable)")
+        cmd.add_argument("--csv", default="-",
+                         help="CSV output path, - for stdout")
+        cmd.add_argument("--jsonl", help="JSONL output path")
     return parser
 
 
 def _parse_h(text: str) -> list[float]:
-    text = (text or "").strip()
-    if not text:
-        return []
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    """Comma-separated field values and lo:hi:count ranges (np.linspace)."""
+    out = []
+    for tok in (text or "").split(","):
+        lo, *rest = tok.split(":")
+        if not rest:
+            out.extend([float(lo)] if lo.strip() else [])
+        elif len(rest) == 2 and int(rest[1]) >= 1:
+            out.extend(np.linspace(float(lo), float(rest[0]), int(rest[1])).tolist())
+        else:
+            raise ValueError(f"field range {tok!r} is not lo:hi:count, count >= 1")
+    return out
 
 
 def _emit(records, args, config: dict) -> None:
@@ -98,15 +103,17 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_run(args, methods) -> int:
+def _cmd_run(args, methods, target: str) -> int:
+    """Run every (method, h) cell; the --set options go to target."""
     inst = load_instance(Path(args.instance).read_text())
     h_values = _parse_h(args.h)
     overrides = parse_overrides(args.set)
-    per_method = {m: dict(overrides) if m == "gs" or len(methods) == 1 else {}
-                  for m in methods}
+    if overrides and target not in methods:
+        raise ValueError(f"--set options go to {target}, which is not "
+                         f"among the methods {methods}")
     name = Path(args.instance).name
     records = run_grid(inst, name, methods, h_values,
-                       base_seed=args.seed, overrides=per_method)
+                       base_seed=args.seed, overrides={target: overrides})
     config = {
         "instance": args.instance, "methods": list(methods),
         "h": h_values, "seed": args.seed, "overrides": overrides,
@@ -125,13 +132,13 @@ def main(argv=None) -> int:
         if args.command == "gen":
             return _cmd_gen(args)
         if args.command == "run":
-            return _cmd_run(args, [args.method])
+            return _cmd_run(args, [args.method], args.method)
         methods = [m.strip() for m in args.methods.split(",") if m.strip()]
         bad = [m for m in methods if m not in METHODS]
         if bad:
             print(f"unknown methods: {bad}", file=sys.stderr)
             return 1
-        return _cmd_run(args, methods)
+        return _cmd_run(args, methods, "gs")
     except (InstanceError, GenerationError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

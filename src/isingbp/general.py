@@ -83,8 +83,6 @@ class GSConfig:
     sweep_tol: float = 1e-10
     inner: str = "exhaustive"
     delta_m: float = 0.05
-    mf_seed: bool = True
-    ss_seed: bool = True
     bp_eps: float = 1e-9
     bp_max_iters: int = 10000
     bp_restarts: int = 3
@@ -758,10 +756,10 @@ def gs_solve(inst: QuantumInstance, cfg: GSConfig | None = None) -> GSResult:
     """Outer loop: sweep to convergence, extract, refit, resample, tighten.
 
     Every round's extraction is refit by BP and kept as a candidate, as
-    are the mean-field and symmetric solutions when seeding is enabled
-    (their states also enter the initial search spaces, grid-snapped).
-    The returned solution is the candidate with the lowest refit energy,
-    which makes the solver dominate its seeds by construction.
+    are the mean-field and symmetric solutions, which always run (their
+    states also enter the initial search spaces, grid-snapped).  The
+    returned solution is the candidate with the lowest refit energy,
+    which makes the solver dominate both seeds by construction.
     """
     from .meanfield import mf_maxsum_solve
     from .symmetric import ss_maxsum_solve
@@ -771,28 +769,22 @@ def gs_solve(inst: QuantumInstance, cfg: GSConfig | None = None) -> GSResult:
     rng = np.random.default_rng(cfg.seed)
     k_grid, nu_grid = cfg.k_grid(), cfg.nu_grid()
 
-    candidates = []  # (label, b, k, nu_init)
-    seed_states: dict = {e: [] for e in range(graph.m)}
-    if cfg.mf_seed:
-        mf = mf_maxsum_solve(inst, seed=cfg.seed)
-        nu_mf = np.empty(2 * graph.m)
-        nu_mf[0::2] = 2.0 * mf.b[graph.edge_index[:, 0]]
-        nu_mf[1::2] = 2.0 * mf.b[graph.edge_index[:, 1]]
-        candidates.append(("meanfield-seed", mf.b.copy(), np.zeros(graph.m), nu_mf))
-        for e in range(graph.m):
-            i, j = graph.edge_index[e]
-            seed_states[e].append((
-                float(k_grid.snap(0.0)),
-                float(nu_grid.snap(2.0 * mf.b[i])),
-                float(nu_grid.snap(2.0 * mf.b[j])),
-            ))
-    if cfg.ss_seed:
-        ss = ss_maxsum_solve(inst, seed=cfg.seed)
-        candidates.append((
-            "symmetric-seed", np.zeros(graph.n), ss.k.copy(), np.zeros(2 * graph.m)
-        ))
-        for e in range(graph.m):
-            seed_states[e].append((float(k_grid.snap(ss.k[e])), 0.0, 0.0))
+    mf = mf_maxsum_solve(inst, seed=cfg.seed)
+    nu_mf = np.empty(2 * graph.m)
+    nu_mf[0::2] = 2.0 * mf.b[graph.edge_index[:, 0]]
+    nu_mf[1::2] = 2.0 * mf.b[graph.edge_index[:, 1]]
+    ss = ss_maxsum_solve(inst, seed=cfg.seed)
+    candidates = [  # (label, b, k, nu_init)
+        ("meanfield-seed", mf.b.copy(), np.zeros(graph.m), nu_mf),
+        ("symmetric-seed", np.zeros(graph.n), ss.k.copy(), np.zeros(2 * graph.m)),
+    ]
+    k_zero = float(k_grid.snap(0.0))
+    seed_states = {  # edge -> [mean-field state, symmetric state]
+        e: [(k_zero, float(nu_grid.snap(2.0 * mf.b[i])),
+             float(nu_grid.snap(2.0 * mf.b[j]))),
+            (float(k_grid.snap(ss.k[e])), 0.0, 0.0)]
+        for e, (i, j) in enumerate(graph.edge_index)
+    }
 
     spaces = init_spaces(graph, cfg, rng, seed_states)
     messages = np.zeros((2 * graph.m, cfg.space_size))
@@ -861,9 +853,6 @@ def gs_solve(inst: QuantumInstance, cfg: GSConfig | None = None) -> GSResult:
             messages = realigned
             tol = max(tol * cfg.tol_decay, cfg.tol_floor_value())
             radius = max(radius * cfg.tol_decay, 1.0)
-
-    if not candidates:
-        raise SearchSpaceError("no admissible extraction and no seeds enabled")
 
     refits = []
     refit_log = []

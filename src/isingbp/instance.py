@@ -56,17 +56,7 @@ class QuantumInstance:
         m = self.edge_index.shape[0]
         if self.couplings.shape != (m,):
             raise InstanceError("one coupling per edge required")
-        if m:
-            i, j = self.edge_index[:, 0], self.edge_index[:, 1]
-            if np.any(i == j):
-                raise InstanceError("self-loops are not allowed")
-            if i.min(initial=0) < 0 or self.edge_index.max(initial=0) >= self.n:
-                raise InstanceError("edge endpoint out of range")
-            if np.any(i > j):
-                raise InstanceError("edges must be stored with i < j")
-            keys = i * self.n + j
-            if np.unique(keys).size != m:
-                raise InstanceError("duplicate edges are not allowed")
+        _check_edges(self.n, self.edge_index)
 
     @property
     def m(self) -> int:
@@ -101,6 +91,22 @@ class QuantumInstance:
         )
 
 
+def _check_edges(n: int, edge_index: np.ndarray) -> None:
+    """Reject self-loops, out-of-range endpoints, rows with i > j and
+    duplicate rows of an (m, 2) edge array."""
+    if not edge_index.size:
+        return
+    i, j = edge_index[:, 0], edge_index[:, 1]
+    if np.any(i == j):
+        raise InstanceError("self-loops are not allowed")
+    if i.min() < 0 or edge_index.max() >= n:
+        raise InstanceError("edge endpoint out of range")
+    if np.any(i > j):
+        raise InstanceError("edges must be stored with i < j")
+    if np.unique(i * n + j).size != i.size:
+        raise InstanceError("duplicate edges are not allowed")
+
+
 def _canonical_edges(pairs, couplings):
     """Sort endpoints within edges and edges lexicographically."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
@@ -121,18 +127,8 @@ class ClassicalGraph:
 
     def __init__(self, n: int, edge_index):
         edge_index = np.asarray(edge_index, dtype=np.int64).reshape(-1, 2)
-        if edge_index.size:
-            lo = edge_index.min(axis=1)
-            hi = edge_index.max(axis=1)
-            order = np.lexsort((hi, lo))
-            edge_index = np.column_stack([lo, hi])[order]
-            if lo.min(initial=0) < 0 or hi.max(initial=0) >= n:
-                raise InstanceError("edge endpoint out of range")
-            if np.any(lo == hi):
-                raise InstanceError("self-loops are not allowed")
-            keys = edge_index[:, 0] * n + edge_index[:, 1]
-            if np.unique(keys).size != edge_index.shape[0]:
-                raise InstanceError("duplicate edges are not allowed")
+        edge_index, _ = _canonical_edges(edge_index, np.zeros(len(edge_index)))
+        _check_edges(n, edge_index)
         self.n = int(n)
         self.edge_index = edge_index
         self.m = edge_index.shape[0]

@@ -12,24 +12,18 @@ import os
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields as dc_fields
 
 import numpy as np
 
 from . import exact as exact_mod
 from .classical_bp import ParameterSet, observables
 from .general import GSConfig, gs_solve
+from .grids import Grid
 from .homogeneous import HomogConfig, homog_from_instance
 from .instance import ClassicalGraph, QuantumInstance
 from .meanfield import mf_maxsum_solve
 from .records import ResultRecord
 from .symmetric import ss_maxsum_solve
-
-METHODS = ("mf", "ss", "gs", "homog", "exact")
-
-
-class SolverError(RuntimeError):
-    """A method failed on a cell it should have handled."""
 
 
 def thread_count() -> int:
@@ -72,33 +66,71 @@ def parse_overrides(pairs) -> dict:
     return out
 
 
-def _filter_config(cls, overrides: dict):
-    names = {f.name for f in dc_fields(cls)}
-    unknown = set(overrides) - names
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} options: {sorted(unknown)}")
-    return cls(**overrides)
-
-
-def _check_kwargs(fn, overrides: dict):
-    allowed = set(inspect.signature(fn).parameters) - {"inst"}
+def _options(target, overrides: dict) -> dict:
+    """overrides, checked against the keyword parameters of target (a
+    solver function or a config dataclass).  The instance and the seed
+    come from the cell, never from overrides."""
+    allowed = set(inspect.signature(target).parameters) - {"inst", "seed"}
     unknown = set(overrides) - allowed
     if unknown:
-        raise ValueError(f"unknown {fn.__name__} options: {sorted(unknown)}")
+        raise ValueError(f"unknown {target.__name__} options: {sorted(unknown)}")
+    return overrides
 
 
-def _grid_override(overrides: dict, step_key: str, half_key: str):
-    """Pop grid-shaped overrides (delta_*/half_*) into a Grid, if given."""
-    from .grids import Grid
-
-    step = overrides.pop(step_key, None)
-    half = overrides.pop(half_key, None)
-    cap = overrides.pop("k_cap", None) if step_key == "delta_k" else None
+def _grid_override(options: dict, step_key: str, half_key: str,
+                   cap_key: str | None = None) -> None:
+    """Pop grid-shaped options (step, half and cap) into options["grid"]."""
+    step = options.pop(step_key, None)
+    half = options.pop(half_key, None)
+    cap = options.pop(cap_key, None) if cap_key else None
     if step is None and half is None and cap is None:
-        return None
+        return
     if step is None or half is None:
         raise ValueError(f"{step_key} and {half_key} must be given together")
-    return Grid(float(step), int(half), cap=cap)
+    options["grid"] = Grid(float(step), int(half), cap=cap)
+
+
+# Per-method adapters: (instance, seed, options) -> (E_per_spin, m_x, q_z,
+# converged, iters).  They look the solvers up as module globals at call
+# time, so a caller may rebind them (to trace them, say).
+
+def _mf(work, seed, options):
+    _grid_override(options, "delta_b", "half_b")
+    sol = mf_maxsum_solve(work, seed=seed, **_options(mf_maxsum_solve, options))
+    sz = np.tanh(2.0 * sol.b)
+    return (sol.energy / work.n, np.mean(1.0 / np.cosh(2.0 * sol.b)),
+            np.mean(sz * sz), sol.converged, sol.iterations)
+
+
+def _ss(work, seed, options):
+    _grid_override(options, "delta_k", "half_k", cap_key="k_cap")
+    sol = ss_maxsum_solve(work, seed=seed, **_options(ss_maxsum_solve, options))
+    graph = ClassicalGraph.from_instance(work)
+    obs = observables(work, graph, ParameterSet(np.zeros(work.n), sol.k),
+                      np.zeros(2 * graph.m))
+    return sol.energy / work.n, obs.m_x, obs.q_z, sol.converged, sol.iterations
+
+
+def _gs(work, seed, options):
+    sol = gs_solve(work, GSConfig(**_options(GSConfig, options), seed=seed))
+    return sol.energy / work.n, sol.m_x, sol.q_z, sol.converged, sol.iterations
+
+
+def _homog(work, seed, options):
+    point = homog_from_instance(work, HomogConfig(**_options(HomogConfig, options)))
+    return point.energy, point.m_x, point.m_z ** 2, point.converged, 1
+
+
+def _exact(work, seed, options):
+    ground_state = exact_mod.ground_state
+    ref = ground_state(work, seed=seed, **_options(ground_state, options))
+    # the state is parity-even, so every <sigma_i^z> is 0
+    return (ref.energy / work.n, np.mean(ref.sigma_x), 0.0, ref.converged,
+            ref.iterations)
+
+
+_ADAPTERS = {"mf": _mf, "ss": _ss, "gs": _gs, "homog": _homog, "exact": _exact}
+METHODS = tuple(_ADAPTERS)
 
 
 def run_cell(inst: QuantumInstance, name: str, method: str, h: float | None,
@@ -106,63 +138,23 @@ def run_cell(inst: QuantumInstance, name: str, method: str, h: float | None,
     """Evaluate one method at one uniform field value.
 
     h=None keeps the instance's own (possibly nonuniform) fields."""
-    if method not in METHODS:
+    if method not in _ADAPTERS:
         raise ValueError(f"unknown method {method!r}")
-    overrides = dict(overrides or {})
     work = inst if h is None else inst.with_uniform_field(h)
     if h is None:
         uniform = np.allclose(work.fields, work.fields[0]) if work.n else True
         h_report = float(work.fields[0]) if uniform else float("nan")
     else:
         h_report = float(h)
-    h_zero = not np.any(work.fields)
     t0 = time.perf_counter()
-
-    if method == "mf":
-        grid = _grid_override(overrides, "delta_b", "half_b")
-        if grid is not None:
-            overrides["grid"] = grid
-        _check_kwargs(mf_maxsum_solve, overrides)
-        sol = mf_maxsum_solve(work, seed=seed, **overrides)
-        sz = np.tanh(2.0 * sol.b)
-        sx = 1.0 / np.cosh(2.0 * sol.b)
-        rec = dict(E_per_spin=sol.energy / work.n,
-                   m_x=None if h_zero else float(np.mean(sx)),
-                   q_z=float(np.mean(sz * sz)), converged=sol.converged,
-                   iters=sol.iterations)
-    elif method == "ss":
-        grid = _grid_override(overrides, "delta_k", "half_k")
-        if grid is not None:
-            overrides["grid"] = grid
-        _check_kwargs(ss_maxsum_solve, overrides)
-        sol = ss_maxsum_solve(work, seed=seed, **overrides)
-        graph = ClassicalGraph.from_instance(work)
-        obs = observables(work, graph, ParameterSet(np.zeros(work.n), sol.k),
-                          np.zeros(2 * graph.m))
-        rec = dict(E_per_spin=sol.energy / work.n, m_x=obs.m_x,
-                   q_z=obs.q_z, converged=sol.converged, iters=sol.iterations)
-    elif method == "gs":
-        cfg = _filter_config(GSConfig, {**overrides, "seed": seed})
-        sol = gs_solve(work, cfg)
-        rec = dict(E_per_spin=sol.energy / work.n, m_x=sol.m_x, q_z=sol.q_z,
-                   converged=sol.converged, iters=sol.iterations)
-    elif method == "homog":
-        cfg = _filter_config(HomogConfig, overrides)
-        point = homog_from_instance(work, cfg)
-        rec = dict(E_per_spin=point.energy, m_x=point.m_x,
-                   q_z=point.m_z ** 2, converged=point.converged, iters=1)
-    else:  # exact
-        _check_kwargs(exact_mod.ground_state, overrides)
-        gs = exact_mod.ground_state(work, seed=seed, **overrides)
-        # the state is parity-even, so every <sigma_i^z> is 0
-        rec = dict(E_per_spin=gs.energy / work.n,
-                   m_x=None if h_zero else float(np.mean(gs.sigma_x)),
-                   q_z=0.0,
-                   converged=gs.converged, iters=gs.iterations)
-
+    adapter = _ADAPTERS[method]
+    energy, m_x, q_z, converged, iters = adapter(work, seed, dict(overrides or {}))
     dt = (time.perf_counter() - t0) * 1000.0
     return ResultRecord(instance=name, seed=seed, method=method, h=h_report,
-                        time_ms=dt, **rec)
+                        E_per_spin=energy,
+                        m_x=None if not np.any(work.fields) else float(m_x),
+                        q_z=float(q_z), converged=converged, iters=iters,
+                        time_ms=dt)
 
 
 def run_grid(inst: QuantumInstance, name: str, methods, h_values,

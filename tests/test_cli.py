@@ -120,6 +120,48 @@ def test_bad_h_and_bad_override_exit_one(tmp_path):
                      "--h", "0.5", "--set", "not_an_option=1"]) == 1
 
 
+def test_h_ranges_expand_with_linspace(tmp_path, capsys):
+    path = _gen(tmp_path)
+    capsys.readouterr()
+    assert cli.main(["run", "--instance", str(path), "--method", "mf",
+                     "--h", "0.5:1.5:3,2.0", "--seed", "4"]) == 0
+    ranged = _parse_csv(capsys.readouterr().out)
+    assert [float(r[3]) for r in ranged[1:]] == [0.5, 1.0, 1.5, 2.0]
+    assert cli.main(["run", "--instance", str(path), "--method", "mf",
+                     "--h", "0.5,1.0,1.5,2.0", "--seed", "4"]) == 0
+    listed = _parse_csv(capsys.readouterr().out)
+    assert [r[:-1] for r in ranged] == [r[:-1] for r in listed]
+
+
+@pytest.mark.parametrize("h", ["1:2:0", "1:2:-3", "1:2", "1:2:3:4", "0.5:1:x",
+                               ":", "0.1,1:2:0"])
+def test_bad_h_range_exits_one(tmp_path, h):
+    # never an empty list: that would silently mean the instance's own fields
+    path = _gen(tmp_path)
+    assert cli.main(["run", "--instance", str(path), "--method", "mf",
+                     "--h", h]) == 1
+
+
+@pytest.mark.parametrize("method", ["mf", "gs", "exact"])
+def test_seed_override_is_bad_input(tmp_path, method):
+    path = _gen(tmp_path)
+    assert cli.main(["run", "--instance", str(path), "--method", method,
+                     "--h", "0.5", "--set", "seed=3"]) == 1
+
+
+def test_compare_overrides_need_gs(tmp_path, capsys):
+    path = _gen(tmp_path)
+    assert cli.main(["compare", "--instance", str(path), "--methods",
+                     "mf,exact", "--h", "0.5", "--set", "tol=1e-2",
+                     "--set", "bogus=1"]) == 1
+    assert "gs" in capsys.readouterr().err
+    assert cli.main(["compare", "--instance", str(path), "--methods",
+                     "mf,gs", "--h", "0.5", "--set", "space_size=4",
+                     "--set", "outer_rounds=2"]) == 0
+    rows = _parse_csv(capsys.readouterr().out)
+    assert [r[2] for r in rows[1:]] == ["mf", "gs"]
+
+
 def test_unknown_flag_exits_one():
     assert cli.main(["run", "--no-such-flag"]) == 1
     assert cli.main(["--help"]) == 0

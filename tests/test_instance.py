@@ -143,6 +143,31 @@ def test_directed_edge_convention():
     assert g.edge_of_dir[5] == 2
 
 
+@pytest.mark.parametrize("edges, message", [
+    ([[1, 1]], "self-loops"),
+    ([[0, 3]], "out of range"),
+    ([[-1, 2]], "out of range"),
+    ([[0, 1], [1, 2], [0, 1]], "duplicate"),
+])
+def test_graph_and_instance_reject_the_same_edges(edges, message):
+    with pytest.raises(InstanceError, match=message):
+        ClassicalGraph(3, edges)
+    with pytest.raises(InstanceError, match=message):
+        QuantumInstance(n=3, edge_index=edges, couplings=[1.0] * len(edges),
+                        fields=[0.0] * 3)
+
+
+def test_graph_canonicalizes_unsorted_edges():
+    g = ClassicalGraph(4, [[3, 2], [1, 0], [2, 0]])
+    assert g.edge_index.tolist() == [[0, 1], [0, 2], [2, 3]]
+    assert g.dst[0::2].tolist() == [1, 2, 3]
+    with pytest.raises(InstanceError, match="i < j"):
+        QuantumInstance(n=4, edge_index=[[3, 2]], couplings=[1.0],
+                        fields=[0.0] * 4)
+    with pytest.raises(InstanceError, match="duplicate"):
+        ClassicalGraph(4, [[0, 1], [1, 0]])
+
+
 def test_forest_detection():
     chain = ClassicalGraph(4, [[0, 1], [1, 2], [2, 3]])
     assert chain.is_forest

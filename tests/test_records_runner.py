@@ -1,6 +1,7 @@
 """Result records, serialization, and the method-dispatch runner."""
 
 import csv
+import functools
 import io
 import json
 
@@ -157,6 +158,44 @@ def test_run_cell_rejects_bad_input():
         run_cell(inst, "x", "exact", 1.0, seed=0, overrides={"nope": 1})
     with pytest.raises(ValueError):
         run_cell(inst, "x", "mf", 1.0, seed=0, overrides={"delta_b": 0.1})
+
+
+@pytest.mark.parametrize("method", ["mf", "ss", "gs", "exact", "homog"])
+def test_seed_is_not_an_option(method):
+    # every solver seed comes from the cell, so an override is an input error
+    inst = generate_rrg(4, 3, law="ferro", h=1.0, seed=0)
+    with pytest.raises(ValueError, match="unknown .* options: \\['seed'\\]"):
+        run_cell(inst, "x", method, 1.0, seed=0, overrides={"seed": 3})
+
+
+def test_ss_grid_override_takes_the_cap():
+    inst = generate_chain(4, law="gaussian", h=1.0, seed=0)
+    capped = run_cell(inst, "x", "ss", 0.5, seed=0,
+                      overrides={"delta_k": 0.1, "half_k": 20, "k_cap": 0.3})
+    assert capped.converged
+    with pytest.raises(ValueError, match="given together"):
+        run_cell(inst, "x", "ss", 0.5, seed=0, overrides={"k_cap": 0.3})
+    with pytest.raises(ValueError, match="unknown"):
+        run_cell(inst, "x", "mf", 0.5, seed=0,
+                 overrides={"delta_b": 0.1, "half_b": 20, "k_cap": 0.3})
+
+
+def test_run_cell_calls_rebound_solvers(monkeypatch):
+    # callers (the benchmark's tracer) rebind the runner's solver globals
+    import isingbp.runner as runner
+
+    calls = []
+    original = runner.mf_maxsum_solve
+
+    @functools.wraps(original)  # as the tracer wraps: options check against it
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "mf_maxsum_solve", spy)
+    inst = generate_chain(4, law="ferro", h=1.0, seed=0)
+    run_cell(inst, "x", "mf", 0.5, seed=7, overrides={"max_iters": 50})
+    assert calls == [{"seed": 7, "max_iters": 50}]
 
 
 def test_run_grid_layout_and_threads(monkeypatch):
