@@ -36,11 +36,11 @@ import numpy as np
 
 from .classical_bp import (
     ParameterSet,
+    _log_y,
     bond_energy,
     bp_fixed_point,  # noqa: F401  (perfbench/tracing.py wraps general.bp_fixed_point)
     bp_fixed_points,
     field_shift,
-    logcosh,
     observables,
 )
 from .grids import Grid
@@ -164,10 +164,8 @@ def _sweep_tables(inst: QuantumInstance, spaces: SearchSpace) -> _SweepTables:
     nu_in[0::2], nu_in[1::2] = spaces.nu_rev, spaces.nu_fwd
     nu_out = np.empty_like(k)
     nu_out[0::2], nu_out[1::2] = spaces.nu_fwd, spaces.nu_rev
-    base = logcosh(nu_in)
     u_in = field_shift(nu_in, k)
-    lyp_in = logcosh(nu_in + 2.0 * k) - base
-    lym_in = logcosh(nu_in - 2.0 * k) - base
+    lyp_in, lym_in = _log_y(nu_in, k)
     neg_bond = -bond_energy(
         inst.couplings[:, None], spaces.k, spaces.nu_fwd, spaces.nu_rev
     )

@@ -1,4 +1,5 @@
-"""Symmetric parameter grids and deterministic arg-max tie-breaking."""
+"""Symmetric parameter grids, deterministic arg-max tie-breaking and the
+MaxSum iteration loop shared by the mean-field and symmetric solvers."""
 
 from __future__ import annotations
 
@@ -60,3 +61,38 @@ def argmax_tiebreak(table: np.ndarray, values: np.ndarray) -> int:
     """
     order = tiebreak_order(values)
     return int(order[np.argmax(table[order])])
+
+
+def _maxsum_loop(sweep, shape, loopy: bool, seed: int, max_iters: int,
+                 eps: float, patience: int | None = None):
+    """Iterate sweep(messages) -> messages over a (directed edge, grid value)
+    table, normalized to max zero per message, until the residual reaches eps.
+
+    A loopy graph's zero start is jittered by a seeded draw in [-1e-8, 0].
+    Without convergence the best-residual message set seen is returned; with
+    patience set, the loop also stops after that many sweeps without a new
+    best.  Returns (messages, converged, iterations, residual).
+    """
+    messages = (np.random.default_rng(seed).uniform(-1e-8, 0.0, size=shape)
+                if loopy else np.zeros(shape))
+    best = (np.inf, messages.copy())
+    converged = False
+    iterations = stale = 0
+    for iterations in range(1, max_iters + 1):
+        new = sweep(messages)
+        new -= new.max(axis=1, keepdims=True)
+        residual = float(np.max(np.abs(new - messages))) if new.size else 0.0
+        messages = new
+        if residual < best[0]:
+            best = (residual, messages.copy())
+            stale = 0
+        else:
+            stale += 1
+        if residual <= eps:
+            converged = True
+            break
+        if patience is not None and stale >= patience:
+            break
+    if not converged:
+        residual, messages = best
+    return messages, converged, iterations, residual

@@ -1,11 +1,12 @@
 """Homogeneous trial states on degree-regular ferromagnets.
 
 All sites share one field B and all edges one coupling K, so the cavity
-field reduces to a scalar fixed point nu = 2B + (d-1) u(nu, K) and the
-energy per spin to a closed expression.  A grid scan over (B, K) with a
-damped, Newton-polished fixed point at every grid node gives the
-variational optimum; restricting to K = 0 recovers the mean-field case.
-The transition field is located by bisection on the scan magnetization.
+field reduces to a scalar fixed point nu = 2B + (d-1) u(nu, K), and the
+energy per spin is the Bethe energy of classical_bp at d identical
+neighbors.  A grid scan over (B, K) with a damped, Newton-polished fixed
+point at every grid node gives the variational optimum; restricting to
+K = 0 recovers the mean-field case.  The transition field is located by
+bisection on the scan magnetization.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical_bp import field_shift, logcosh
+from .classical_bp import _log_y, _sigma_x_from_logs, bond_energy, field_shift
 
 MZ_THRESHOLD = 1e-3
 
@@ -92,16 +93,11 @@ def homog_energy(h, degree, b, k, nu):
     """Energy per spin and magnetizations at a solved cavity field.
 
     Broadcasts elementwise; returns (energy, m_z, sigma_x)."""
-    b = np.asarray(b, float)
-    k = np.asarray(k, float)
-    nu = np.asarray(nu, float)
-    e_bond = -np.tanh(2.0 * k + 0.5 * logcosh(2.0 * nu))
-    ly = logcosh(nu)
-    a1 = 2.0 * b + degree * (logcosh(nu + 2.0 * k) - ly)
-    a2 = -2.0 * b + degree * (logcosh(nu - 2.0 * k) - ly)
-    mx = np.maximum(a1, a2)
-    sigma_x = 2.0 * np.exp(-mx) / (np.exp(a1 - mx) + np.exp(a2 - mx))
-    energy = 0.5 * degree * e_bond - h * sigma_x
+    b, k, nu = (np.asarray(x, float) for x in (b, k, nu))
+    # every site sees degree identical neighbors, every bond nu on both ends
+    lyp, lym = _log_y(nu, k)
+    sigma_x = _sigma_x_from_logs(b, degree * lyp, degree * lym)
+    energy = 0.5 * degree * bond_energy(1.0, k, nu, nu) - h * sigma_x
     m_z = np.tanh(2.0 * b + degree * field_shift(nu, k))
     return energy, m_z, sigma_x
 

@@ -306,6 +306,15 @@ def save_instance(inst: QuantumInstance) -> str:
     return json.dumps(doc, indent=1)
 
 
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, which is a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return _is_int(x) or isinstance(x, float)
+
+
 def load_instance(text: str) -> QuantumInstance:
     """Parse an instance document, normalizing negative fields to |h|.
 
@@ -321,14 +330,23 @@ def load_instance(text: str) -> QuantumInstance:
     if missing:
         raise InstanceError(f"instance document missing keys {sorted(missing)}")
     n = doc["n"]
-    if not isinstance(n, int):
+    if not _is_int(n):
         raise InstanceError("n must be an integer")
     edges = doc["edges"]
-    if not all(isinstance(e, (list, tuple)) and len(e) == 3 for e in edges):
-        raise InstanceError("each edge must be a triple [i, j, J]")
+    if not isinstance(edges, list):
+        raise InstanceError("edges must be a list")
+    if not all(isinstance(e, list) and len(e) == 3 and _is_int(e[0])
+               and _is_int(e[1]) and _is_real(e[2]) for e in edges):
+        raise InstanceError("each edge must be a triple [i, j, J] of integers "
+                            "i, j and a number J")
     pairs = [(e[0], e[1]) for e in edges]
     couplings = [e[2] for e in edges]
+    if not (isinstance(doc["h"], list) and all(map(_is_real, doc["h"]))):
+        raise InstanceError("h must be a list of numbers")
     h = np.asarray(doc["h"], dtype=np.float64)
+    seed = doc.get("seed", 0)
+    if not _is_int(seed):
+        raise InstanceError("seed must be an integer")
     flipped = tuple(int(i) for i in np.flatnonzero(h < 0))
     if pairs:
         edge_index, couplings = _canonical_edges(pairs, couplings)
@@ -340,6 +358,6 @@ def load_instance(text: str) -> QuantumInstance:
         edge_index=edge_index,
         couplings=couplings,
         fields=np.abs(h),
-        seed=int(doc.get("seed", 0)),
+        seed=seed,
         flipped_sites=flipped,
     )

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, argmax_tiebreak
+from .classical_bp import ParameterSet, observables
+from .grids import Grid, _maxsum_loop, argmax_tiebreak
 from .instance import ClassicalGraph, QuantumInstance
 
 DEFAULT_FIELD_GRID = Grid(step=0.02, half_count=150)
@@ -25,12 +26,13 @@ def mf_energy(inst: QuantumInstance, b) -> float:
     b = np.asarray(b, dtype=np.float64).reshape(-1)
     if b.shape != (inst.n,):
         raise ValueError("need one field per spin")
-    t = np.tanh(2.0 * b)
-    bond = 0.0
-    if inst.m:
-        bond = -np.sum(inst.couplings * t[inst.edge_index[:, 0]] * t[inst.edge_index[:, 1]])
-    site = -np.sum(inst.fields / np.cosh(2.0 * b))
-    return float(bond + site)
+    return _energy(inst, ClassicalGraph.from_instance(inst), b)
+
+
+def _energy(inst, graph, b) -> float:
+    # at K = 0 every cavity field 2b at its source is an exact BP fixed point
+    return observables(inst, graph, ParameterSet(b, np.zeros(graph.m)),
+                       2.0 * b[graph.src]).energy
 
 
 @dataclass
@@ -128,15 +130,14 @@ def mf_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_FIELD_GRID,
                     eps: float = 1e-9, patience: int = 50) -> MFSolution:
     """MaxSum over the field grid; returns extracted fields and energy.
 
-    Messages are normalized to max zero each sweep.  If the sweep residual
-    never reaches eps (possible on loopy graphs) the extraction uses the
-    best message set seen; the sweep loop gives up once the best residual
-    has not improved for `patience` sweeps, since oscillating message sets
-    stop producing new information long before max_iters.  The returned
-    energy is still a valid upper bound either way.  Extraction decides
-    sites in BFS order, conditioning each arg-max on already-decided
-    neighbors, which keeps tied optima globally consistent; remaining ties
-    go to the smallest |b|, negative first.
+    If the sweeps do not converge (possible on loopy graphs) the extraction
+    uses the best message set seen, and the loop gives up after `patience`
+    sweeps without a better residual: oscillating message sets stop giving
+    new information long before max_iters.  The energy is a valid upper
+    bound either way.  Extraction decides sites in BFS order, conditioning
+    each arg-max on already-decided neighbors, which keeps tied optima
+    globally consistent; remaining ties go to the smallest |b|, negative
+    first.
     """
     graph = ClassicalGraph.from_instance(inst)
     vals = grid.values
@@ -147,45 +148,21 @@ def mf_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_FIELD_GRID,
     site_src = site_term[graph.src]
     rev = np.arange(2 * graph.m) ^ 1
 
-    messages = np.zeros((2 * graph.m, nb))
-    if not graph.is_forest:
-        rng = np.random.default_rng(seed)
-        messages += rng.uniform(-1e-8, 0.0, size=messages.shape)
-
-    best = (np.inf, messages.copy())
-    converged = False
-    residual = np.inf
-    iterations = 0
-    stale = 0
-    for it in range(1, max_iters + 1):
-        iterations = it
+    def sweep(messages):
         hop = _hop_tables(j_tanh, tanh_vals, messages)
         hop_sum = np.zeros((graph.n, nb))
         np.add.at(hop_sum, graph.dst, hop)
-        new = site_src + hop_sum[graph.src] - hop[rev]
-        new -= new.max(axis=1, keepdims=True)
-        residual = float(np.max(np.abs(new - messages))) if graph.m else 0.0
-        messages = new
-        if residual < best[0]:
-            best = (residual, messages.copy())
-            stale = 0
-        else:
-            stale += 1
-        if residual <= eps:
-            converged = True
-            break
-        if stale >= patience:
-            break
+        return site_src + hop_sum[graph.src] - hop[rev]
 
-    if not converged:
-        messages = best[1]
-        residual = best[0]
+    messages, converged, iterations, residual = _maxsum_loop(
+        sweep, (2 * graph.m, nb), not graph.is_forest, seed, max_iters, eps,
+        patience)
 
     b_star = _extract_fields(inst, graph, vals, tanh_vals, j_tanh, site_term,
                              messages)
     return MFSolution(
         b=b_star,
-        energy=mf_energy(inst, b_star),
+        energy=_energy(inst, graph, b_star),
         converged=converged,
         iterations=iterations,
         residual=residual,

@@ -97,9 +97,10 @@ def _grid_override(options: dict, step_key: str, half_key: str,
 def _mf(work, seed, options):
     _grid_override(options, "delta_b", "half_b")
     sol = mf_maxsum_solve(work, seed=seed, **_options(mf_maxsum_solve, options))
-    sz = np.tanh(2.0 * sol.b)
-    return (sol.energy / work.n, np.mean(1.0 / np.cosh(2.0 * sol.b)),
-            np.mean(sz * sz), sol.converged, sol.iterations)
+    graph = ClassicalGraph.from_instance(work)
+    obs = observables(work, graph, ParameterSet(sol.b, np.zeros(graph.m)),
+                      2.0 * sol.b[graph.src])
+    return sol.energy / work.n, obs.m_x, obs.q_z, sol.converged, sol.iterations
 
 
 def _ss(work, seed, options):

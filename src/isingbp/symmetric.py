@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, argmax_tiebreak
+from .classical_bp import ParameterSet, observables
+from .grids import Grid, _maxsum_loop, argmax_tiebreak
 from .instance import ClassicalGraph, QuantumInstance
 
 DEFAULT_COUPLING_GRID = Grid(step=0.01, half_count=200)
@@ -38,13 +39,13 @@ def ss_energy(inst: QuantumInstance, k) -> float:
     k = np.asarray(k, dtype=np.float64).reshape(-1)
     if k.shape != (inst.m,):
         raise ValueError("need one trial coupling per edge")
-    bond = -np.sum(inst.couplings * np.tanh(2.0 * k))
-    log_sech = -np.log(np.cosh(2.0 * k))
-    site_logs = np.zeros(inst.n)
-    np.add.at(site_logs, inst.edge_index[:, 0], log_sech)
-    np.add.at(site_logs, inst.edge_index[:, 1], log_sech)
-    site = -np.sum(inst.fields * np.exp(site_logs))
-    return float(bond + site)
+    return _energy(inst, ClassicalGraph.from_instance(inst), k)
+
+
+def _energy(inst, graph, k) -> float:
+    # at B = 0 the zero cavity fields are an exact BP fixed point
+    return observables(inst, graph, ParameterSet(np.zeros(graph.n), k),
+                       np.zeros(2 * graph.m)).energy
 
 
 @dataclass
@@ -123,17 +124,7 @@ def ss_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_COUPLING_GRID,
     sech = 1.0 / np.cosh(2.0 * vals)
     bond_gain = inst.couplings[:, None] * np.tanh(2.0 * vals)[None, :]
 
-    messages = np.zeros((2 * graph.m, vals.size))
-    if not graph.is_forest:
-        rng = np.random.default_rng(seed)
-        messages += rng.uniform(-1e-8, 0.0, size=messages.shape)
-
-    best = (np.inf, messages.copy())
-    converged = False
-    residual = np.inf
-    iterations = 0
-    for it in range(1, max_iters + 1):
-        iterations = it
+    def sweep(messages):
         fronts = [_envelope(sech.copy(), messages[d].copy())
                   for d in range(2 * graph.m)]
         new = np.empty_like(messages)
@@ -148,18 +139,11 @@ def ss_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_COUPLING_GRID,
                 front = _compose(front, other)
             c = inst.fields[site] * sech
             new[d] = bond_gain[graph.edge_of_dir[d]] + _eval_front(front, c)
-        new -= new.max(axis=1, keepdims=True)
-        residual = float(np.max(np.abs(new - messages))) if graph.m else 0.0
-        messages = new
-        if residual < best[0]:
-            best = (residual, messages.copy())
-        if residual <= eps:
-            converged = True
-            break
+        return new
 
-    if not converged:
-        messages = best[1]
-        residual = best[0]
+    messages, converged, iterations, residual = _maxsum_loop(
+        sweep, (2 * graph.m, vals.size), not graph.is_forest, seed, max_iters,
+        eps)
 
     k_star = np.zeros(graph.m)
     for e in range(graph.m):
@@ -167,7 +151,7 @@ def ss_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_COUPLING_GRID,
         k_star[e] = vals[argmax_tiebreak(weight, vals)]
     return SSSolution(
         k=k_star,
-        energy=ss_energy(inst, k_star),
+        energy=_energy(inst, graph, k_star),
         converged=converged,
         iterations=iterations,
         residual=residual,

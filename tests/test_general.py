@@ -208,6 +208,24 @@ def test_solver_dominates_its_seeds():
     assert res.energy <= mf_maxsum_solve(loopy, seed=1).energy + 1e-9
 
 
+@pytest.mark.parametrize("inst", [
+    generate_chain(10, law="gaussian", h=1.0, seed=3),
+    generate_rrg(12, 3, law="pm_one", h=1.5, seed=7),
+], ids=["chain", "rrg"])
+def test_seed_refits_equal_the_seed_energies(inst):
+    # K = 0 and B = 0 are exact BP fixed points, so the refit of each seed
+    # stops on its own start and evaluates the same observables call as
+    # the seed solver: gs <= min(mf, ss) with no slack
+    cfg = GSConfig(space_size=4, outer_rounds=1, seed=0)
+    res = gs_solve(inst, cfg)
+    refits = {c["label"]: c["energy"] for c in res.diagnostics["refits"]["candidates"]}
+    e_mf = mf_maxsum_solve(inst, seed=cfg.seed).energy
+    e_ss = ss_maxsum_solve(inst, seed=cfg.seed).energy
+    assert refits["meanfield-seed"] == e_mf
+    assert refits["symmetric-seed"] == e_ss
+    assert res.energy <= min(e_mf, e_ss)
+
+
 def test_batched_refit_matches_per_candidate_loop(monkeypatch):
     inst = generate_rrg(12, 3, law="pm_one", h=0.5, seed=7)
     # bp_max_iters only caps the refit; the runs that never converge stop sooner

@@ -37,25 +37,32 @@ def test_branches_bracket_the_symmetric_one():
 
 
 def test_ring_matches_uniform_bp():
-    # degree 2 with uniform parameters is an ordinary ring, where BP gives
-    # the same per-spin energy as the scalar cavity treatment
+    # uniform parameters on a degree-regular ferromagnet keep every cavity
+    # field equal, so BP gives the same per-spin energy as the scalar
+    # cavity treatment; degree 2 is an ordinary ring, and degrees 3 and 4
+    # check the degree-fold log sums of homog_energy
     h, b, k = 0.9, 0.3, 0.25
-    inst = testutil.ring_instance(40, j=1.0, h=h)
-    graph = ClassicalGraph.from_instance(inst)
-    params = ParameterSet(np.full(40, b), np.full(40, k))
-    nu_bp, rep = bp_fixed_point(graph, params)
-    assert rep.converged
+    cases = [(testutil.ring_instance(40, j=1.0, h=h), 2),
+             (generate_rrg(40, 3, "ferro", h=h, seed=1), 3),
+             (generate_rrg(40, 4, "ferro", h=h, seed=2), 4)]
+    for inst, degree in cases:
+        graph = ClassicalGraph.from_instance(inst)
+        assert np.all(graph.degrees == degree)
+        params = ParameterSet(np.full(inst.n, b), np.full(inst.m, k))
+        nu_bp, rep = bp_fixed_point(graph, params)
+        assert rep.converged
+        assert np.allclose(nu_bp, nu_bp[0], atol=1e-12)
 
-    nu, ok = homog_fixed_point(b, k, degree=2)
-    match = np.argmin(np.abs(nu - nu_bp[0]))
-    assert ok[match]
-    assert np.isclose(nu[match], nu_bp[0], atol=1e-8)
+        nu, ok = homog_fixed_point(b, k, degree=degree)
+        match = np.argmin(np.abs(nu - nu_bp[0]))
+        assert ok[match]
+        assert np.isclose(nu[match], nu_bp[0], atol=1e-8)
 
-    energy, m_z, sigma_x = homog_energy(h, 2, b, k, nu[match])
-    obs = observables(inst, graph, params, nu_bp)
-    assert np.isclose(energy, obs.energy / 40.0, atol=1e-9)
-    assert np.isclose(m_z, obs.sigma_z[0], atol=1e-8)
-    assert np.isclose(sigma_x, obs.sigma_x[0], atol=1e-8)
+        energy, m_z, sigma_x = homog_energy(h, degree, b, k, nu[match])
+        obs = observables(inst, graph, params, nu_bp)
+        assert np.isclose(energy, obs.energy / inst.n, atol=1e-9)
+        assert np.isclose(m_z, obs.sigma_z[0], atol=1e-8)
+        assert np.isclose(sigma_x, obs.sigma_x[0], atol=1e-8)
 
 
 def test_scan_returns_table_minimum():

@@ -83,6 +83,12 @@ def test_load_canonicalizes_edges():
     '{"n": 3, "edges": []}',
     '{"n": 3.0, "edges": [], "h": [0, 0, 0]}',
     '{"n": 2, "edges": [[0, 1]], "h": [0, 0]}',
+    '{"n": 3, "edges": 5, "h": [0, 0, 0]}',
+    '{"n": true, "edges": [], "h": [0]}',
+    '{"n": 2, "edges": [[0.7, 1, 1.0]], "h": [0, 0]}',
+    '{"n": 2, "edges": [[0, 1, true]], "h": [0, 0]}',
+    '{"n": 2, "edges": [], "h": ["1", 0]}',
+    '{"n": 1, "edges": [], "h": [0], "seed": 1.5}',
 ])
 def test_load_rejects_bad_documents(text):
     with pytest.raises(InstanceError):
