@@ -48,6 +48,18 @@ from .instance import ClassicalGraph, QuantumInstance
 
 COMBO_LIMIT = 5_000_000
 
+# Search schedule (see gs_solve, gs_resample and _refit for their use)
+_TOL_INIT = 0.2  # BP-consistency tolerance of the first round
+_TOL_DECAY = 0.7  # per round, for the tolerance and the proposal radius
+_MAX_SWEEPS = 60  # per round, unless messages move by <= _SWEEP_TOL
+_SWEEP_TOL = 1e-10
+_RESAMPLE_FRACTION = 0.5  # share of each edge's states replaced per round
+_PROPOSAL_RADIUS_BINS = 5.0  # first round's proposal radius, in grid steps
+_BP_EPS = 1e-9  # refit BP residual
+_BP_MAX_ITERS = 10000
+_BP_RESTARTS = 3  # random refit starts per candidate
+_DELTA_M = 0.05  # least mean |<s^z>| of a refit fixed point
+
 
 class SearchSpaceError(RuntimeError):
     """No admissible state combination anywhere; search cannot proceed."""
@@ -58,11 +70,12 @@ class GSConfig:
     """Settings for the general solver.
 
     Grid steps/halves define the discretization of fields (b), couplings
-    (k) and cavity fields (nu).  tol_* controls the BP-consistency
-    tolerance schedule; space_size is the number of states kept per edge.
-    k_cap bounds |K| (set it on loopy graphs); delta_m filters refit BP
-    fixed points by mean |<s^z>|, falling back (flagged) to the symmetric
-    one when nothing passes.
+    (k) and cavity fields (nu); k_cap bounds |K| (set it on loopy graphs).
+    space_size is the number of states kept per edge and outer_rounds the
+    number of sweep-extract-resample rounds.  inner picks the inner
+    maximization, conv_* the binning of its "convolution" strategy.  The
+    tolerance schedule, the sweep and refit limits and the resampling
+    share are module constants (_TOL_INIT and below).
     """
 
     delta_b: float = 0.05
@@ -73,19 +86,8 @@ class GSConfig:
     half_nu: int = 120
     k_cap: float | None = None
     space_size: int = 20
-    tol_init: float = 0.2
-    tol_decay: float = 0.7
-    tol_floor: float | None = None  # defaults to 2 * delta_nu
     outer_rounds: int = 30
-    resample_fraction: float = 0.5
-    proposal_radius_bins: float = 5.0
-    max_sweeps: int = 60
-    sweep_tol: float = 1e-10
     inner: str = "exhaustive"
-    delta_m: float = 0.05
-    bp_eps: float = 1e-9
-    bp_max_iters: int = 10000
-    bp_restarts: int = 3
     seed: int = 0
     conv_x_step: float | None = None  # defaults to delta_nu
     conv_y_bins: int = 64
@@ -93,15 +95,14 @@ class GSConfig:
     def __post_init__(self):
         if self.inner not in ("exhaustive", "convolution"):
             raise ValueError(f"unknown inner strategy {self.inner!r}")
-        if not (0.0 <= self.resample_fraction <= 1.0):
-            raise ValueError("resample_fraction must be in [0, 1]")
-        if not (0.0 <= self.delta_m < 1.0):
-            raise ValueError("delta_m must be in [0, 1)")
-        if self.space_size < 1 or self.outer_rounds < 1:
-            raise ValueError("space_size and outer_rounds must be >= 1")
-        for name in ("delta_b", "delta_k", "delta_nu", "tol_init", "tol_decay"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+        for name in ("space_size", "outer_rounds"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1")
+        if self.conv_x_step is not None and not (0.0 < self.conv_x_step < math.inf):
+            raise ValueError("conv_x_step must be finite and > 0")
+        # Grid checks the steps, the halves and the cap
+        self.b_grid(), self.k_grid(), self.nu_grid()
 
     def b_grid(self) -> Grid:
         return Grid(self.delta_b, self.half_b)
@@ -111,9 +112,6 @@ class GSConfig:
 
     def nu_grid(self) -> Grid:
         return Grid(self.delta_nu, self.half_nu)
-
-    def tol_floor_value(self) -> float:
-        return 2.0 * self.delta_nu if self.tol_floor is None else self.tol_floor
 
 
 @dataclass
@@ -138,6 +136,11 @@ class SearchSpace:
     @property
     def size(self) -> int:
         return self.k.shape[1]
+
+    def state(self, e: int, s: int) -> tuple:
+        """State s of edge e as a (k, nu_fwd, nu_rev) tuple of floats."""
+        return (float(self.k[e, s]), float(self.nu_fwd[e, s]),
+                float(self.nu_rev[e, s]))
 
 
 @dataclass
@@ -543,11 +546,9 @@ def exhaustive_inner_max(inst: QuantumInstance, graph: ClassicalGraph,
     """Reference inner maximization (full enumeration), same contract as
     convolution_inner_max: the batched sweep kernel for one directed edge."""
     tables = _sweep_tables(inst, spaces)
+    out_dirs = graph.out_dirs[site]
+    nbrs = out_dirs[out_dirs != target_dir][None, :]
     dirs = np.array([target_dir], dtype=np.int64)
-    nbrs = np.array(
-        [[int(x) for x in graph.out_dirs[site] if int(x) != target_dir]],
-        dtype=np.int64,
-    ).reshape(1, -1)
     value = _window_values(inst.fields[[site]], cfg, tol, tables, dirs, nbrs)
     return _batched_exhaustive(value, messages, nbrs)[0]
 
@@ -592,7 +593,7 @@ def init_spaces(graph: ClassicalGraph, cfg: GSConfig, rng,
 def gs_resample(spaces: SearchSpace, weights: np.ndarray, cfg: GSConfig,
                 rng, centers=None, radius_bins: float | None = None,
                 dead_edges=()):
-    """Replace the worst resample_fraction of each edge's states.
+    """Replace the worst _RESAMPLE_FRACTION of each edge's states.
 
     Proposals are grid-snapped Gaussian moves around `centers` (per-edge
     (k, nu_fwd, nu_rev), typically the best state observed); edges whose
@@ -600,8 +601,8 @@ def gs_resample(spaces: SearchSpace, weights: np.ndarray, cfg: GSConfig,
     (new_spaces, kept) where kept maps (e, new slot) -> old slot or -1.
     """
     m, s = spaces.k.shape
-    radius = cfg.proposal_radius_bins if radius_bins is None else radius_bins
-    n_new = int(round(cfg.resample_fraction * s))
+    radius = _PROPOSAL_RADIUS_BINS if radius_bins is None else radius_bins
+    n_new = int(round(_RESAMPLE_FRACTION * s))
     k_grid, nu_grid = cfg.k_grid(), cfg.nu_grid()
     k_vals, nu_vals = k_grid.values, nu_grid.values
     new_k = np.empty_like(spaces.k)
@@ -615,12 +616,8 @@ def gs_resample(spaces: SearchSpace, weights: np.ndarray, cfg: GSConfig,
             order = list(np.argsort(-weights[e], kind="stable")[: s - n_new])
         states = []
         have = set()
-        for pos, old in enumerate(order):
-            st = (
-                float(spaces.k[e, old]),
-                float(spaces.nu_fwd[e, old]),
-                float(spaces.nu_rev[e, old]),
-            )
+        for old in order:
+            st = spaces.state(e, old)
             if st in have:
                 continue
             have.add(st)
@@ -628,12 +625,7 @@ def gs_resample(spaces: SearchSpace, weights: np.ndarray, cfg: GSConfig,
             states.append(st)
         center = None if centers is None else centers.get(e)
         if center is None and order:
-            best = int(order[0])
-            center = (
-                float(spaces.k[e, best]),
-                float(spaces.nu_fwd[e, best]),
-                float(spaces.nu_rev[e, best]),
-            )
+            center = spaces.state(e, order[0])
         guard = 0
         while center is not None and guard < 60 and len(states) < s:
             # as many proposals as free slots: each of them would be drawn
@@ -678,13 +670,18 @@ class GSResult:
     diagnostics: dict = dc_field(default_factory=dict)
 
 
-def _extract(inst, graph, spaces, messages, tol, cfg):
+def _extract(inst, graph, spaces, messages, tol, cfg, tables=None,
+             weights=None):
     """Best state per edge by weight, field per site via the site shift.
 
-    Returns (b, k, nu_init, maxsum_energy, disagreements).
+    tables and weights may be passed in when they were built from these
+    spaces and messages already.  Returns (b, k, nu_init, maxsum_energy,
+    disagreements).
     """
-    tables = _sweep_tables(inst, spaces)
-    weights = gs_weights(inst, graph, spaces, messages)
+    if tables is None:
+        tables = _sweep_tables(inst, spaces)
+    if weights is None:
+        weights = gs_weights(inst, graph, spaces, messages)
     edge_pick = np.argmax(weights, axis=1)
     k = spaces.k[np.arange(graph.m), edge_pick]
     nu = np.empty(2 * graph.m)
@@ -703,30 +700,30 @@ def _extract(inst, graph, spaces, messages, tol, cfg):
     return b, k, nu, maxsum_energy, disagreements
 
 
-def _refit(inst, graph, candidates, cfg, rng):
+def _refit(inst, graph, candidates, rng):
     """BP refit of every candidate's extracted parameters in one batch.
 
     candidates are (label, b, k, nu_init).  Each candidate gets the starts
-    nu_init, zeros and bp_restarts uniform draws from rng, drawn candidate
+    nu_init, zeros and _BP_RESTARTS uniform draws from rng, drawn candidate
     by candidate, and all (candidate, start) rows run as one
     bp_fixed_points call.  Returns one (obs, nu, report, fallback, reports)
     per candidate, reports holding every start's BPReport.  Fixed points
-    with mean |<s^z>| below delta_m are rejected; if none passes, the
+    with mean |<s^z>| below _DELTA_M are rejected; if none passes, the
     lowest-energy one is used anyway and flagged.
     """
     params = [ParameterSet(b, k) for _, b, k, _ in candidates]
-    starts = 2 + cfg.bp_restarts
+    starts = 2 + _BP_RESTARTS
     inits = []
     for _, _, _, nu_init in candidates:
         inits += [np.asarray(nu_init), np.zeros(2 * graph.m)]
         inits += [rng.uniform(-2.0, 2.0, size=2 * graph.m)
-                  for _ in range(cfg.bp_restarts)]
+                  for _ in range(_BP_RESTARTS)]
     nus, reports = bp_fixed_points(
         graph,
         np.repeat(np.stack([p.b for p in params]), starts, axis=0),
         np.repeat(np.stack([p.k for p in params]), starts, axis=0),
         np.stack(inits),
-        eps=cfg.bp_eps, max_iters=cfg.bp_max_iters,
+        eps=_BP_EPS, max_iters=_BP_MAX_ITERS,
     )
     out = []
     for c, p in enumerate(params):
@@ -743,8 +740,8 @@ def _refit(inst, graph, candidates, cfg, rng):
         if not fixed:
             out.append((*backup, False, reports[rows]))
             continue
-        passing = [f for f in fixed if cfg.delta_m == 0.0
-                   or float(np.mean(np.abs(f[0].sigma_z))) >= cfg.delta_m]
+        passing = [f for f in fixed
+                   if float(np.mean(np.abs(f[0].sigma_z))) >= _DELTA_M]
         pool = passing if passing else fixed
         out.append((*min(pool, key=lambda f: f[0].energy), not passing, reports[rows]))
     return out
@@ -768,9 +765,7 @@ def gs_solve(inst: QuantumInstance, cfg: GSConfig | None = None) -> GSResult:
     k_grid, nu_grid = cfg.k_grid(), cfg.nu_grid()
 
     mf = mf_maxsum_solve(inst, seed=cfg.seed)
-    nu_mf = np.empty(2 * graph.m)
-    nu_mf[0::2] = 2.0 * mf.b[graph.edge_index[:, 0]]
-    nu_mf[1::2] = 2.0 * mf.b[graph.edge_index[:, 1]]
+    nu_mf = 2.0 * mf.b[graph.src]
     ss = ss_maxsum_solve(inst, seed=cfg.seed)
     candidates = [  # (label, b, k, nu_init)
         ("meanfield-seed", mf.b.copy(), np.zeros(graph.m), nu_mf),
@@ -786,8 +781,8 @@ def gs_solve(inst: QuantumInstance, cfg: GSConfig | None = None) -> GSResult:
 
     spaces = init_spaces(graph, cfg, rng, seed_states)
     messages = np.zeros((2 * graph.m, cfg.space_size))
-    tol = cfg.tol_init
-    radius = cfg.proposal_radius_bins
+    tol = _TOL_INIT
+    radius = _PROPOSAL_RADIUS_BINS
     best_states: dict = {}
     best_weight = np.full(graph.m, -np.inf)
 
@@ -798,7 +793,7 @@ def gs_solve(inst: QuantumInstance, cfg: GSConfig | None = None) -> GSResult:
         sweeps = 0
         dead = []
         tables = _sweep_tables(inst, spaces)
-        for _ in range(cfg.max_sweeps):
+        for _ in range(_MAX_SWEEPS):
             new, dead = gs_maxsum_sweep(inst, graph, spaces, messages, tol, cfg,
                                         tables=tables)
             finite = np.isfinite(new) & np.isfinite(messages)
@@ -809,7 +804,7 @@ def gs_solve(inst: QuantumInstance, cfg: GSConfig | None = None) -> GSResult:
             changed_shape = np.any(np.isfinite(new) != np.isfinite(messages))
             messages = new
             sweeps += 1
-            if not changed_shape and residual <= cfg.sweep_tol:
+            if not changed_shape and residual <= _SWEEP_TOL:
                 break
         total_sweeps += sweeps
 
@@ -818,43 +813,32 @@ def gs_solve(inst: QuantumInstance, cfg: GSConfig | None = None) -> GSResult:
             w = float(np.max(weights[e]))
             if np.isfinite(w) and w > best_weight[e]:
                 best_weight[e] = w
-                s_idx = int(np.argmax(weights[e]))
-                best_states[e] = (
-                    float(spaces.k[e, s_idx]),
-                    float(spaces.nu_fwd[e, s_idx]),
-                    float(spaces.nu_rev[e, s_idx]),
-                )
+                best_states[e] = spaces.state(e, np.argmax(weights[e]))
+        e_ms = disagree = None  # no extraction while an edge is dead
         if np.all(np.isfinite(np.max(weights, axis=1))) or graph.m == 0:
-            b, k, nu0, e_ms, disagree = _extract(inst, graph, spaces, messages, tol, cfg)
+            b, k, nu0, e_ms, disagree = _extract(inst, graph, spaces, messages,
+                                                 tol, cfg, tables, weights)
             candidates.append((f"round-{rnd}", b, k, nu0))
-            rounds_log.append({
-                "round": rnd, "tol": tol, "sweeps": sweeps,
-                "residual": residual, "maxsum_energy": e_ms,
-                "disagreements": disagree, "dead_edges": len(dead),
-            })
-        else:
-            rounds_log.append({
-                "round": rnd, "tol": tol, "sweeps": sweeps,
-                "residual": residual, "maxsum_energy": None,
-                "disagreements": None, "dead_edges": len(dead),
-            })
+        rounds_log.append({
+            "round": rnd, "tol": tol, "sweeps": sweeps,
+            "residual": residual, "maxsum_energy": e_ms,
+            "disagreements": disagree, "dead_edges": len(dead),
+        })
         if rnd < cfg.outer_rounds - 1:
             spaces, kept = gs_resample(
                 spaces, weights, cfg, rng, centers=best_states,
                 radius_bins=radius, dead_edges=set(dead),
             )
-            realigned = np.zeros_like(messages)
-            for d in range(2 * graph.m):
-                old = messages[d]
-                sel = kept[d // 2]
-                realigned[d] = np.where(sel >= 0, old[np.clip(sel, 0, None)], 0.0)
-            messages = realigned
-            tol = max(tol * cfg.tol_decay, cfg.tol_floor_value())
-            radius = max(radius * cfg.tol_decay, 1.0)
+            # a kept state keeps its messages, a new one starts at zero
+            sel = np.repeat(kept, 2, axis=0)
+            messages = np.where(sel >= 0, np.take_along_axis(
+                messages, np.clip(sel, 0, None), axis=1), 0.0)
+            tol = max(tol * _TOL_DECAY, 2.0 * cfg.delta_nu)
+            radius = max(radius * _TOL_DECAY, 1.0)
 
     refits = []
     refit_log = []
-    fits = _refit(inst, graph, candidates, cfg, rng)
+    fits = _refit(inst, graph, candidates, rng)
     for (label, b, k, _), (obs, nu, rep, fallback, starts) in zip(candidates, fits):
         refits.append((obs.energy, label, b, k, nu, obs, rep, fallback))
         refit_log.append({

@@ -3,6 +3,7 @@ MaxSum iteration loop shared by the mean-field and symmetric solvers."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -22,9 +23,12 @@ class Grid:
     cap: float | None = None
 
     def __post_init__(self):
-        if self.step <= 0 or self.half_count < 0:
-            raise ValueError("grid needs step > 0 and half_count >= 0")
-        if self.cap is not None and self.cap < 0:
+        # written so that nan fails every check
+        if not (0.0 < self.step < math.inf):
+            raise ValueError("grid needs a finite step > 0")
+        if not isinstance(self.half_count, (int, np.integer)) or self.half_count < 0:
+            raise ValueError("grid needs an integer half_count >= 0")
+        if self.cap is not None and not self.cap >= 0:
             raise ValueError("cap must be >= 0")
 
     @cached_property
@@ -63,10 +67,13 @@ def argmax_tiebreak(table: np.ndarray, values: np.ndarray) -> int:
     return int(order[np.argmax(table[order])])
 
 
+_EPS = 1e-9  # message residual at which both MaxSum solvers converge
+
+
 def _maxsum_loop(sweep, shape, loopy: bool, seed: int, max_iters: int,
-                 eps: float, patience: int | None = None):
+                 patience: int | None = None):
     """Iterate sweep(messages) -> messages over a (directed edge, grid value)
-    table, normalized to max zero per message, until the residual reaches eps.
+    table, normalized to max zero per message, until the residual reaches _EPS.
 
     A loopy graph's zero start is jittered by a seeded draw in [-1e-8, 0].
     Without convergence the best-residual message set seen is returned; with
@@ -88,7 +95,7 @@ def _maxsum_loop(sweep, shape, loopy: bool, seed: int, max_iters: int,
             stale = 0
         else:
             stale += 1
-        if residual <= eps:
+        if residual <= _EPS:
             converged = True
             break
         if patience is not None and stale >= patience:

@@ -16,23 +16,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical_bp import _log_y, _sigma_x_from_logs, bond_energy, field_shift
+from .instance import ClassicalGraph
 
 MZ_THRESHOLD = 1e-3
+
+_B_MAX = 1.2  # the scan runs B and K from 0 to these
+_K_MAX = 1.2
+_DAMPING = 0.5  # of the fixed-point iteration, which stops
+_MAX_ITERS = 3000  # after this many steps
+_FP_TOL = 1e-13  # or once every step is smaller;
+_NEWTON_STEPS = 12  # then Newton steps polish the root
+_RESIDUAL_TOL = 1e-10  # largest residual of a converged node
 
 
 @dataclass
 class HomogConfig:
-    """Scan ranges and fixed-point iteration settings."""
+    """Scan resolution delta of the (B, K) grid; mf_only fixes K = 0."""
 
-    b_max: float = 1.2
-    k_max: float = 1.2
     delta: float = 0.01
     mf_only: bool = False
-    damping: float = 0.5
-    max_iters: int = 3000
-    fp_tol: float = 1e-13
-    newton_steps: int = 12
-    residual_tol: float = 1e-10
 
 
 @dataclass
@@ -54,14 +56,13 @@ def _u_prime(nu, k):
     return 0.5 * (np.tanh(nu + 2.0 * k) - np.tanh(nu - 2.0 * k))
 
 
-def homog_fixed_point(b, k, degree, cfg: HomogConfig | None = None):
+def homog_fixed_point(b, k, degree):
     """Solve nu = 2b + (degree-1) u(nu, k) elementwise over broadcast grids.
 
     Three starts (saturated positive, saturated negative, zero) catch the
     coexisting branches.  Returns (nu, converged) with shape
     (3,) + broadcast(b, k); nonconverged entries keep their last iterate.
     """
-    cfg = cfg or HomogConfig()
     b, k = np.broadcast_arrays(np.asarray(b, float), np.asarray(k, float))
     sat = 2.0 * (degree - 1) * np.abs(k)
     nu = np.stack([2.0 * b + sat, 2.0 * b - sat, np.zeros_like(b)])
@@ -69,24 +70,24 @@ def homog_fixed_point(b, k, degree, cfg: HomogConfig | None = None):
     nu = nu.ravel()
     bb = np.broadcast_to(b, shape).ravel()
     kk = np.broadcast_to(k, shape).ravel()
-    gamma = cfg.damping
+    gamma = _DAMPING
     # iterate only the entries that have not settled yet
     active = np.arange(nu.size)
-    for _ in range(cfg.max_iters):
+    for _ in range(_MAX_ITERS):
         na, ba, ka = nu[active], bb[active], kk[active]
         step = 2.0 * ba + (degree - 1) * field_shift(na, ka) - na
         nu[active] = na + (1.0 - gamma) * step
-        live = np.abs(step) >= cfg.fp_tol
+        live = np.abs(step) >= _FP_TOL
         active = active[live]
         if active.size == 0:
             break
-    for _ in range(cfg.newton_steps):
+    for _ in range(_NEWTON_STEPS):
         g = 2.0 * bb + (degree - 1) * field_shift(nu, kk) - nu
         gp = (degree - 1) * _u_prime(nu, kk) - 1.0
         safe = np.abs(gp) > 1e-12
         nu = np.where(safe, nu - g / np.where(safe, gp, 1.0), nu)
     residual = np.abs(2.0 * bb + (degree - 1) * field_shift(nu, kk) - nu)
-    return nu.reshape(shape), (residual <= cfg.residual_tol).reshape(shape)
+    return nu.reshape(shape), (residual <= _RESIDUAL_TOL).reshape(shape)
 
 
 def homog_energy(h, degree, b, k, nu):
@@ -113,16 +114,16 @@ def homog_scan(h: float, degree: int, cfg: HomogConfig | None = None):
     cfg = cfg or HomogConfig()
     if h < 0:
         raise ValueError("field must be nonnegative")
-    nb = int(round(cfg.b_max / cfg.delta)) + 1
+    nb = int(round(_B_MAX / cfg.delta)) + 1
     b_vals = np.arange(nb) * cfg.delta
     if cfg.mf_only:
         k_vals = np.zeros(1)
     else:
-        nk = int(round(cfg.k_max / cfg.delta)) + 1
+        nk = int(round(_K_MAX / cfg.delta)) + 1
         k_vals = np.arange(nk) * cfg.delta
     bg = b_vals[:, None]
     kg = k_vals[None, :]
-    nu, ok = homog_fixed_point(bg, kg, degree, cfg)
+    nu, ok = homog_fixed_point(bg, kg, degree)
     energy, m_z, sigma_x = homog_energy(h, degree, bg[None], kg[None], nu)
     energy = np.where(ok, energy, np.inf)
     branch = np.argmin(energy, axis=0)
@@ -173,8 +174,6 @@ def homog_from_instance(inst, cfg: HomogConfig | None = None):
 
     Requires a degree-regular graph with unit ferromagnetic couplings and
     a uniform transverse field."""
-    from .instance import ClassicalGraph
-
     graph = ClassicalGraph.from_instance(inst)
     degs = np.unique(graph.degrees)
     if degs.size != 1 or degs[0] < 1:

@@ -26,23 +26,27 @@ def mf_energy(inst: QuantumInstance, b) -> float:
     b = np.asarray(b, dtype=np.float64).reshape(-1)
     if b.shape != (inst.n,):
         raise ValueError("need one field per spin")
-    return _energy(inst, ClassicalGraph.from_instance(inst), b)
+    return _observables(inst, ClassicalGraph.from_instance(inst), b).energy
 
 
-def _energy(inst, graph, b) -> float:
+def _observables(inst, graph, b):
     # at K = 0 every cavity field 2b at its source is an exact BP fixed point
     return observables(inst, graph, ParameterSet(b, np.zeros(graph.m)),
-                       2.0 * b[graph.src]).energy
+                       2.0 * b[graph.src])
 
 
 @dataclass
 class MFSolution:
     b: np.ndarray
     energy: float
+    m_x: float | None
+    q_z: float
     converged: bool
     iterations: int
     residual: float
 
+
+_PATIENCE = 50  # sweeps without a better residual before the loop gives up
 
 # Row groups of the hop kernel: more groups give tighter bounds and
 # narrower windows but more bound passes; eight measured fastest at nb = 301.
@@ -126,18 +130,18 @@ def _hop_tables(j_tanh, tanh_vals, messages):
 
 
 def mf_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_FIELD_GRID,
-                    max_iters: int = 1000, seed: int = 0,
-                    eps: float = 1e-9, patience: int = 50) -> MFSolution:
-    """MaxSum over the field grid; returns extracted fields and energy.
+                    max_iters: int = 1000, seed: int = 0) -> MFSolution:
+    """MaxSum over the field grid; returns extracted fields, their energy
+    and the m_x and q_z of the product state.
 
     If the sweeps do not converge (possible on loopy graphs) the extraction
-    uses the best message set seen, and the loop gives up after `patience`
-    sweeps without a better residual: oscillating message sets stop giving
-    new information long before max_iters.  The energy is a valid upper
-    bound either way.  Extraction decides sites in BFS order, conditioning
-    each arg-max on already-decided neighbors, which keeps tied optima
-    globally consistent; remaining ties go to the smallest |b|, negative
-    first.
+    uses the best message set seen, and the loop gives up after _PATIENCE
+    (50) sweeps without a better residual: oscillating message sets stop
+    giving new information long before max_iters.  The energy is a valid
+    upper bound either way.  Extraction decides sites in BFS order,
+    conditioning each arg-max on already-decided neighbors, which keeps
+    tied optima globally consistent; remaining ties go to the smallest
+    |b|, negative first.
     """
     graph = ClassicalGraph.from_instance(inst)
     vals = grid.values
@@ -155,14 +159,17 @@ def mf_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_FIELD_GRID,
         return site_src + hop_sum[graph.src] - hop[rev]
 
     messages, converged, iterations, residual = _maxsum_loop(
-        sweep, (2 * graph.m, nb), not graph.is_forest, seed, max_iters, eps,
-        patience)
+        sweep, (2 * graph.m, nb), not graph.is_forest, seed, max_iters,
+        _PATIENCE)
 
     b_star = _extract_fields(inst, graph, vals, tanh_vals, j_tanh, site_term,
                              messages)
+    obs = _observables(inst, graph, b_star)
     return MFSolution(
         b=b_star,
-        energy=_energy(inst, graph, b_star),
+        energy=obs.energy,
+        m_x=obs.m_x,
+        q_z=obs.q_z,
         converged=converged,
         iterations=iterations,
         residual=residual,

@@ -16,11 +16,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import exact as exact_mod
-from .classical_bp import ParameterSet, observables
+from .classical_bp import observables  # noqa: F401  (perfbench/tracing.py wraps it)
 from .general import GSConfig, gs_solve
 from .grids import Grid
 from .homogeneous import HomogConfig, homog_from_instance
-from .instance import ClassicalGraph, QuantumInstance
+from .instance import QuantumInstance
 from .meanfield import mf_maxsum_solve
 from .records import ResultRecord
 from .symmetric import ss_maxsum_solve
@@ -69,8 +69,9 @@ def parse_overrides(pairs) -> dict:
 def _options(target, overrides: dict) -> dict:
     """overrides, checked against the keyword parameters of target (a
     solver function or a config dataclass).  The instance and the seed
-    come from the cell, never from overrides."""
-    allowed = set(inspect.signature(target).parameters) - {"inst", "seed"}
+    come from the cell, never from overrides, and a solver's grid comes
+    from its step and half keys (_grid_override), never as a Grid."""
+    allowed = set(inspect.signature(target).parameters) - {"inst", "seed", "grid"}
     unknown = set(overrides) - allowed
     if unknown:
         raise ValueError(f"unknown {target.__name__} options: {sorted(unknown)}")
@@ -78,16 +79,16 @@ def _options(target, overrides: dict) -> dict:
 
 
 def _grid_override(options: dict, step_key: str, half_key: str,
-                   cap_key: str | None = None) -> None:
-    """Pop grid-shaped options (step, half and cap) into options["grid"]."""
-    step = options.pop(step_key, None)
-    half = options.pop(half_key, None)
-    cap = options.pop(cap_key, None) if cap_key else None
+                   cap_key: str | None = None) -> dict:
+    """Pop grid-shaped options (step, half and cap) out of options; returns
+    {"grid": Grid} when any of them was given, else {}."""
+    step, half = options.pop(step_key, None), options.pop(half_key, None)
+    cap = options.pop(cap_key, None)
     if step is None and half is None and cap is None:
-        return
+        return {}
     if step is None or half is None:
         raise ValueError(f"{step_key} and {half_key} must be given together")
-    options["grid"] = Grid(float(step), int(half), cap=cap)
+    return {"grid": Grid(float(step), half, cap=cap)}
 
 
 # Per-method adapters: (instance, seed, options) -> (E_per_spin, m_x, q_z,
@@ -95,21 +96,17 @@ def _grid_override(options: dict, step_key: str, half_key: str,
 # time, so a caller may rebind them (to trace them, say).
 
 def _mf(work, seed, options):
-    _grid_override(options, "delta_b", "half_b")
-    sol = mf_maxsum_solve(work, seed=seed, **_options(mf_maxsum_solve, options))
-    graph = ClassicalGraph.from_instance(work)
-    obs = observables(work, graph, ParameterSet(sol.b, np.zeros(graph.m)),
-                      2.0 * sol.b[graph.src])
-    return sol.energy / work.n, obs.m_x, obs.q_z, sol.converged, sol.iterations
+    grid = _grid_override(options, "delta_b", "half_b")
+    sol = mf_maxsum_solve(work, seed=seed, **grid,
+                          **_options(mf_maxsum_solve, options))
+    return sol.energy / work.n, sol.m_x, sol.q_z, sol.converged, sol.iterations
 
 
 def _ss(work, seed, options):
-    _grid_override(options, "delta_k", "half_k", cap_key="k_cap")
-    sol = ss_maxsum_solve(work, seed=seed, **_options(ss_maxsum_solve, options))
-    graph = ClassicalGraph.from_instance(work)
-    obs = observables(work, graph, ParameterSet(np.zeros(work.n), sol.k),
-                      np.zeros(2 * graph.m))
-    return sol.energy / work.n, obs.m_x, obs.q_z, sol.converged, sol.iterations
+    grid = _grid_override(options, "delta_k", "half_k", cap_key="k_cap")
+    sol = ss_maxsum_solve(work, seed=seed, **grid,
+                          **_options(ss_maxsum_solve, options))
+    return sol.energy / work.n, sol.m_x, sol.q_z, sol.converged, sol.iterations
 
 
 def _gs(work, seed, options):

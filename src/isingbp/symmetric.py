@@ -39,19 +39,21 @@ def ss_energy(inst: QuantumInstance, k) -> float:
     k = np.asarray(k, dtype=np.float64).reshape(-1)
     if k.shape != (inst.m,):
         raise ValueError("need one trial coupling per edge")
-    return _energy(inst, ClassicalGraph.from_instance(inst), k)
+    return _observables(inst, ClassicalGraph.from_instance(inst), k).energy
 
 
-def _energy(inst, graph, k) -> float:
+def _observables(inst, graph, k):
     # at B = 0 the zero cavity fields are an exact BP fixed point
     return observables(inst, graph, ParameterSet(np.zeros(graph.n), k),
-                       np.zeros(2 * graph.m)).energy
+                       np.zeros(2 * graph.m))
 
 
 @dataclass
 class SSSolution:
     k: np.ndarray
     energy: float
+    m_x: float | None
+    q_z: float
     converged: bool
     iterations: int
     residual: float
@@ -110,8 +112,7 @@ def _eval_front(front, c: np.ndarray) -> np.ndarray:
 
 
 def ss_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_COUPLING_GRID,
-                    max_iters: int = 1000, seed: int = 0,
-                    eps: float = 1e-9) -> SSSolution:
+                    max_iters: int = 1000, seed: int = 0) -> SSSolution:
     """MaxSum over the coupling grid; extraction is a per-edge arg-max of
 
         w_e(K) = -J_e tanh(2K) + M_fwd(K) + M_rev(K),
@@ -142,16 +143,18 @@ def ss_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_COUPLING_GRID,
         return new
 
     messages, converged, iterations, residual = _maxsum_loop(
-        sweep, (2 * graph.m, vals.size), not graph.is_forest, seed, max_iters,
-        eps)
+        sweep, (2 * graph.m, vals.size), not graph.is_forest, seed, max_iters)
 
     k_star = np.zeros(graph.m)
     for e in range(graph.m):
         weight = -bond_gain[e] + messages[2 * e] + messages[2 * e + 1]
         k_star[e] = vals[argmax_tiebreak(weight, vals)]
+    obs = _observables(inst, graph, k_star)
     return SSSolution(
         k=k_star,
-        energy=_energy(inst, graph, k_star),
+        energy=obs.energy,
+        m_x=obs.m_x,
+        q_z=obs.q_z,
         converged=converged,
         iterations=iterations,
         residual=residual,

@@ -109,27 +109,28 @@ def bp_fixed_point_loop(graph, b, k, init, damping, eps, max_iters):
     return nu, BPReport(converged=False, iterations=max_iters, residual=residual)
 
 
-def refit_one(inst, graph, b, k, nu_init, cfg, rng):
-    """Refit of one gs candidate, start by start.
+def refit_one(inst, graph, b, k, nu_init, rng):
+    """Refit of one gs candidate, start by start, with the gs refit constants.
 
-    Starts are nu_init, zeros and cfg.bp_restarts uniform draws in [-2, 2]
+    Starts are nu_init, zeros and _BP_RESTARTS uniform draws in [-2, 2]
     from rng.  Converged fixed points are deduplicated (max change < 1e-7),
-    those with mean |<s^z>| below delta_m rejected unless none passes
+    those with mean |<s^z>| below _DELTA_M rejected unless none passes
     (then flagged), and the lowest energy kept; with no converged start
     the least-residual run is returned unflagged.  Returns (obs, nu,
     report, fallback).
     """
+    from isingbp import general
     from isingbp.classical_bp import ParameterSet, observables
 
     params = ParameterSet(b, k)
     damping = 0.0 if graph.is_forest else 0.5
     inits = [np.asarray(nu_init), np.zeros(2 * graph.m)]
-    for _ in range(cfg.bp_restarts):
+    for _ in range(general._BP_RESTARTS):
         inits.append(rng.uniform(-2.0, 2.0, size=2 * graph.m))
     fixed, backup = [], None
     for init in inits:
         nu, rep = bp_fixed_point_loop(graph, params.b, params.k, init, damping,
-                                      cfg.bp_eps, cfg.bp_max_iters)
+                                      general._BP_EPS, general._BP_MAX_ITERS)
         obs = observables(inst, graph, params, nu)
         if rep.converged:
             if not any(np.max(np.abs(nu - f[1])) < 1e-7 for f in fixed):
@@ -138,8 +139,8 @@ def refit_one(inst, graph, b, k, nu_init, cfg, rng):
             backup = (obs, nu, rep)
     if not fixed:
         return (*backup, False)
-    passing = [f for f in fixed if cfg.delta_m == 0.0
-               or float(np.mean(np.abs(f[0].sigma_z))) >= cfg.delta_m]
+    passing = [f for f in fixed
+               if float(np.mean(np.abs(f[0].sigma_z))) >= general._DELTA_M]
     obs, nu, rep = min(passing or fixed, key=lambda f: f[0].energy)
     return obs, nu, rep, not passing
 
@@ -308,7 +309,7 @@ def gs_resample_loop(spaces, weights, cfg, rng, centers=None, radius_bins=None,
                      dead_edges=()):
     """gs resampling one proposal and one grid snap at a time.
 
-    Per edge the best (1 - resample_fraction) states by weight are kept
+    Per edge the best (1 - _RESAMPLE_FRACTION) states by weight are kept
     (stable order, duplicates dropped; none for a dead edge), then up to
     60 proposals are drawn around the centre (per edge from centers, else
     the best kept state): three normals, k then nu_fwd then nu_rev, each
@@ -318,8 +319,10 @@ def gs_resample_loop(spaces, weights, cfg, rng, centers=None, radius_bins=None,
     Returns (k, nu_fwd, nu_rev, kept).
     """
     m, s = spaces.k.shape
-    radius = cfg.proposal_radius_bins if radius_bins is None else radius_bins
-    n_new = int(round(cfg.resample_fraction * s))
+    from isingbp import general
+
+    radius = general._PROPOSAL_RADIUS_BINS if radius_bins is None else radius_bins
+    n_new = int(round(general._RESAMPLE_FRACTION * s))
     k_grid, nu_grid = cfg.k_grid(), cfg.nu_grid()
     out = np.empty((3, m, s))
     kept = np.full((m, s), -1, dtype=np.int64)

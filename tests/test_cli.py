@@ -1,14 +1,56 @@
 """Command line round trips and exit codes."""
 
 import csv
+import dataclasses
+import functools
+import inspect
 import io
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from isingbp import cli, load_instance
+import isingbp.exact
+import isingbp.runner
+from isingbp import (
+    GSConfig,
+    HomogConfig,
+    cli,
+    generate_chain,
+    ground_state,
+    load_instance,
+    mf_maxsum_solve,
+    ss_maxsum_solve,
+)
+from isingbp.grids import Grid
 from isingbp.records import CSV_COLUMNS, config_digest
+from isingbp.runner import run_cell
+
+# The --set surface, key by key, each with a valid value: an option that
+# a caller sets goes here, in plain view, or it is a module constant.
+SET_KEYS = {
+    "mf": {"delta_b": 0.02, "half_b": 150, "max_iters": 1000},
+    "ss": {"delta_k": 0.01, "half_k": 200, "k_cap": 1.0, "max_iters": 1000},
+    "gs": {"delta_b": 0.05, "half_b": 60, "delta_k": 0.05, "half_k": 40,
+           "delta_nu": 0.05, "half_nu": 120, "k_cap": 1.0, "space_size": 20,
+           "outer_rounds": 30, "inner": "exhaustive", "conv_x_step": 0.05,
+           "conv_y_bins": 64},
+    "homog": {"delta": 0.01, "mf_only": False},
+    "exact": {"tol": 1e-8, "max_iters": 200000},
+}
+# keys that were options once and are module constants now (a solver's
+# grid comes from its step and half keys)
+RETIRED_KEYS = {
+    "mf": ["eps", "patience", "grid"],
+    "ss": ["eps", "grid"],
+    "gs": ["tol_init", "tol_decay", "tol_floor", "max_sweeps", "sweep_tol",
+           "delta_m", "bp_eps", "bp_max_iters", "bp_restarts",
+           "resample_fraction", "proposal_radius_bins"],
+    "homog": ["b_max", "k_max", "damping", "max_iters", "fp_tol",
+              "newton_steps", "residual_tol"],
+    "exact": [],
+}
 
 
 def _gen(tmp_path, *extra):
@@ -102,6 +144,15 @@ def test_own_fields_when_h_empty(tmp_path, capsys):
     ["run", "--instance", "/nonexistent/x.json", "--method", "mf"],
     ["compare", "--instance", "IGNORED", "--methods", "mf,bogus"],
     ["gen", "rrg", "--n", "5", "--degree", "3", "--out", "/tmp/odd.json"],
+    # bad --set values fail before any solve
+    ["run", "--instance", "IGNORED", "--method", "gs", "--set", "delta_b=nan"],
+    ["run", "--instance", "IGNORED", "--method", "gs", "--set", "delta_nu=inf"],
+    ["run", "--instance", "IGNORED", "--method", "gs", "--set", "space_size=2.5"],
+    ["run", "--instance", "IGNORED", "--method", "mf", "--set", "grid=3"],
+    ["run", "--instance", "IGNORED", "--method", "mf", "--set", "delta_b=nan",
+     "--set", "half_b=10"],
+    ["run", "--instance", "IGNORED", "--method", "ss", "--set", "delta_k=0.1",
+     "--set", "half_k=2.5"],
 ])
 def test_bad_input_exits_one(args, tmp_path):
     if args[2] == "IGNORED":
@@ -175,3 +226,58 @@ def test_solver_failure_exits_two(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "run_grid", boom)
     assert cli.main(["run", "--instance", str(path), "--method", "mf"]) == 2
+
+
+def test_set_surface_is_frozen():
+    def params(solver):
+        return set(inspect.signature(solver).parameters) - {"inst", "seed"}
+
+    assert sum(map(len, SET_KEYS.values())) == 23
+    assert params(mf_maxsum_solve) == {"grid", "max_iters"}
+    assert params(ss_maxsum_solve) == {"grid", "max_iters"}
+    assert {f.name for f in dataclasses.fields(GSConfig)} == set(SET_KEYS["gs"]) | {"seed"}
+    assert {f.name for f in dataclasses.fields(HomogConfig)} == set(SET_KEYS["homog"])
+    assert params(ground_state) == set(SET_KEYS["exact"])
+
+
+@pytest.mark.parametrize("method", sorted(SET_KEYS))
+def test_set_keys_reach_the_solver(method, monkeypatch):
+    calls = []
+    result = SimpleNamespace(energy=-1.0, m_x=0.5, q_z=0.0, m_z=0.0,
+                             sigma_x=np.zeros(3), converged=True, iterations=1)
+    for owner, name in ((isingbp.runner, "mf_maxsum_solve"),
+                        (isingbp.runner, "ss_maxsum_solve"),
+                        (isingbp.runner, "gs_solve"),
+                        (isingbp.runner, "homog_from_instance"),
+                        (isingbp.exact, "ground_state")):
+        # wrapped, so the options check still sees the solver's signature
+        @functools.wraps(getattr(owner, name))
+        def stub(*args, **kwargs):
+            calls.append((args[1:], kwargs))
+            return result
+        monkeypatch.setattr(owner, name, stub)
+
+    inst = generate_chain(3, law="ferro", h=1.0, seed=0)
+    run_cell(inst, "x", method, 0.5, seed=4, overrides=dict(SET_KEYS[method]))
+    keys = SET_KEYS[method]
+    grids = {"mf": Grid(0.02, 150), "ss": Grid(0.01, 200, cap=1.0)}
+    if method in grids:
+        expected = ((), dict(seed=4, grid=grids[method], max_iters=1000))
+    elif method == "exact":
+        expected = ((), dict(seed=4, **keys))
+    else:
+        config = GSConfig(**keys, seed=4) if method == "gs" else HomogConfig(**keys)
+        expected = ((config,), {})
+    assert calls == [expected]
+    for key in RETIRED_KEYS[method]:
+        with pytest.raises(ValueError, match="unknown"):
+            run_cell(inst, "x", method, 0.5, seed=4, overrides={key: 1})
+
+
+def test_retired_keys_exit_one(tmp_path, capsys):
+    path = _gen(tmp_path)
+    for method, keys in RETIRED_KEYS.items():
+        for key in keys:
+            assert cli.main(["run", "--instance", str(path), "--method", method,
+                             "--h", "0.5", "--set", f"{key}=1"]) == 1
+            assert "unknown" in capsys.readouterr().err

@@ -52,17 +52,18 @@ from oracles import (
 )
 
 
+BAD_CONFIGS = [
+    dict(inner="bogus"), dict(inner="coordinate"), dict(delta_b=-0.1),
+    dict(space_size=0), dict(delta_b=float("nan")), dict(delta_nu=float("inf")),
+    dict(space_size=2.5), dict(outer_rounds=1.5), dict(half_nu=2.5),
+    dict(k_cap=float("nan")), dict(conv_x_step=float("nan")),
+]
+
+
 def test_config_validation():
-    with pytest.raises(ValueError):
-        GSConfig(inner="bogus")
-    with pytest.raises(ValueError):
-        GSConfig(inner="coordinate")
-    with pytest.raises(ValueError):
-        GSConfig(delta_b=-0.1)
-    with pytest.raises(ValueError):
-        GSConfig(space_size=0)
-    cfg = GSConfig(delta_nu=0.1)
-    assert cfg.tol_floor_value() == pytest.approx(0.2)
+    for bad in BAD_CONFIGS:
+        with pytest.raises(ValueError):
+            GSConfig(**bad)
 
 
 def test_init_spaces_deterministic_with_seeds():
@@ -228,15 +229,16 @@ def test_seed_refits_equal_the_seed_energies(inst):
 
 def test_batched_refit_matches_per_candidate_loop(monkeypatch):
     inst = generate_rrg(12, 3, law="pm_one", h=0.5, seed=7)
-    # bp_max_iters only caps the refit; the runs that never converge stop sooner
-    cfg = GSConfig(k_cap=2.0, outer_rounds=4, bp_max_iters=2000)
+    # a lower BP cap only makes the refit starts that never converge stop sooner
+    monkeypatch.setattr(general, "_BP_MAX_ITERS", 2000)
+    cfg = GSConfig(k_cap=2.0, outer_rounds=4)
     seen = {}
     batched = general._refit
 
-    def capture(inst_, graph, candidates, cfg_, rng):
+    def capture(inst_, graph, candidates, rng):
         seen.update(graph=graph, candidates=list(candidates),
                     state=copy.deepcopy(rng.bit_generator.state))
-        return batched(inst_, graph, candidates, cfg_, rng)
+        return batched(inst_, graph, candidates, rng)
 
     monkeypatch.setattr(general, "_refit", capture)
     res = gs_solve(inst, cfg)
@@ -245,16 +247,16 @@ def test_batched_refit_matches_per_candidate_loop(monkeypatch):
     rng_batch.bit_generator.state = copy.deepcopy(seen["state"])
     rng_loop.bit_generator.state = copy.deepcopy(seen["state"])
 
-    fits = batched(inst, graph, candidates, cfg, rng_batch)
+    fits = batched(inst, graph, candidates, rng_batch)
     assert len(fits) == len(candidates)
     for (label, b, k, nu0), (obs, nu, rep, fallback, starts) in zip(candidates, fits):
         ref_obs, ref_nu, ref_rep, ref_fallback = refit_one(inst, graph, b, k, nu0,
-                                                           cfg, rng_loop)
+                                                           rng_loop)
         assert obs.energy == ref_obs.energy, label
         assert np.array_equal(nu, ref_nu), label
         assert rep == ref_rep, label
         assert fallback == ref_fallback, label
-        assert len(starts) == 2 + cfg.bp_restarts
+        assert len(starts) == 2 + general._BP_RESTARTS
     assert rng_batch.bit_generator.state == rng_loop.bit_generator.state
 
     log = res.diagnostics["refits"]
@@ -268,7 +270,7 @@ def test_batched_refit_matches_per_candidate_loop(monkeypatch):
     # this instance has refit starts that never converge; they must show
     flags = [s["converged"] for c in log["candidates"] for s in c["starts"]]
     assert not all(flags)
-    assert all(s["iterations"] == cfg.bp_max_iters
+    assert all(s["iterations"] == general._BP_MAX_ITERS
                for c in log["candidates"] for s in c["starts"] if not s["converged"])
 
 
@@ -531,7 +533,7 @@ def test_combo_index_is_cached_read_only_and_limit_checked():
 def test_resample_keeps_best_states():
     inst = generate_chain(3, law="ferro", h=1.0, seed=0)
     g = ClassicalGraph.from_instance(inst)
-    cfg = GSConfig(space_size=6, resample_fraction=0.5)
+    cfg = GSConfig(space_size=6)
     spaces = init_spaces(g, cfg, np.random.default_rng(1))
     weights = np.random.default_rng(2).standard_normal((g.m, 6))
     new, kept = gs_resample(spaces, weights, cfg, np.random.default_rng(3))
@@ -560,15 +562,14 @@ def test_resample_matches_scalar_loop(centers, dead):
     # on, duplicates are kept
     far = centers == "far"
     cfg = GSConfig(space_size=10, k_cap=0.1 if far else 0.3, delta_k=0.1,
-                   half_nu=0 if far else 120,
-                   proposal_radius_bins=60.0 if far else 5.0)
+                   half_nu=0 if far else 120)
     rng = np.random.default_rng(4)
     spaces = init_spaces(g, cfg, rng)
     weights = rng.standard_normal((g.m, cfg.space_size))
     cmap = None if centers is None else {
         e: (float(spaces.k[e, 0]), float(spaces.nu_fwd[e, 0]),
             float(spaces.nu_rev[e, 0])) for e in range(0, g.m, 2)}
-    for radius in (None, 1.0):
+    for radius in (60.0 if far else None, 1.0):
         rng_new, rng_old = np.random.default_rng(9), np.random.default_rng(9)
         new, kept = gs_resample(spaces, weights, cfg, rng_new, centers=cmap,
                                 radius_bins=radius, dead_edges=set(dead))

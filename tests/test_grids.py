@@ -56,6 +56,10 @@ def test_grid_values_cached_and_snap_unchanged(grid):
     dict(step=-0.1, half_count=2),
     dict(step=0.1, half_count=-1),
     dict(step=0.1, half_count=2, cap=-1.0),
+    dict(step=float("nan"), half_count=2),
+    dict(step=float("inf"), half_count=2),
+    dict(step=0.1, half_count=2.5),
+    dict(step=0.1, half_count=2, cap=float("nan")),
 ])
 def test_grid_validation(kwargs):
     with pytest.raises(ValueError):
