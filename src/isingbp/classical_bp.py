@@ -124,11 +124,6 @@ def _check_sizes(graph: ClassicalGraph, params: ParameterSet, nu) -> np.ndarray:
     return nu
 
 
-def _incoming_shift(graph: ClassicalGraph, params: ParameterSet, nu):
-    """shift[d] = field the head of directed edge d sends into its tail."""
-    return field_shift(nu[np.arange(2 * graph.m) ^ 1], params.k[graph.edge_of_dir])
-
-
 def _bp_step(graph: ClassicalGraph, nu, b2_src, k2_dir, rev, sites):
     """One synchronous sweep of R rows of cavity fields, nu of shape (R, 2m).
 
@@ -150,8 +145,6 @@ def bp_update(graph: ClassicalGraph, params: ParameterSet, nu) -> np.ndarray:
     clamped to +-NU_CAP.
     """
     nu = _check_sizes(graph, params, nu)
-    if graph.m == 0:
-        return nu.copy()
     return _bp_step(
         graph, nu[None], 2.0 * params.b[None, graph.src],
         2.0 * params.k[None, graph.edge_of_dir], np.arange(2 * graph.m) ^ 1,
@@ -229,29 +222,19 @@ def bp_fixed_point(graph: ClassicalGraph, params: ParameterSet, init=None,
     return nus[0], reports[0]
 
 
-def observables(inst: QuantumInstance, graph: ClassicalGraph,
-                params: ParameterSet, nu) -> Observables:
+def observables(inst: QuantumInstance, params: ParameterSet, nu) -> Observables:
     """Bethe energy and one-spin observables at the given cavity fields."""
+    graph = inst.graph
     nu = _check_sizes(graph, params, nu)
-    if inst.n != graph.n or not np.array_equal(inst.edge_index, graph.edge_index):
-        raise ValueError("instance and graph disagree")
-    k_e = params.k
-    nu_fwd = nu[0::2]
-    nu_rev = nu[1::2]
-    bonds = bond_energy(inst.couplings, k_e, nu_fwd, nu_rev)
-
-    if graph.m:
-        shift_in = _incoming_shift(graph, params, nu)
-        total_shift = np.bincount(graph.src, weights=shift_in, minlength=graph.n)
-        k_dir = params.k[graph.edge_of_dir]
-        lyp_d, lym_d = _log_y(nu[np.arange(2 * graph.m) ^ 1], k_dir)
-        lyp = np.bincount(graph.src, weights=lyp_d, minlength=graph.n)
-        lym = np.bincount(graph.src, weights=lym_d, minlength=graph.n)
-    else:
-        total_shift = np.zeros(graph.n)
-        lyp = np.zeros(graph.n)
-        lym = np.zeros(graph.n)
-
+    bonds = bond_energy(inst.couplings, params.k, nu[0::2], nu[1::2])
+    # per directed edge d: the field its head sends into its tail, src[d]
+    nu_in = nu[np.arange(2 * graph.m) ^ 1]
+    k_dir = params.k[graph.edge_of_dir]
+    total_shift = np.bincount(graph.src, weights=field_shift(nu_in, k_dir),
+                              minlength=graph.n)
+    lyp_d, lym_d = _log_y(nu_in, k_dir)
+    lyp = np.bincount(graph.src, weights=lyp_d, minlength=graph.n)
+    lym = np.bincount(graph.src, weights=lym_d, minlength=graph.n)
     sites = site_energy_from_logs(inst.fields, params.b, lyp, lym)
     sigma_z = np.tanh(2.0 * params.b + total_shift)
     sigma_x = _sigma_x_from_logs(params.b, lyp, lym)

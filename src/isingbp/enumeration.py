@@ -24,15 +24,17 @@ def spin_table(n: int) -> np.ndarray:
     return np.where((idx[:, None] >> np.arange(n)) & 1 == 1, 1.0, -1.0)
 
 
+def _log_weights(graph: ClassicalGraph, params: ParameterSet, spins) -> np.ndarray:
+    """Log squared trial amplitude 2 b.s + 2 sum_(ij) k_ij s_i s_j per
+    state, shifted to a maximum of 0."""
+    pair = spins[:, graph.edge_index[:, 0]] * spins[:, graph.edge_index[:, 1]]
+    log_w = 2.0 * spins @ params.b + 2.0 * pair @ params.k
+    return log_w - log_w.max()
+
+
 def gibbs_measure(graph: ClassicalGraph, params: ParameterSet) -> np.ndarray:
     """Normalized weights of the squared trial amplitudes over all states."""
-    spins = spin_table(graph.n)
-    log_w = 2.0 * spins @ params.b
-    if graph.m:
-        pair = spins[:, graph.edge_index[:, 0]] * spins[:, graph.edge_index[:, 1]]
-        log_w = log_w + 2.0 * pair @ params.k
-    log_w -= log_w.max()
-    w = np.exp(log_w)
+    w = np.exp(_log_weights(graph, params, spin_table(graph.n)))
     return w / w.sum()
 
 
@@ -54,28 +56,29 @@ def cavity_field(graph: ClassicalGraph, params: ParameterSet, edge: int,
     return 0.5 * float(np.log(up) - np.log(1.0 - up))
 
 
-def classical_expectations(inst: QuantumInstance, graph: ClassicalGraph,
-                           params: ParameterSet):
+def classical_expectations(inst: QuantumInstance, params: ParameterSet):
     """Exact Gibbs-measure energy pieces and magnetizations.
 
     Returns a dict with total energy, per-bond and per-site energies, and
     per-spin z and x expectations, all computed by full enumeration using
-    the flipped-amplitude ratio for the transverse term.
+    the flipped-amplitude ratio, in log space, for the transverse term.
     """
-    mu = gibbs_measure(graph, params)
     spins = spin_table(inst.n)
-    if inst.m:
-        pair = spins[:, inst.edge_index[:, 0]] * spins[:, inst.edge_index[:, 1]]
-        bond = -inst.couplings * (mu @ pair)
-    else:
-        bond = np.zeros(0)
-    # amplitude ratio a(s with spin i flipped) / a(s)
+    log_w = _log_weights(inst.graph, params, spins)
+    w = np.exp(log_w)
+    z = w.sum()
+    mu = w / z
+    pair = spins[:, inst.edge_index[:, 0]] * spins[:, inst.edge_index[:, 1]]
+    bond = -inst.couplings * (mu @ pair)
+    # log a(s with spin i flipped) / a(s) = -2 b_i s_i - coupling_field[s, i]
     coupling_field = np.zeros((spins.shape[0], inst.n))
-    for (i, j), k in zip(graph.edge_index, params.k):
+    for (i, j), k in zip(inst.edge_index, params.k):
         coupling_field[:, i] += 2.0 * k * spins[:, i] * spins[:, j]
         coupling_field[:, j] += 2.0 * k * spins[:, i] * spins[:, j]
-    ratio = np.exp(-2.0 * params.b * spins - coupling_field)
-    sigma_x = mu @ ratio
+    # log w(s) + log ratio is the mean of log w at s and at its flip, so it
+    # is at most 0 and the exponential cannot overflow
+    log_ratio = -2.0 * params.b * spins - coupling_field
+    sigma_x = np.exp(log_w[:, None] + log_ratio).sum(axis=0) / z
     site = -inst.fields * sigma_x
     sigma_z = mu @ spins
     return {
@@ -92,10 +95,9 @@ def trial_vector(graph: ClassicalGraph, params: ParameterSet) -> np.ndarray:
     return np.sqrt(gibbs_measure(graph, params))
 
 
-def quantum_expectation(inst: QuantumInstance, graph: ClassicalGraph,
-                        params: ParameterSet) -> float:
+def quantum_expectation(inst: QuantumInstance, params: ParameterSet) -> float:
     """<psi|H|psi> from the explicit trial vector (independent route)."""
     from .exact import apply_h
 
-    psi = trial_vector(graph, params)
+    psi = trial_vector(inst.graph, params)
     return float(psi @ apply_h(inst, psi))

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grids import check_count, check_positive
 from .instance import QuantumInstance
 
 APPLY_LIMIT = 24
@@ -154,8 +155,8 @@ def ground_state(inst: QuantumInstance, seed: int = 0, tol: float = 1e-8,
     it is 0.  Memory is KRYLOV * 2^(n-1) * 8 bytes for the basis.
     """
     _check_size(inst, APPLY_LIMIT)
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+    check_positive("tol", tol)
+    check_count("max_iters", max_iters, 1)
     half = 1 << (inst.n - 1)
     diag = _diagonal(inst, half)
     u = np.random.default_rng(seed).standard_normal(half)

@@ -43,7 +43,7 @@ from .classical_bp import (
     field_shift,
     observables,
 )
-from .grids import Grid
+from .grids import Grid, check_count
 from .instance import ClassicalGraph, QuantumInstance
 
 COMBO_LIMIT = 5_000_000
@@ -59,6 +59,7 @@ _BP_EPS = 1e-9  # refit BP residual
 _BP_MAX_ITERS = 10000
 _BP_RESTARTS = 3  # random refit starts per candidate
 _DELTA_M = 0.05  # least mean |<s^z>| of a refit fixed point
+_CONV_Y_BINS = 64  # bins of each log flip weight in the convolution inner max
 
 
 class SearchSpaceError(RuntimeError):
@@ -73,9 +74,9 @@ class GSConfig:
     (k) and cavity fields (nu); k_cap bounds |K| (set it on loopy graphs).
     space_size is the number of states kept per edge and outer_rounds the
     number of sweep-extract-resample rounds.  inner picks the inner
-    maximization, conv_* the binning of its "convolution" strategy.  The
-    tolerance schedule, the sweep and refit limits and the resampling
-    share are module constants (_TOL_INIT and below).
+    maximization; "convolution" bins its field sums by delta_nu.  The
+    tolerance schedule, the sweep and refit limits, the resampling share
+    and the flip-weight bins are module constants (_TOL_INIT and below).
     """
 
     delta_b: float = 0.05
@@ -89,18 +90,12 @@ class GSConfig:
     outer_rounds: int = 30
     inner: str = "exhaustive"
     seed: int = 0
-    conv_x_step: float | None = None  # defaults to delta_nu
-    conv_y_bins: int = 64
 
     def __post_init__(self):
         if self.inner not in ("exhaustive", "convolution"):
             raise ValueError(f"unknown inner strategy {self.inner!r}")
         for name in ("space_size", "outer_rounds"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1")
-        if self.conv_x_step is not None and not (0.0 < self.conv_x_step < math.inf):
-            raise ValueError("conv_x_step must be finite and > 0")
+            check_count(name, getattr(self, name), 1)
         # Grid checks the steps, the halves and the cap
         self.b_grid(), self.k_grid(), self.nu_grid()
 
@@ -319,9 +314,9 @@ def _batched_exhaustive(value, messages, nbrs):
     return out
 
 
-def gs_maxsum_sweep(inst: QuantumInstance, graph: ClassicalGraph,
-                    spaces: SearchSpace, messages: np.ndarray, tol: float,
-                    cfg: GSConfig, tables: _SweepTables | None = None):
+def gs_maxsum_sweep(inst: QuantumInstance, spaces: SearchSpace,
+                    messages: np.ndarray, tol: float, cfg: GSConfig,
+                    tables: _SweepTables | None = None):
     """One synchronous MaxSum sweep over all directed edges.
 
     messages is (2m, S); returns (new_messages, dead_edges) where
@@ -330,6 +325,7 @@ def gs_maxsum_sweep(inst: QuantumInstance, graph: ClassicalGraph,
     be passed in when the spaces have not changed since the last sweep;
     they then also keep the window values of every tol swept with them.
     """
+    graph = inst.graph
     if tables is None:
         tables = _sweep_tables(inst, spaces)
     new = np.full_like(messages, -np.inf)
@@ -356,8 +352,8 @@ def gs_maxsum_sweep(inst: QuantumInstance, graph: ClassicalGraph,
     return new, dead
 
 
-def gs_weights(inst: QuantumInstance, graph: ClassicalGraph,
-               spaces: SearchSpace, messages: np.ndarray) -> np.ndarray:
+def gs_weights(inst: QuantumInstance, spaces: SearchSpace,
+               messages: np.ndarray) -> np.ndarray:
     """Edge-state weights <e_ij> + M_fwd + M_rev, shape (m, S).
 
     The bond energy enters with a plus sign: both incoming messages carry
@@ -371,7 +367,7 @@ def gs_weights(inst: QuantumInstance, graph: ClassicalGraph,
     return bond + messages[0::2] + messages[1::2]
 
 
-def _site_maxes(inst, graph, tables, messages, tol, cfg):
+def _site_maxes(inst, tables, messages, tol, cfg):
     """Joint max at every site over its field and all incident edge states.
 
     Returns (value (n,), b (n,), pick (2m,)), pick[d] being the state of
@@ -382,6 +378,7 @@ def _site_maxes(inst, graph, tables, messages, tol, cfg):
     their (G, C) table; an isolated site has one (empty) combination and
     an unconstrained field.
     """
+    graph = inst.graph
     size = tables.u_in.shape[1]
     value = np.empty(graph.n)
     b = np.empty(graph.n)
@@ -428,7 +425,7 @@ def _inner_convolution(h_site, cfg, tol, tables, messages, target, nbr_dirs):
     target is the directed edge the message goes out along and nbr_dirs
     the other edges leaving its source; returns the value per target state.
     """
-    x_step = cfg.conv_x_step if cfg.conv_x_step is not None else cfg.delta_nu
+    x_step = cfg.delta_nu
     k_scale = max(
         float(np.max(np.abs(tables.u_in[d]))) for d in nbr_dirs
     ) if len(nbr_dirs) else 0.0
@@ -439,7 +436,7 @@ def _inner_convolution(h_site, cfg, tol, tables, messages, target, nbr_dirs):
             float(np.max(np.abs(tables.lym_in[d]))),
         )
     y_span = max(y_span, 1e-6)
-    y_step = 2.0 * y_span / max(cfg.conv_y_bins - 1, 1)
+    y_step = 2.0 * y_span / (_CONV_Y_BINS - 1)
 
     b_max = cfg.half_b * cfg.delta_b
     t_u, t_nu = tables.u_in[target], tables.nu_out[target]
@@ -524,29 +521,27 @@ def _inner_convolution(h_site, cfg, tol, tables, messages, target, nbr_dirs):
     return out
 
 
-def convolution_inner_max(inst: QuantumInstance, graph: ClassicalGraph,
-                          spaces: SearchSpace, messages: np.ndarray,
-                          site: int, target_dir: int, tol: float,
-                          cfg: GSConfig):
+def convolution_inner_max(inst: QuantumInstance, spaces: SearchSpace,
+                          messages: np.ndarray, site: int, target_dir: int,
+                          tol: float, cfg: GSConfig):
     """Inner maximization at `site` toward directed edge target_dir via the
     sequential convolution.  Returns per-target-state values (without the
     bond term), matching exhaustive_inner_max up to binning error.
     """
-    dirs = graph.out_dirs[site]
+    dirs = inst.graph.out_dirs[site]
     return _inner_convolution(
         inst.fields[site], cfg, tol, _sweep_tables(inst, spaces), messages,
         target_dir, dirs[dirs != target_dir],
     )
 
 
-def exhaustive_inner_max(inst: QuantumInstance, graph: ClassicalGraph,
-                         spaces: SearchSpace, messages: np.ndarray,
-                         site: int, target_dir: int, tol: float,
-                         cfg: GSConfig):
+def exhaustive_inner_max(inst: QuantumInstance, spaces: SearchSpace,
+                         messages: np.ndarray, site: int, target_dir: int,
+                         tol: float, cfg: GSConfig):
     """Reference inner maximization (full enumeration), same contract as
     convolution_inner_max: the batched sweep kernel for one directed edge."""
     tables = _sweep_tables(inst, spaces)
-    out_dirs = graph.out_dirs[site]
+    out_dirs = inst.graph.out_dirs[site]
     nbrs = out_dirs[out_dirs != target_dir][None, :]
     dirs = np.array([target_dir], dtype=np.int64)
     value = _window_values(inst.fields[[site]], cfg, tol, tables, dirs, nbrs)
@@ -670,8 +665,7 @@ class GSResult:
     diagnostics: dict = dc_field(default_factory=dict)
 
 
-def _extract(inst, graph, spaces, messages, tol, cfg, tables=None,
-             weights=None):
+def _extract(inst, spaces, messages, tol, cfg, tables=None, weights=None):
     """Best state per edge by weight, field per site via the site shift.
 
     tables and weights may be passed in when they were built from these
@@ -681,14 +675,14 @@ def _extract(inst, graph, spaces, messages, tol, cfg, tables=None,
     if tables is None:
         tables = _sweep_tables(inst, spaces)
     if weights is None:
-        weights = gs_weights(inst, graph, spaces, messages)
+        weights = gs_weights(inst, spaces, messages)
     edge_pick = np.argmax(weights, axis=1)
-    k = spaces.k[np.arange(graph.m), edge_pick]
-    nu = np.empty(2 * graph.m)
-    nu[0::2] = spaces.nu_fwd[np.arange(graph.m), edge_pick]
-    nu[1::2] = spaces.nu_rev[np.arange(graph.m), edge_pick]
+    k = spaces.k[np.arange(inst.m), edge_pick]
+    nu = np.empty(2 * inst.m)
+    nu[0::2] = spaces.nu_fwd[np.arange(inst.m), edge_pick]
+    nu[1::2] = spaces.nu_rev[np.arange(inst.m), edge_pick]
 
-    value, b, pick = _site_maxes(inst, graph, tables, messages, tol, cfg)
+    value, b, pick = _site_maxes(inst, tables, messages, tol, cfg)
     shift_total = 0.0
     for val in value.tolist():  # in site order
         shift_total += val
@@ -700,7 +694,7 @@ def _extract(inst, graph, spaces, messages, tol, cfg, tables=None,
     return b, k, nu, maxsum_energy, disagreements
 
 
-def _refit(inst, graph, candidates, rng):
+def _refit(inst, candidates, rng):
     """BP refit of every candidate's extracted parameters in one batch.
 
     candidates are (label, b, k, nu_init).  Each candidate gets the starts
@@ -711,6 +705,7 @@ def _refit(inst, graph, candidates, rng):
     with mean |<s^z>| below _DELTA_M are rejected; if none passes, the
     lowest-energy one is used anyway and flagged.
     """
+    graph = inst.graph
     params = [ParameterSet(b, k) for _, b, k, _ in candidates]
     starts = 2 + _BP_RESTARTS
     inits = []
@@ -731,7 +726,7 @@ def _refit(inst, graph, candidates, rng):
         fixed = []
         backup = None
         for nu, rep in zip(nus[rows], reports[rows]):
-            obs = observables(inst, graph, p, nu)
+            obs = observables(inst, p, nu)
             if rep.converged:
                 if not any(np.max(np.abs(nu - f[1])) < 1e-7 for f in fixed):
                     fixed.append((obs, nu, rep))
@@ -760,7 +755,7 @@ def gs_solve(inst: QuantumInstance, cfg: GSConfig | None = None) -> GSResult:
     from .symmetric import ss_maxsum_solve
 
     cfg = cfg or GSConfig()
-    graph = ClassicalGraph.from_instance(inst)
+    graph = inst.graph
     rng = np.random.default_rng(cfg.seed)
     k_grid, nu_grid = cfg.k_grid(), cfg.nu_grid()
 
@@ -794,7 +789,7 @@ def gs_solve(inst: QuantumInstance, cfg: GSConfig | None = None) -> GSResult:
         dead = []
         tables = _sweep_tables(inst, spaces)
         for _ in range(_MAX_SWEEPS):
-            new, dead = gs_maxsum_sweep(inst, graph, spaces, messages, tol, cfg,
+            new, dead = gs_maxsum_sweep(inst, spaces, messages, tol, cfg,
                                         tables=tables)
             finite = np.isfinite(new) & np.isfinite(messages)
             if np.any(finite):
@@ -808,7 +803,7 @@ def gs_solve(inst: QuantumInstance, cfg: GSConfig | None = None) -> GSResult:
                 break
         total_sweeps += sweeps
 
-        weights = gs_weights(inst, graph, spaces, messages)
+        weights = gs_weights(inst, spaces, messages)
         for e in range(graph.m):
             w = float(np.max(weights[e]))
             if np.isfinite(w) and w > best_weight[e]:
@@ -816,8 +811,8 @@ def gs_solve(inst: QuantumInstance, cfg: GSConfig | None = None) -> GSResult:
                 best_states[e] = spaces.state(e, np.argmax(weights[e]))
         e_ms = disagree = None  # no extraction while an edge is dead
         if np.all(np.isfinite(np.max(weights, axis=1))) or graph.m == 0:
-            b, k, nu0, e_ms, disagree = _extract(inst, graph, spaces, messages,
-                                                 tol, cfg, tables, weights)
+            b, k, nu0, e_ms, disagree = _extract(inst, spaces, messages, tol,
+                                                 cfg, tables, weights)
             candidates.append((f"round-{rnd}", b, k, nu0))
         rounds_log.append({
             "round": rnd, "tol": tol, "sweeps": sweeps,
@@ -838,7 +833,7 @@ def gs_solve(inst: QuantumInstance, cfg: GSConfig | None = None) -> GSResult:
 
     refits = []
     refit_log = []
-    fits = _refit(inst, graph, candidates, rng)
+    fits = _refit(inst, candidates, rng)
     for (label, b, k, _), (obs, nu, rep, fallback, starts) in zip(candidates, fits):
         refits.append((obs.energy, label, b, k, nu, obs, rep, fallback))
         refit_log.append({

@@ -6,8 +6,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral, Real
 
 import numpy as np
+
+
+def check_positive(name: str, value) -> None:
+    """Reject a value that is not a finite real number > 0: nan and bool fail."""
+    if isinstance(value, bool) or not (isinstance(value, Real) and 0 < value < math.inf):
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Reject a value that is not an integer >= least: bool fails."""
+    if isinstance(value, bool) or not (isinstance(value, Integral) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -23,13 +36,11 @@ class Grid:
     cap: float | None = None
 
     def __post_init__(self):
-        # written so that nan fails every check
-        if not (0.0 < self.step < math.inf):
-            raise ValueError("grid needs a finite step > 0")
-        if not isinstance(self.half_count, (int, np.integer)) or self.half_count < 0:
-            raise ValueError("grid needs an integer half_count >= 0")
-        if self.cap is not None and not self.cap >= 0:
-            raise ValueError("cap must be >= 0")
+        check_positive("grid step", self.step)
+        check_count("grid half_count", self.half_count, 0)
+        if self.cap is not None and (isinstance(self.cap, bool) or not (
+                isinstance(self.cap, Real) and self.cap >= 0)):
+            raise ValueError(f"cap must be a number >= 0, got {self.cap!r}")
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -80,6 +91,7 @@ def _maxsum_loop(sweep, shape, loopy: bool, seed: int, max_iters: int,
     patience set, the loop also stops after that many sweeps without a new
     best.  Returns (messages, converged, iterations, residual).
     """
+    check_count("max_iters", max_iters, 1)
     messages = (np.random.default_rng(seed).uniform(-1e-8, 0.0, size=shape)
                 if loopy else np.zeros(shape))
     best = (np.inf, messages.copy())

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical_bp import _log_y, _sigma_x_from_logs, bond_energy, field_shift
-from .instance import ClassicalGraph
+from .grids import check_positive
 
 MZ_THRESHOLD = 1e-3
 
@@ -35,6 +35,11 @@ class HomogConfig:
 
     delta: float = 0.01
     mf_only: bool = False
+
+    def __post_init__(self):
+        check_positive("delta", self.delta)
+        if not isinstance(self.mf_only, (bool, np.bool_)):
+            raise ValueError(f"mf_only must be true or false, got {self.mf_only!r}")
 
 
 @dataclass
@@ -174,8 +179,7 @@ def homog_from_instance(inst, cfg: HomogConfig | None = None):
 
     Requires a degree-regular graph with unit ferromagnetic couplings and
     a uniform transverse field."""
-    graph = ClassicalGraph.from_instance(inst)
-    degs = np.unique(graph.degrees)
+    degs = np.unique(inst.graph.degrees)
     if degs.size != 1 or degs[0] < 1:
         raise ValueError("homogeneous solver needs a degree-regular graph")
     if not np.allclose(inst.couplings, 1.0):

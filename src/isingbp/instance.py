@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -24,14 +24,15 @@ class GenerationError(RuntimeError):
     """A random generator could not produce a valid instance."""
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class QuantumInstance:
     """Spin system: n spins, coupling edges (i, j, J), transverse fields h.
 
-    edge_index is an (m, 2) int array with i < j per row and no duplicate
-    rows; couplings is (m,) and fields is (n,) with every entry >= 0.
-    flipped_sites records sites whose input field was negative and was
-    normalized away by the loader.
+    edge_index is an (m, 2) int array of rows i < j in increasing order
+    (sorted by i, then j); couplings is (m,) and fields is (n,) with every
+    entry >= 0.  The instance keeps read-only copies of the three arrays,
+    so it never changes after construction.  flipped_sites records sites
+    whose input field was negative and was normalized away by the loader.
     """
 
     n: int
@@ -42,9 +43,12 @@ class QuantumInstance:
     flipped_sites: tuple = field(default=())
 
     def __post_init__(self):
-        self.edge_index = np.asarray(self.edge_index, dtype=np.int64).reshape(-1, 2)
-        self.couplings = np.asarray(self.couplings, dtype=np.float64).reshape(-1)
-        self.fields = np.asarray(self.fields, dtype=np.float64).reshape(-1)
+        for name, dtype, shape in (("edge_index", np.int64, (-1, 2)),
+                                   ("couplings", np.float64, -1),
+                                   ("fields", np.float64, -1)):
+            value = np.array(np.reshape(getattr(self, name), shape), dtype=dtype)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         if self.n < 1:
             raise InstanceError(f"need at least one spin, got n={self.n}")
         if self.fields.shape != (self.n,):
@@ -62,6 +66,11 @@ class QuantumInstance:
     def m(self) -> int:
         return self.edge_index.shape[0]
 
+    @cached_property
+    def graph(self) -> "ClassicalGraph":
+        """The coupling graph, built on first use; edge e is edge_index[e]."""
+        return ClassicalGraph(self.n, self.edge_index)
+
     def edge_list(self) -> list:
         return [
             (int(i), int(j), float(c))
@@ -69,15 +78,13 @@ class QuantumInstance:
         ]
 
     def with_uniform_field(self, h: float) -> "QuantumInstance":
+        """This instance at uniform field h; it shares the arrays and graph."""
         if h < 0:
             raise InstanceError("uniform field must be >= 0")
-        return QuantumInstance(
-            n=self.n,
-            edge_index=self.edge_index.copy(),
-            couplings=self.couplings.copy(),
-            fields=np.full(self.n, float(h)),
-            seed=self.seed,
-        )
+        inst = replace(self, fields=np.full(self.n, float(h)), flipped_sites=())
+        inst.__dict__.update(edge_index=self.edge_index, couplings=self.couplings,
+                             graph=self.graph)
+        return inst
 
     def __eq__(self, other):
         if not isinstance(other, QuantumInstance):
@@ -92,8 +99,8 @@ class QuantumInstance:
 
 
 def _check_edges(n: int, edge_index: np.ndarray) -> None:
-    """Reject self-loops, out-of-range endpoints, rows with i > j and
-    duplicate rows of an (m, 2) edge array."""
+    """Reject self-loops, out-of-range endpoints, rows with i > j,
+    duplicate rows and rows out of order of an (m, 2) edge array."""
     if not edge_index.size:
         return
     i, j = edge_index[:, 0], edge_index[:, 1]
@@ -105,6 +112,8 @@ def _check_edges(n: int, edge_index: np.ndarray) -> None:
         raise InstanceError("edges must be stored with i < j")
     if np.unique(i * n + j).size != i.size:
         raise InstanceError("duplicate edges are not allowed")
+    if np.any(np.diff(i * n + j) < 0):
+        raise InstanceError("edges must be sorted by i, then j")
 
 
 def _canonical_edges(pairs, couplings):
@@ -120,7 +129,7 @@ def _canonical_edges(pairs, couplings):
 class ClassicalGraph:
     """Interaction graph the trial-measure couplings live on.
 
-    By default this is the coupling graph of the instance itself; the
+    It is the coupling graph of an instance, built once as inst.graph; the
     directed-edge bookkeeping here backs every message-passing routine.
     Directed edge 2*e runs lo -> hi along edge e, 2*e + 1 runs hi -> lo.
     """
@@ -150,10 +159,6 @@ class ClassicalGraph:
             for s in range(self.n)
         ]
         self.is_forest = self._forest_check()
-
-    @classmethod
-    def from_instance(cls, inst: QuantumInstance) -> "ClassicalGraph":
-        return cls(inst.n, inst.edge_index)
 
     def _forest_check(self) -> bool:
         parent = list(range(self.n))
@@ -348,11 +353,7 @@ def load_instance(text: str) -> QuantumInstance:
     if not _is_int(seed):
         raise InstanceError("seed must be an integer")
     flipped = tuple(int(i) for i in np.flatnonzero(h < 0))
-    if pairs:
-        edge_index, couplings = _canonical_edges(pairs, couplings)
-    else:
-        edge_index = np.zeros((0, 2), dtype=np.int64)
-        couplings = np.zeros(0)
+    edge_index, couplings = _canonical_edges(pairs, couplings)
     return QuantumInstance(
         n=n,
         edge_index=edge_index,

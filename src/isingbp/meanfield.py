@@ -16,7 +16,7 @@ import numpy as np
 
 from .classical_bp import ParameterSet, observables
 from .grids import Grid, _maxsum_loop, argmax_tiebreak
-from .instance import ClassicalGraph, QuantumInstance
+from .instance import QuantumInstance
 
 DEFAULT_FIELD_GRID = Grid(step=0.02, half_count=150)
 
@@ -26,13 +26,13 @@ def mf_energy(inst: QuantumInstance, b) -> float:
     b = np.asarray(b, dtype=np.float64).reshape(-1)
     if b.shape != (inst.n,):
         raise ValueError("need one field per spin")
-    return _observables(inst, ClassicalGraph.from_instance(inst), b).energy
+    return _observables(inst, b).energy
 
 
-def _observables(inst, graph, b):
+def _observables(inst, b):
     # at K = 0 every cavity field 2b at its source is an exact BP fixed point
-    return observables(inst, graph, ParameterSet(b, np.zeros(graph.m)),
-                       2.0 * b[graph.src])
+    return observables(inst, ParameterSet(b, np.zeros(inst.m)),
+                       2.0 * b[inst.graph.src])
 
 
 @dataclass
@@ -143,7 +143,7 @@ def mf_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_FIELD_GRID,
     tied optima globally consistent; remaining ties go to the smallest
     |b|, negative first.
     """
-    graph = ClassicalGraph.from_instance(inst)
+    graph = inst.graph
     vals = grid.values
     nb = vals.size
     tanh_vals = np.tanh(2.0 * vals)
@@ -162,9 +162,8 @@ def mf_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_FIELD_GRID,
         sweep, (2 * graph.m, nb), not graph.is_forest, seed, max_iters,
         _PATIENCE)
 
-    b_star = _extract_fields(inst, graph, vals, tanh_vals, j_tanh, site_term,
-                             messages)
-    obs = _observables(inst, graph, b_star)
+    b_star = _extract_fields(inst, vals, tanh_vals, j_tanh, site_term, messages)
+    obs = _observables(inst, b_star)
     return MFSolution(
         b=b_star,
         energy=obs.energy,
@@ -176,7 +175,8 @@ def mf_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_FIELD_GRID,
     )
 
 
-def _extract_fields(inst, graph, vals, tanh_vals, j_tanh, site_term, messages):
+def _extract_fields(inst, vals, tanh_vals, j_tanh, site_term, messages):
+    graph = inst.graph
     hop = _hop_tables(j_tanh, tanh_vals, messages)
     b_star = np.zeros(inst.n)
     b_idx = np.full(inst.n, -1, dtype=np.int64)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .classical_bp import ParameterSet, observables
 from .grids import Grid, _maxsum_loop, argmax_tiebreak
-from .instance import ClassicalGraph, QuantumInstance
+from .instance import QuantumInstance
 
 DEFAULT_COUPLING_GRID = Grid(step=0.01, half_count=200)
 
@@ -39,13 +39,13 @@ def ss_energy(inst: QuantumInstance, k) -> float:
     k = np.asarray(k, dtype=np.float64).reshape(-1)
     if k.shape != (inst.m,):
         raise ValueError("need one trial coupling per edge")
-    return _observables(inst, ClassicalGraph.from_instance(inst), k).energy
+    return _observables(inst, k).energy
 
 
-def _observables(inst, graph, k):
+def _observables(inst, k):
     # at B = 0 the zero cavity fields are an exact BP fixed point
-    return observables(inst, graph, ParameterSet(np.zeros(graph.n), k),
-                       np.zeros(2 * graph.m))
+    return observables(inst, ParameterSet(np.zeros(inst.n), k),
+                       np.zeros(2 * inst.m))
 
 
 @dataclass
@@ -120,7 +120,7 @@ def ss_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_COUPLING_GRID,
     ties to the smallest |K|, negative first.  Non-convergence (loopy
     graphs) falls back to the best message set seen.
     """
-    graph = ClassicalGraph.from_instance(inst)
+    graph = inst.graph
     vals = grid.values
     sech = 1.0 / np.cosh(2.0 * vals)
     bond_gain = inst.couplings[:, None] * np.tanh(2.0 * vals)[None, :]
@@ -149,7 +149,7 @@ def ss_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_COUPLING_GRID,
     for e in range(graph.m):
         weight = -bond_gain[e] + messages[2 * e] + messages[2 * e + 1]
         k_star[e] = vals[argmax_tiebreak(weight, vals)]
-    obs = _observables(inst, graph, k_star)
+    obs = _observables(inst, k_star)
     return SSSolution(
         k=k_star,
         energy=obs.energy,

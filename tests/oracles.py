@@ -109,7 +109,7 @@ def bp_fixed_point_loop(graph, b, k, init, damping, eps, max_iters):
     return nu, BPReport(converged=False, iterations=max_iters, residual=residual)
 
 
-def refit_one(inst, graph, b, k, nu_init, rng):
+def refit_one(inst, b, k, nu_init, rng):
     """Refit of one gs candidate, start by start, with the gs refit constants.
 
     Starts are nu_init, zeros and _BP_RESTARTS uniform draws in [-2, 2]
@@ -123,6 +123,7 @@ def refit_one(inst, graph, b, k, nu_init, rng):
     from isingbp.classical_bp import ParameterSet, observables
 
     params = ParameterSet(b, k)
+    graph = inst.graph
     damping = 0.0 if graph.is_forest else 0.5
     inits = [np.asarray(nu_init), np.zeros(2 * graph.m)]
     for _ in range(general._BP_RESTARTS):
@@ -131,7 +132,7 @@ def refit_one(inst, graph, b, k, nu_init, rng):
     for init in inits:
         nu, rep = bp_fixed_point_loop(graph, params.b, params.k, init, damping,
                                       general._BP_EPS, general._BP_MAX_ITERS)
-        obs = observables(inst, graph, params, nu)
+        obs = observables(inst, params, nu)
         if rep.converged:
             if not any(np.max(np.abs(nu - f[1])) < 1e-7 for f in fixed):
                 fixed.append((obs, nu, rep))
@@ -224,7 +225,7 @@ def batched_exhaustive_dense(value, messages, nbrs):
     return np.max(value + _fold(messages, nbrs ^ 1, idx)[:, None, :], axis=2)
 
 
-def site_shift_max_loop(inst, graph, tables, messages, tol, cfg, site):
+def site_shift_max_loop(inst, tables, messages, tol, cfg, site):
     """Joint max at one site, one incident edge at a time.
 
     Over every combination of incident edge states (last edge fastest),
@@ -235,7 +236,7 @@ def site_shift_max_loop(inst, graph, tables, messages, tol, cfg, site):
     isolated site takes b = 0.  Returns (value, b_value, {dir: state}).
     """
     h = inst.fields[site]
-    dirs = [int(x) for x in graph.out_dirs[site]]
+    dirs = [int(x) for x in inst.graph.out_dirs[site]]
     size = tables.u_in.shape[1]
     if not dirs:
         return float(_site_term(h, 0.0, 0.0, 0.0)), 0.0, {}
@@ -272,7 +273,7 @@ def site_shift_max_loop(inst, graph, tables, messages, tol, cfg, site):
     return float(value[best]), float(b_idx.astype(np.int64)[best] * db), choice
 
 
-def extract_loop(inst, graph, spaces, messages, tol, cfg, tables, weights):
+def extract_loop(inst, spaces, messages, tol, cfg, tables, weights):
     """Extraction site by site with site_shift_max_loop.
 
     Each edge takes its best state by weight; each site its field from the
@@ -282,6 +283,7 @@ def extract_loop(inst, graph, spaces, messages, tol, cfg, tables, weights):
     sees the edge, differs from the per-edge pick.  Returns (b, k, nu,
     maxsum_energy, disagreements).
     """
+    graph = inst.graph
     edge_pick = np.argmax(weights, axis=1)
     k = spaces.k[np.arange(graph.m), edge_pick]
     nu = np.empty(2 * graph.m)
@@ -292,8 +294,8 @@ def extract_loop(inst, graph, spaces, messages, tol, cfg, tables, weights):
     disagreements = 0
     seen = set()
     for site in range(graph.n):
-        val, b[site], choice = site_shift_max_loop(inst, graph, tables, messages,
-                                                   tol, cfg, site)
+        val, b[site], choice = site_shift_max_loop(inst, tables, messages, tol,
+                                                   cfg, site)
         shift_total += val
         for d, s_idx in choice.items():
             if d // 2 not in seen:

@@ -15,7 +15,6 @@ import acceptance_log
 import oracles
 import testutil
 from isingbp import (
-    ClassicalGraph,
     GSConfig,
     Grid,
     HomogConfig,
@@ -44,7 +43,7 @@ from isingbp.classical_bp import (
     site_energy_from_logs,
 )
 from isingbp.enumeration import classical_expectations
-from isingbp.general import _extract, _sweep_tables
+from isingbp.general import _CONV_Y_BINS, _extract, _sweep_tables
 from isingbp.meanfield import DEFAULT_FIELD_GRID
 from isingbp.symmetric import DEFAULT_COUPLING_GRID
 
@@ -107,11 +106,11 @@ def test_criterion_3_bp_matches_enumeration():
     for _ in range(20):
         n = int(rng.integers(2, 13))
         inst = testutil.random_tree(n, rng)
-        g = ClassicalGraph.from_instance(inst)
+        g = inst.graph
         params = testutil.random_params(inst, rng)
         nu, rep = bp_fixed_point(g, params, eps=1e-13)
-        obs = observables(inst, g, params, nu)
-        ref = classical_expectations(inst, g, params)
+        obs = observables(inst, params, nu)
+        ref = classical_expectations(inst, params)
         ok = ok and rep.converged
         ok = ok and abs(obs.energy - ref["energy"]) <= 1e-10
         ok = ok and float(np.max(np.abs(obs.sigma_z - ref["sigma_z"]))) <= 1e-10
@@ -188,7 +187,7 @@ def _chain_reference_minimum(inst, cfg, tol):
 def _full_space_optimum(inst, cfg, tol, sweeps=200):
     """Run the sweep to a fixed point on complete per-edge state grids and
     return the extracted optimum value."""
-    g = ClassicalGraph.from_instance(inst)
+    g = inst.graph
     ks, nf, nr = _edge_state_grid(cfg)
     spaces = SearchSpace(
         np.tile(ks, (g.m, 1)), np.tile(nf, (g.m, 1)), np.tile(nr, (g.m, 1))
@@ -196,7 +195,7 @@ def _full_space_optimum(inst, cfg, tol, sweeps=200):
     tables = _sweep_tables(inst, spaces)
     messages = np.zeros((2 * g.m, ks.size))
     for _ in range(sweeps):
-        new, dead = gs_maxsum_sweep(inst, g, spaces, messages, tol, cfg,
+        new, dead = gs_maxsum_sweep(inst, spaces, messages, tol, cfg,
                                     tables=tables)
         assert not dead
         finite = np.isfinite(new) & np.isfinite(messages)
@@ -205,7 +204,7 @@ def _full_space_optimum(inst, cfg, tol, sweeps=200):
         messages = new
         if not moved and resid <= 1e-12:
             break
-    _, _, _, maxsum_energy, _ = _extract(inst, g, spaces, messages, tol, cfg)
+    _, _, _, maxsum_energy, _ = _extract(inst, spaces, messages, tol, cfg)
     return maxsum_energy
 
 
@@ -245,7 +244,7 @@ def test_criterion_5_restrictions_and_seeding():
 
     # zero-coupling state spaces reproduce the field-only optimum
     inst = generate_chain(6, law="gaussian", h=0.9, seed=11)
-    g = ClassicalGraph.from_instance(inst)
+    g = inst.graph
     fg = Grid(0.1, 10)
     pairs = [(b1, b2) for b1 in fg.values for b2 in fg.values]
     k = np.zeros((g.m, len(pairs)))
@@ -257,7 +256,7 @@ def test_criterion_5_restrictions_and_seeding():
     messages = np.zeros((2 * g.m, len(pairs)))
     tables = _sweep_tables(inst, spaces)
     for _ in range(100):
-        new, dead = gs_maxsum_sweep(inst, g, spaces, messages, 1e-9, cfg,
+        new, dead = gs_maxsum_sweep(inst, spaces, messages, 1e-9, cfg,
                                     tables=tables)
         assert not dead
         finite = np.isfinite(new) & np.isfinite(messages)
@@ -266,7 +265,7 @@ def test_criterion_5_restrictions_and_seeding():
         messages = new
         if not moved and resid <= 1e-12:
             break
-    _, kx, _, e_restricted, _ = _extract(inst, g, spaces, messages, 1e-9, cfg)
+    _, kx, _, e_restricted, _ = _extract(inst, spaces, messages, 1e-9, cfg)
     e_mf = mf_maxsum_solve(inst, grid=fg).energy
     ok = ok and abs(e_restricted - e_mf) <= 1e-8 and np.all(kx == 0.0)
 
@@ -280,7 +279,7 @@ def test_criterion_5_restrictions_and_seeding():
     messages = np.zeros((2 * g.m, kg.values.size))
     tables = _sweep_tables(inst, spaces)
     for _ in range(100):
-        new, dead = gs_maxsum_sweep(inst, g, spaces, messages, 1e-9, cfg,
+        new, dead = gs_maxsum_sweep(inst, spaces, messages, 1e-9, cfg,
                                     tables=tables)
         assert not dead
         finite = np.isfinite(new) & np.isfinite(messages)
@@ -289,7 +288,7 @@ def test_criterion_5_restrictions_and_seeding():
         messages = new
         if not moved and resid <= 1e-12:
             break
-    bx, _, _, e_restricted, _ = _extract(inst, g, spaces, messages, 1e-9, cfg)
+    bx, _, _, e_restricted, _ = _extract(inst, spaces, messages, 1e-9, cfg)
     e_ss = ss_maxsum_solve(inst, grid=kg).energy
     ok = ok and abs(e_restricted - e_ss) <= 1e-8 and np.all(bx == 0.0)
 
@@ -322,17 +321,16 @@ def test_criterion_7_convolution_brackets_exhaustive():
     for trial in range(100):
         inst = testutil.star_instance(3, h=float(rng.uniform(0.2, 2.0)),
                                       seed=500 + trial)
-        g = ClassicalGraph.from_instance(inst)
+        g = inst.graph
         cfg = GSConfig(delta_b=0.1, half_b=8, delta_k=0.2, half_k=3,
-                       delta_nu=0.2, half_nu=10, space_size=6,
-                       conv_x_step=0.2, seed=trial)
+                       delta_nu=0.2, half_nu=10, space_size=6, seed=trial)
         spaces = init_spaces(g, cfg, np.random.default_rng(trial))
         messages = rng.standard_normal((2 * g.m, cfg.space_size))
         messages -= messages.max(axis=1, keepdims=True)
         tol = 0.4
         target_dir = int(g.out_dirs[0][0])
         steps = len(g.out_dirs[0]) - 1
-        dx = (steps + 1) * cfg.conv_x_step
+        dx = (steps + 1) * cfg.delta_nu
 
         tables = _sweep_tables(inst, spaces)
         others = [int(d) for d in g.out_dirs[0] if int(d) != target_dir]
@@ -340,14 +338,14 @@ def test_criterion_7_convolution_brackets_exhaustive():
             max(float(np.max(np.abs(tables.lyp_in[d]))),
                 float(np.max(np.abs(tables.lym_in[d]))))
             for d in others), 1e-6)
-        y_step = 2.0 * y_span / (cfg.conv_y_bins - 1)
+        y_step = 2.0 * y_span / (_CONV_Y_BINS - 1)
         eps = 2.0 * inst.fields[0] * (steps + 1) * y_step
 
-        conv = convolution_inner_max(inst, g, spaces, messages, 0, target_dir,
+        conv = convolution_inner_max(inst, spaces, messages, 0, target_dir,
                                      tol, cfg)
-        lo = exhaustive_inner_max(inst, g, spaces, messages, 0, target_dir,
+        lo = exhaustive_inner_max(inst, spaces, messages, 0, target_dir,
                                   tol - dx, cfg)
-        hi = exhaustive_inner_max(inst, g, spaces, messages, 0, target_dir,
+        hi = exhaustive_inner_max(inst, spaces, messages, 0, target_dir,
                                   tol + dx, cfg)
         any_finite = np.isfinite(conv) | np.isfinite(lo) | np.isfinite(hi)
         ok_low = np.where(np.isfinite(lo), conv >= lo - eps - 1e-9, True)

@@ -21,7 +21,7 @@ from isingbp.enumeration import (
     classical_expectations,
     quantum_expectation,
 )
-from isingbp.instance import generate_rrg
+from isingbp.instance import generate_chain, generate_rrg
 from oracles import bp_fixed_point_loop
 
 finite = st.floats(-50, 50, allow_nan=False)
@@ -70,7 +70,7 @@ def test_tree_bp_is_exact(seed):
     rng = np.random.default_rng(100 + seed)
     n = int(rng.integers(2, 11))
     inst = testutil.random_tree(n, rng)
-    graph = ClassicalGraph.from_instance(inst)
+    graph = inst.graph
     params = testutil.random_params(inst, rng)
 
     nu, rep = bp_fixed_point(graph, params)
@@ -82,8 +82,8 @@ def test_tree_bp_is_exact(seed):
         assert np.isclose(nu[2 * e + 1], cavity_field(graph, params, e, False),
                           atol=1e-7)
 
-    obs = observables(inst, graph, params, nu)
-    ref = classical_expectations(inst, graph, params)
+    obs = observables(inst, params, nu)
+    ref = classical_expectations(inst, params)
     np.testing.assert_allclose(obs.energy, ref["energy"], atol=1e-8)
     np.testing.assert_allclose(obs.bond_energies, ref["bond_energies"], atol=1e-8)
     np.testing.assert_allclose(obs.site_energies, ref["site_energies"], atol=1e-8)
@@ -91,14 +91,32 @@ def test_tree_bp_is_exact(seed):
     np.testing.assert_allclose(obs.sigma_x, ref["sigma_x"], atol=1e-8)
 
     # the Bethe energy on a tree is the true quantum expectation value
-    assert np.isclose(obs.energy, quantum_expectation(inst, graph, params),
+    assert np.isclose(obs.energy, quantum_expectation(inst, params),
                       atol=1e-8)
+
+
+@pytest.mark.parametrize("inst, params", [
+    (generate_chain(8, "gaussian", 1.0, 1), ParameterSet(np.full(8, 0.3), np.full(7, 200.0))),
+    (testutil.random_tree(10, np.random.default_rng(9)),
+     ParameterSet(np.linspace(-1.2, 1.2, 10), 400.0 * np.sin(np.arange(1.0, 10.0)))),
+], ids=["chain-k200", "tree-mixed"])
+def test_enumeration_at_large_parameters_matches_bp(inst, params):
+    # the flip ratio exp(-2 b s - 2 sum k s s) alone overflows here; the
+    # enumeration must stay finite and equal BP, which is exact on a tree
+    # while its cavity fields stay below NU_CAP, as they do here
+    nu, rep = bp_fixed_point(inst.graph, params)
+    assert rep.converged
+    obs = observables(inst, params, nu)
+    ref = classical_expectations(inst, params)
+    assert abs(obs.energy - ref["energy"]) <= 1e-9
+    for key in ("bond_energies", "site_energies", "sigma_z", "sigma_x"):
+        np.testing.assert_allclose(getattr(obs, key), ref[key], rtol=0, atol=1e-9)
 
 
 def test_field_gauge_symmetry():
     rng = np.random.default_rng(5)
     inst = testutil.random_tree(7, rng)
-    graph = ClassicalGraph.from_instance(inst)
+    graph = inst.graph
     params = testutil.random_params(inst, rng)
     flipped = ParameterSet(-params.b, params.k)
 
@@ -106,8 +124,8 @@ def test_field_gauge_symmetry():
     nu_f, _ = bp_fixed_point(graph, flipped)
     np.testing.assert_allclose(nu_f, -nu, atol=1e-8)
 
-    obs = observables(inst, graph, params, nu)
-    obs_f = observables(inst, graph, flipped, nu_f)
+    obs = observables(inst, params, nu)
+    obs_f = observables(inst, flipped, nu_f)
     assert np.isclose(obs.energy, obs_f.energy, atol=1e-9)
     np.testing.assert_allclose(obs_f.sigma_z, -obs.sigma_z, atol=1e-8)
     np.testing.assert_allclose(obs_f.sigma_x, obs.sigma_x, atol=1e-8)
@@ -115,7 +133,7 @@ def test_field_gauge_symmetry():
 
 def test_update_clamps_fields():
     inst = testutil.random_tree(4, np.random.default_rng(0))
-    graph = ClassicalGraph.from_instance(inst)
+    graph = inst.graph
     params = ParameterSet(np.full(4, 40.0), np.full(3, 5.0))
     nu = bp_update(graph, params, np.zeros(6))
     assert np.max(np.abs(nu)) <= NU_CAP
@@ -123,7 +141,7 @@ def test_update_clamps_fields():
 
 def test_loopy_graph_converges():
     inst = testutil.ring_instance(6, j=1.0, h=0.5)
-    graph = ClassicalGraph.from_instance(inst)
+    graph = inst.graph
     params = ParameterSet(0.2 * np.ones(6), 0.3 * np.ones(6))
     nu, rep = bp_fixed_point(graph, params)
     assert rep.converged
@@ -134,13 +152,13 @@ def test_loopy_graph_converges():
 def test_m_x_is_none_only_without_fields():
     rng = np.random.default_rng(3)
     inst = testutil.random_tree(5, rng)
-    graph = ClassicalGraph.from_instance(inst)
+    graph = inst.graph
     params = testutil.random_params(inst, rng)
     nu, _ = bp_fixed_point(graph, params)
-    assert observables(inst, graph, params, nu).m_x is not None
+    assert observables(inst, params, nu).m_x is not None
 
     bare = QuantumInstanceNoField(inst)
-    obs = observables(bare, graph, params, nu)
+    obs = observables(bare, params, nu)
     assert obs.m_x is None
     assert np.all(obs.site_energies == 0.0)
 
@@ -154,7 +172,7 @@ def QuantumInstanceNoField(inst):
 
 def test_shape_validation():
     inst = testutil.random_tree(4, np.random.default_rng(0))
-    graph = ClassicalGraph.from_instance(inst)
+    graph = inst.graph
     good = testutil.random_params(inst, np.random.default_rng(1))
     with pytest.raises(ValueError):
         bp_update(graph, good, np.zeros(5))
@@ -180,7 +198,7 @@ def _assert_rows_match_loop(graph, b, k, inits, damping, eps, max_iters,
 
 def test_batched_fixed_points_match_loop_on_loopy_graph():
     inst = generate_rrg(12, 3, law="pm_one", h=1.0, seed=3)
-    graph = ClassicalGraph.from_instance(inst)
+    graph = inst.graph
     rng = np.random.default_rng(11)
     scales = np.array([0.2, 0.5, 1.0, 1.5, 2.0, 0.3, 1.2, 1.8])[:, None]
     b = 0.8 * rng.standard_normal((8, graph.n))
@@ -198,7 +216,7 @@ def test_batched_fixed_points_match_loop_on_loopy_graph():
 def test_batched_fixed_points_match_loop_on_forest():
     rng = np.random.default_rng(4)
     inst = testutil.random_tree(9, rng)
-    graph = ClassicalGraph.from_instance(inst)
+    graph = inst.graph
     assert graph.is_forest
     b = 0.6 * rng.standard_normal((4, graph.n))
     k = 0.5 * rng.standard_normal((4, graph.m))
@@ -217,7 +235,7 @@ def test_batched_fixed_points_on_edgeless_graph():
 
 def test_single_row_is_bp_fixed_point():
     inst = generate_rrg(12, 3, law="pm_one", h=1.0, seed=5)
-    graph = ClassicalGraph.from_instance(inst)
+    graph = inst.graph
     rng = np.random.default_rng(2)
     params = ParameterSet(0.5 * rng.standard_normal(graph.n),
                           0.7 * rng.standard_normal(graph.m))
@@ -236,7 +254,7 @@ def test_single_row_is_bp_fixed_point():
 
 
 def test_batched_shape_validation():
-    graph = ClassicalGraph.from_instance(testutil.random_tree(4, np.random.default_rng(0)))
+    graph = testutil.random_tree(4, np.random.default_rng(0)).graph
     with pytest.raises(ValueError):
         bp_fixed_points(graph, np.zeros((2, 4)), np.zeros((2, 3)), np.zeros((2, 5)))
     with pytest.raises(ValueError):

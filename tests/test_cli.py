@@ -34,8 +34,7 @@ SET_KEYS = {
     "ss": {"delta_k": 0.01, "half_k": 200, "k_cap": 1.0, "max_iters": 1000},
     "gs": {"delta_b": 0.05, "half_b": 60, "delta_k": 0.05, "half_k": 40,
            "delta_nu": 0.05, "half_nu": 120, "k_cap": 1.0, "space_size": 20,
-           "outer_rounds": 30, "inner": "exhaustive", "conv_x_step": 0.05,
-           "conv_y_bins": 64},
+           "outer_rounds": 30, "inner": "exhaustive"},
     "homog": {"delta": 0.01, "mf_only": False},
     "exact": {"tol": 1e-8, "max_iters": 200000},
 }
@@ -46,7 +45,8 @@ RETIRED_KEYS = {
     "ss": ["eps", "grid"],
     "gs": ["tol_init", "tol_decay", "tol_floor", "max_sweeps", "sweep_tol",
            "delta_m", "bp_eps", "bp_max_iters", "bp_restarts",
-           "resample_fraction", "proposal_radius_bins"],
+           "resample_fraction", "proposal_radius_bins", "conv_x_step",
+           "conv_y_bins"],
     "homog": ["b_max", "k_max", "damping", "max_iters", "fp_tol",
               "newton_steps", "residual_tol"],
     "exact": [],
@@ -153,12 +153,28 @@ def test_own_fields_when_h_empty(tmp_path, capsys):
      "--set", "half_b=10"],
     ["run", "--instance", "IGNORED", "--method", "ss", "--set", "delta_k=0.1",
      "--set", "half_k=2.5"],
+    ["run", "--instance", "IGNORED", "--method", "exact", "--set", "tol=nan"],
+    ["run", "--instance", "IGNORED", "--method", "exact", "--set", "tol=-1"],
+    ["run", "--instance", "IGNORED", "--method", "exact", "--set", "max_iters=2.5"],
+    ["run", "--instance", "IGNORED", "--method", "mf", "--set", "max_iters=-1"],
+    ["run", "--instance", "IGNORED", "--method", "mf", "--set", "max_iters=2.5"],
+    ["run", "--instance", "IGNORED", "--method", "ss", "--set", "max_iters=0"],
+    ["run", "--instance", "IGNORED", "--method", "gs", "--set", "delta_b=abc"],
+    ["run", "--instance", "IGNORED", "--method", "gs", "--set", "k_cap=abc"],
+    ["run", "--instance", "RRG", "--method", "homog", "--set", "mf_only=abc"],
+    ["run", "--instance", "RRG", "--method", "homog", "--set", "delta=0"],
 ])
 def test_bad_input_exits_one(args, tmp_path):
+    args = args.copy()
     if args[2] == "IGNORED":
-        args = args.copy()
         args[2] = str(_gen(tmp_path))
-    assert cli.main(args) == 1
+    elif args[2] == "RRG":
+        # a regular ferromagnet, on which homog runs without the bad value
+        args[2] = str(tmp_path / "rrg.json")
+        assert cli.main(["gen", "rrg", "--n", "6", "--degree", "3", "--law",
+                         "ferro", "--h", "1.0", "--seed", "3", "--out", args[2]]) == 0
+        assert cli.main(args[:-2]) == 0
+    assert cli.main(args + ["--h", "1.0"]) == 1
 
 
 def test_bad_h_and_bad_override_exit_one(tmp_path):
@@ -232,7 +248,7 @@ def test_set_surface_is_frozen():
     def params(solver):
         return set(inspect.signature(solver).parameters) - {"inst", "seed"}
 
-    assert sum(map(len, SET_KEYS.values())) == 23
+    assert sum(map(len, SET_KEYS.values())) == 21
     assert params(mf_maxsum_solve) == {"grid", "max_iters"}
     assert params(ss_maxsum_solve) == {"grid", "max_iters"}
     assert {f.name for f in dataclasses.fields(GSConfig)} == set(SET_KEYS["gs"]) | {"seed"}

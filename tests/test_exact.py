@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import testutil
-from isingbp import ClassicalGraph, QuantumInstance, generate_chain, ground_state
+from isingbp import QuantumInstance, generate_chain, ground_state
 from isingbp.enumeration import (
     classical_expectations,
     quantum_expectation,
@@ -67,10 +67,10 @@ def test_diagonal_energies_signs():
 def test_sigma_x_matches_enumeration():
     rng = np.random.default_rng(42)
     inst = testutil.random_tree(6, rng)
-    graph = ClassicalGraph.from_instance(inst)
+    graph = inst.graph
     params = testutil.random_params(inst, rng)
     psi = trial_vector(graph, params)
-    ref = classical_expectations(inst, graph, params)
+    ref = classical_expectations(inst, params)
     np.testing.assert_allclose(sigma_x_expectations(inst, psi),
                                ref["sigma_x"], atol=1e-10)
 
@@ -79,11 +79,11 @@ def test_sigma_x_matches_enumeration():
 def test_trial_states_are_upper_bounds(seed):
     rng = np.random.default_rng(20 + seed)
     inst = testutil.random_tree(int(rng.integers(2, 7)), rng)
-    graph = ClassicalGraph.from_instance(inst)
+    graph = inst.graph
     e0 = float(np.linalg.eigvalsh(dense_hamiltonian(inst))[0])
     for _ in range(3):
         params = testutil.random_params(inst, rng)
-        assert quantum_expectation(inst, graph, params) >= e0 - 1e-10
+        assert quantum_expectation(inst, params) >= e0 - 1e-10
 
 
 def test_identity_like_hamiltonian():

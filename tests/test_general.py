@@ -8,7 +8,6 @@ import pytest
 
 import testutil
 from isingbp import (
-    ClassicalGraph,
     GSConfig,
     QuantumInstance,
     SearchSpace,
@@ -28,6 +27,7 @@ from isingbp.classical_bp import bond_energy, field_shift, logcosh
 from isingbp import general
 from isingbp.general import (
     _BLOCK_ELEMS,
+    _CONV_Y_BINS,
     SearchSpaceError,
     _batched_exhaustive,
     _combo_index,
@@ -56,7 +56,8 @@ BAD_CONFIGS = [
     dict(inner="bogus"), dict(inner="coordinate"), dict(delta_b=-0.1),
     dict(space_size=0), dict(delta_b=float("nan")), dict(delta_nu=float("inf")),
     dict(space_size=2.5), dict(outer_rounds=1.5), dict(half_nu=2.5),
-    dict(k_cap=float("nan")), dict(conv_x_step=float("nan")),
+    dict(k_cap=float("nan")), dict(delta_nu=float("nan")), dict(delta_b="abc"),
+    dict(k_cap="abc"), dict(space_size=True),
 ]
 
 
@@ -68,7 +69,7 @@ def test_config_validation():
 
 def test_init_spaces_deterministic_with_seeds():
     inst = generate_chain(4, law="ferro", h=1.0, seed=0)
-    g = ClassicalGraph.from_instance(inst)
+    g = inst.graph
     cfg = GSConfig(space_size=8)
     seed_states = {0: [(0.0, 0.1, -0.2)], 2: [(0.5, 0.0, 0.0)]}
     a = init_spaces(g, cfg, np.random.default_rng(3), seed_states)
@@ -86,7 +87,7 @@ def _converge_sweep(inst, g, spaces, cfg, tol, sweeps=60):
     messages = np.zeros((2 * g.m, spaces.size))
     residual = np.inf
     for _ in range(sweeps):
-        new, dead = gs_maxsum_sweep(inst, g, spaces, messages, tol, cfg,
+        new, dead = gs_maxsum_sweep(inst, spaces, messages, tol, cfg,
                                     tables=tables)
         finite = np.isfinite(new) & np.isfinite(messages)
         residual = float(np.max(np.abs(new[finite] - messages[finite])))
@@ -100,7 +101,7 @@ def _converge_sweep(inst, g, spaces, cfg, tol, sweeps=60):
 
 def test_sweep_tables_match_per_edge_formulas():
     inst = generate_rrg(8, 3, law="gaussian", h=1.0, seed=3)
-    g = ClassicalGraph.from_instance(inst)
+    g = inst.graph
     spaces = init_spaces(g, GSConfig(space_size=7), np.random.default_rng(4))
     tables = _sweep_tables(inst, spaces)
     for d in range(2 * g.m):
@@ -127,16 +128,16 @@ def test_sweep_tables_match_per_edge_formulas():
 def test_sweep_with_reused_tables_is_bit_identical(inner, inst):
     # tables carry cached window values per tol; sweeping one set of tables
     # at two tolerances must give what fresh tables give at each
-    g = ClassicalGraph.from_instance(inst)
+    g = inst.graph
     cfg = GSConfig(delta_b=0.1, half_b=10, delta_k=0.2, half_k=4,
                    delta_nu=0.2, half_nu=10, space_size=5, inner=inner)
     spaces = init_spaces(g, cfg, np.random.default_rng(2))
     tables = _sweep_tables(inst, spaces)
     messages = np.zeros((2 * g.m, cfg.space_size))
     for tol in (0.6, 0.25, 0.6, 0.25):
-        reused, dead_reused = gs_maxsum_sweep(inst, g, spaces, messages, tol,
+        reused, dead_reused = gs_maxsum_sweep(inst, spaces, messages, tol,
                                               cfg, tables=tables)
-        fresh, dead_fresh = gs_maxsum_sweep(inst, g, spaces, messages, tol, cfg)
+        fresh, dead_fresh = gs_maxsum_sweep(inst, spaces, messages, tol, cfg)
         assert reused.tobytes() == fresh.tobytes()
         assert dead_reused == dead_fresh
         messages = np.where(np.isfinite(reused), reused, -50.0)
@@ -147,7 +148,7 @@ def test_zero_coupling_spaces_reduce_to_product_states():
     # spaces restricted to k = 0 and nu = 2b make the sweep solve the
     # product-state problem on the same field grid exactly
     inst = generate_chain(4, law="gaussian", h=0.8, seed=5)
-    g = ClassicalGraph.from_instance(inst)
+    g = inst.graph
     b_grid = Grid(step=0.2, half_count=5)
     b_vals = b_grid.values
     pairs = np.array([(x, y) for x in b_vals for y in b_vals])
@@ -160,7 +161,7 @@ def test_zero_coupling_spaces_reduce_to_product_states():
     cfg = GSConfig(delta_b=0.2, half_b=5, delta_nu=0.4, half_nu=5,
                    space_size=s)
     messages = _converge_sweep(inst, g, spaces, cfg, tol=1e-9)
-    b, k, _, maxsum_energy, _ = _extract(inst, g, spaces, messages, 1e-9, cfg)
+    b, k, _, maxsum_energy, _ = _extract(inst, spaces, messages, 1e-9, cfg)
     oracle = mf_chain_minimum(inst, b_grid)
     assert np.isclose(maxsum_energy, oracle, atol=1e-9)
     assert np.all(k == 0.0)
@@ -172,7 +173,7 @@ def test_zero_coupling_spaces_reduce_to_product_states():
 
 def test_zero_field_spaces_reduce_to_coupling_states():
     inst = generate_chain(4, law="gaussian", h=0.8, seed=5)
-    g = ClassicalGraph.from_instance(inst)
+    g = inst.graph
     k_grid = Grid(step=0.1, half_count=8)
     k_vals = k_grid.values
     s = k_vals.size
@@ -183,7 +184,7 @@ def test_zero_field_spaces_reduce_to_coupling_states():
     )
     cfg = GSConfig(delta_k=0.1, half_k=8, space_size=s)
     messages = _converge_sweep(inst, g, spaces, cfg, tol=1e-9)
-    b, k, _, maxsum_energy, _ = _extract(inst, g, spaces, messages, 1e-9, cfg)
+    b, k, _, maxsum_energy, _ = _extract(inst, spaces, messages, 1e-9, cfg)
     oracle = ss_chain_minimum(inst, k_grid)
     assert np.isclose(maxsum_energy, oracle, atol=1e-9)
     assert np.all(b == 0.0)
@@ -235,23 +236,22 @@ def test_batched_refit_matches_per_candidate_loop(monkeypatch):
     seen = {}
     batched = general._refit
 
-    def capture(inst_, graph, candidates, rng):
-        seen.update(graph=graph, candidates=list(candidates),
+    def capture(inst_, candidates, rng):
+        seen.update(candidates=list(candidates),
                     state=copy.deepcopy(rng.bit_generator.state))
-        return batched(inst_, graph, candidates, rng)
+        return batched(inst_, candidates, rng)
 
     monkeypatch.setattr(general, "_refit", capture)
     res = gs_solve(inst, cfg)
-    graph, candidates = seen["graph"], seen["candidates"]
+    candidates = seen["candidates"]
     rng_batch, rng_loop = np.random.default_rng(), np.random.default_rng()
     rng_batch.bit_generator.state = copy.deepcopy(seen["state"])
     rng_loop.bit_generator.state = copy.deepcopy(seen["state"])
 
-    fits = batched(inst, graph, candidates, rng_batch)
+    fits = batched(inst, candidates, rng_batch)
     assert len(fits) == len(candidates)
     for (label, b, k, nu0), (obs, nu, rep, fallback, starts) in zip(candidates, fits):
-        ref_obs, ref_nu, ref_rep, ref_fallback = refit_one(inst, graph, b, k, nu0,
-                                                           rng_loop)
+        ref_obs, ref_nu, ref_rep, ref_fallback = refit_one(inst, b, k, nu0, rng_loop)
         assert obs.energy == ref_obs.energy, label
         assert np.array_equal(nu, ref_nu), label
         assert rep == ref_rep, label
@@ -301,17 +301,16 @@ def test_convolution_brackets_exhaustive():
     for trial in range(10):
         inst = testutil.star_instance(3, h=float(rng.uniform(0.2, 2.0)),
                                       seed=100 + trial)
-        g = ClassicalGraph.from_instance(inst)
+        g = inst.graph
         cfg = GSConfig(delta_b=0.1, half_b=8, delta_k=0.2, half_k=3,
-                       delta_nu=0.2, half_nu=10, space_size=6,
-                       conv_x_step=0.2, seed=trial)
+                       delta_nu=0.2, half_nu=10, space_size=6, seed=trial)
         spaces = init_spaces(g, cfg, np.random.default_rng(trial))
         messages = rng.standard_normal((2 * g.m, cfg.space_size))
         messages -= messages.max(axis=1, keepdims=True)
         tol = 0.4
         target_dir = int(g.out_dirs[0][0])
         steps = len(g.out_dirs[0]) - 1
-        dx = (steps + 1) * cfg.conv_x_step
+        dx = (steps + 1) * cfg.delta_nu
 
         tables = _sweep_tables(inst, spaces)
         others = [int(d) for d in g.out_dirs[0] if int(d) != target_dir]
@@ -319,14 +318,14 @@ def test_convolution_brackets_exhaustive():
             max(float(np.max(np.abs(tables.lyp_in[d]))),
                 float(np.max(np.abs(tables.lym_in[d]))))
             for d in others), 1e-6)
-        y_step = 2.0 * y_span / (cfg.conv_y_bins - 1)
+        y_step = 2.0 * y_span / (_CONV_Y_BINS - 1)
         eps = 2.0 * inst.fields[0] * (steps + 1) * y_step
 
-        conv = convolution_inner_max(inst, g, spaces, messages, 0, target_dir,
+        conv = convolution_inner_max(inst, spaces, messages, 0, target_dir,
                                      tol, cfg)
-        lo = exhaustive_inner_max(inst, g, spaces, messages, 0, target_dir,
+        lo = exhaustive_inner_max(inst, spaces, messages, 0, target_dir,
                                   tol - dx, cfg)
-        hi = exhaustive_inner_max(inst, g, spaces, messages, 0, target_dir,
+        hi = exhaustive_inner_max(inst, spaces, messages, 0, target_dir,
                                   tol + dx, cfg)
         both = np.isfinite(conv) | np.isfinite(lo) | np.isfinite(hi)
         ok_low = np.where(np.isfinite(lo), conv >= lo - eps - 1e-9, True)
@@ -363,7 +362,7 @@ KERNEL_IDS = ["pm_one-3rrg", "tree", "star", "gaussian-4rrg", "isolated-site"]
 
 
 def _kernel_inputs(inst, infeasible):
-    g = ClassicalGraph.from_instance(inst)
+    g = inst.graph
     cfg = GSConfig(space_size=6, k_cap=1.0, half_b=0 if infeasible else 60)
     if infeasible:
         spaces = _infeasible_spaces(g, cfg.space_size)
@@ -408,10 +407,10 @@ def test_window_kernels_split_blocks_match_dense(monkeypatch):
         assert value.tobytes() == want.tobytes()
         assert _batched_exhaustive(value, messages, nbrs).tobytes() == (
             batched_exhaustive_dense(want, messages, nbrs).tobytes())
-        got = _site_maxes(inst, g, tables, messages, 0.5, cfg)
+        got = _site_maxes(inst, tables, messages, 0.5, cfg)
         for site in range(g.n):
             ref_value, ref_b, ref_choice = site_shift_max_loop(
-                inst, g, tables, messages, 0.5, cfg, site)
+                inst, tables, messages, 0.5, cfg, site)
             assert got[0][site] == ref_value and got[1][site] == ref_b
             assert {d: int(got[2][d]) for d in ref_choice} == ref_choice
 
@@ -420,7 +419,7 @@ def test_window_values_peak_memory():
     # G = 36 directed edges, S = 20, C = 400: the table is 2.3 MB, while
     # building it in one piece held about 17 temporaries of that size
     inst = generate_rrg(12, 3, law="pm_one", h=1.0, seed=2)
-    g = ClassicalGraph.from_instance(inst)
+    g = inst.graph
     cfg = GSConfig(space_size=20, k_cap=1.0)
     spaces = init_spaces(g, cfg, np.random.default_rng(0))
     tables = _sweep_tables(inst, spaces)
@@ -443,11 +442,11 @@ def _check_site_maxes(inst, infeasible):
     infeasible_sites = 0
     # the small tolerances leave some sites without any admissible combination
     for tol in (0.05, 0.2, 1.0):
-        value, b, pick = _site_maxes(inst, g, tables, messages, tol, cfg)
+        value, b, pick = _site_maxes(inst, tables, messages, tol, cfg)
         assert value.shape == b.shape == (g.n,) and pick.shape == (2 * g.m,)
         for site in range(g.n):
             ref_value, ref_b, ref_choice = site_shift_max_loop(
-                inst, g, tables, messages, tol, cfg, site)
+                inst, tables, messages, tol, cfg, site)
             assert np.float64(value[site]).tobytes() == np.float64(ref_value).tobytes()
             assert np.float64(b[site]).tobytes() == np.float64(ref_b).tobytes()
             assert {d: int(pick[d]) for d in ref_choice} == ref_choice
@@ -462,9 +461,9 @@ def _check_site_maxes(inst, infeasible):
     for site in np.flatnonzero(g.degrees):
         cut = messages.copy()
         cut[g.out_dirs[site] ^ 1] = -np.inf
-        value, b, pick = _site_maxes(inst, g, tables, cut, 1.0, cfg)
+        value, b, pick = _site_maxes(inst, tables, cut, 1.0, cfg)
         ref_value, ref_b, ref_choice = site_shift_max_loop(
-            inst, g, tables, cut, 1.0, cfg, site)
+            inst, tables, cut, 1.0, cfg, site)
         assert value[site] == ref_value == -np.inf
         assert b[site] == ref_b
         assert {d: int(pick[d]) for d in ref_choice} == ref_choice
@@ -485,10 +484,10 @@ def test_grouped_extract_matches_per_site_loop(inst):
     g, cfg, spaces, tables, messages = _kernel_inputs(inst, False)
     # finite edge weights, as gs_solve extracts only then
     messages = np.where(np.isfinite(messages), messages, -3.0)
-    weights = gs_weights(inst, g, spaces, messages)
+    weights = gs_weights(inst, spaces, messages)
     for tol in (0.05, 0.2, 1.0):
-        got = _extract(inst, g, spaces, messages, tol, cfg)
-        want = extract_loop(inst, g, spaces, messages, tol, cfg, tables, weights)
+        got = _extract(inst, spaces, messages, tol, cfg)
+        want = extract_loop(inst, spaces, messages, tol, cfg, tables, weights)
         for a, b in zip(got[:3], want[:3]):
             assert a.tobytes() == b.tobytes()
         assert np.float64(got[3]).tobytes() == np.float64(want[3]).tobytes()
@@ -499,7 +498,7 @@ def test_combination_limit_raises_before_allocating():
     cfg = GSConfig(space_size=20)
     for leaves, call in ((7, "inner"), (6, "extract")):
         inst = testutil.star_instance(leaves, h=0.8, seed=1)
-        g = ClassicalGraph.from_instance(inst)
+        g = inst.graph
         spaces = init_spaces(g, cfg, np.random.default_rng(0))
         messages = np.zeros((2 * g.m, cfg.space_size))
         tracemalloc.start()
@@ -507,10 +506,10 @@ def test_combination_limit_raises_before_allocating():
             # 20**6 combinations of the centre's other edges, or of all of them
             with pytest.raises(SearchSpaceError, match="64000000.*space_size"):
                 if call == "inner":
-                    exhaustive_inner_max(inst, g, spaces, messages, 0,
+                    exhaustive_inner_max(inst, spaces, messages, 0,
                                          int(g.out_dirs[0][0]), 0.2, cfg)
                 else:
-                    _extract(inst, g, spaces, messages, 0.2, cfg)
+                    _extract(inst, spaces, messages, 0.2, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -532,7 +531,7 @@ def test_combo_index_is_cached_read_only_and_limit_checked():
 
 def test_resample_keeps_best_states():
     inst = generate_chain(3, law="ferro", h=1.0, seed=0)
-    g = ClassicalGraph.from_instance(inst)
+    g = inst.graph
     cfg = GSConfig(space_size=6)
     spaces = init_spaces(g, cfg, np.random.default_rng(1))
     weights = np.random.default_rng(2).standard_normal((g.m, 6))
@@ -555,7 +554,7 @@ def test_resample_keeps_best_states():
 ], ids=["own-best", "centers", "dead-edges", "far-centers"])
 def test_resample_matches_scalar_loop(centers, dead):
     inst = generate_rrg(12, 3, law="pm_one", h=1.0, seed=2)
-    g = ClassicalGraph.from_instance(inst)
+    g = inst.graph
     # a coarse capped k grid makes duplicate proposals; the far case has
     # 3 states in all (k in -0.1, 0, 0.1 and nu 0) for 10 slots, so its
     # 60 proposals run out, uniform draws follow and, from the 400th try
@@ -585,11 +584,11 @@ def test_resample_matches_scalar_loop(centers, dead):
 
 def test_weights_are_bond_scores():
     inst = generate_chain(3, law="gaussian", h=0.5, seed=2)
-    g = ClassicalGraph.from_instance(inst)
+    g = inst.graph
     cfg = GSConfig(space_size=5)
     spaces = init_spaces(g, cfg, np.random.default_rng(0))
     messages = np.zeros((2 * g.m, 5))
-    w = gs_weights(inst, g, spaces, messages)
+    w = gs_weights(inst, spaces, messages)
     assert w.shape == (g.m, 5)
     assert np.all(np.isfinite(w))
 

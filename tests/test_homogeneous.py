@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import testutil
-from isingbp import ClassicalGraph, ParameterSet, bp_fixed_point, observables
+from isingbp import ParameterSet, bp_fixed_point, observables
 from isingbp.classical_bp import field_shift
 from isingbp.homogeneous import (
     HomogConfig,
@@ -46,7 +46,7 @@ def test_ring_matches_uniform_bp():
              (generate_rrg(40, 3, "ferro", h=h, seed=1), 3),
              (generate_rrg(40, 4, "ferro", h=h, seed=2), 4)]
     for inst, degree in cases:
-        graph = ClassicalGraph.from_instance(inst)
+        graph = inst.graph
         assert np.all(graph.degrees == degree)
         params = ParameterSet(np.full(inst.n, b), np.full(inst.m, k))
         nu_bp, rep = bp_fixed_point(graph, params)
@@ -59,7 +59,7 @@ def test_ring_matches_uniform_bp():
         assert np.isclose(nu[match], nu_bp[0], atol=1e-8)
 
         energy, m_z, sigma_x = homog_energy(h, degree, b, k, nu[match])
-        obs = observables(inst, graph, params, nu_bp)
+        obs = observables(inst, params, nu_bp)
         assert np.isclose(energy, obs.energy / inst.n, atol=1e-9)
         assert np.isclose(m_z, obs.sigma_z[0], atol=1e-8)
         assert np.isclose(sigma_x, obs.sigma_x[0], atol=1e-8)

@@ -40,6 +40,8 @@ def test_single_spin_no_edges():
          fields=[0.0] * 3),
     dict(n=2, edge_index=[[0, 1]], couplings=[np.inf], fields=[0.0, 0.0]),
     dict(n=2, edge_index=[[0, 1]], couplings=[1.0, 2.0], fields=[0.0, 0.0]),
+    # rows out of order: edge e of the instance must be edge e of its graph
+    dict(n=3, edge_index=[[1, 2], [0, 1]], couplings=[1.0, 2.0], fields=[0.0] * 3),
 ])
 def test_invalid_instances(kwargs):
     with pytest.raises(InstanceError):
@@ -53,6 +55,15 @@ def test_with_uniform_field():
     assert np.array_equal(out.edge_index, inst.edge_index)
     with pytest.raises(InstanceError):
         inst.with_uniform_field(-1.0)
+    # one read-only graph per instance, shared by its field variants
+    assert out.graph is inst.graph and inst.graph is inst.graph
+    assert out.edge_index is inst.edge_index and out.couplings is inst.couplings
+    assert np.array_equal(inst.graph.edge_index, inst.edge_index)
+    for values in (inst.edge_index, inst.couplings, inst.fields, out.fields):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0
+    with pytest.raises(AttributeError):
+        inst.fields = out.fields
 
 
 def test_save_load_round_trip():
@@ -139,7 +150,7 @@ def test_rrg_generation():
 
 def test_directed_edge_convention():
     inst = generate_chain(4, law="ferro", h=0.0, seed=0)
-    g = ClassicalGraph.from_instance(inst)
+    g = inst.graph
     for e in range(g.m):
         lo, hi = g.edge_index[e]
         assert g.src[2 * e] == lo and g.dst[2 * e] == hi

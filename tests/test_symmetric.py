@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import testutil
 from isingbp import (
-    ClassicalGraph,
     ParameterSet,
     QuantumInstance,
     generate_chain,
@@ -83,10 +82,10 @@ def test_single_bond_closed_form():
 def test_tree_energies_are_quantum_expectations(seed):
     rng = np.random.default_rng(60 + seed)
     inst = testutil.random_tree(int(rng.integers(2, 9)), rng)
-    graph = ClassicalGraph.from_instance(inst)
+    graph = inst.graph
     sol = ss_maxsum_solve(inst)
     params = ParameterSet(np.zeros(inst.n), sol.k)
-    assert np.isclose(sol.energy, quantum_expectation(inst, graph, params),
+    assert np.isclose(sol.energy, quantum_expectation(inst, params),
                       atol=1e-9)
     e0 = float(np.linalg.eigvalsh(dense_hamiltonian(inst))[0])
     assert sol.energy >= e0 - 1e-9
