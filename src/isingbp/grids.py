@@ -81,22 +81,20 @@ def argmax_tiebreak(table: np.ndarray, values: np.ndarray) -> int:
 _EPS = 1e-9  # message residual at which both MaxSum solvers converge
 
 
-def _maxsum_loop(sweep, shape, loopy: bool, seed: int, max_iters: int,
-                 patience: int | None = None):
+def _maxsum_loop(sweep, shape, loopy: bool, seed: int, max_iters: int):
     """Iterate sweep(messages) -> messages over a (directed edge, grid value)
     table, normalized to max zero per message, until the residual reaches _EPS.
 
     A loopy graph's zero start is jittered by a seeded draw in [-1e-8, 0].
-    Without convergence the best-residual message set seen is returned; with
-    patience set, the loop also stops after that many sweeps without a new
-    best.  Returns (messages, converged, iterations, residual).
+    Without convergence within max_iters sweeps the best-residual message
+    set seen is returned.  Returns (messages, converged, iterations, residual).
     """
     check_count("max_iters", max_iters, 1)
     messages = (np.random.default_rng(seed).uniform(-1e-8, 0.0, size=shape)
                 if loopy else np.zeros(shape))
     best = (np.inf, messages.copy())
     converged = False
-    iterations = stale = 0
+    iterations = 0
     for iterations in range(1, max_iters + 1):
         new = sweep(messages)
         new -= new.max(axis=1, keepdims=True)
@@ -104,13 +102,8 @@ def _maxsum_loop(sweep, shape, loopy: bool, seed: int, max_iters: int,
         messages = new
         if residual < best[0]:
             best = (residual, messages.copy())
-            stale = 0
-        else:
-            stale += 1
         if residual <= _EPS:
             converged = True
-            break
-        if patience is not None and stale >= patience:
             break
     if not converged:
         residual, messages = best

@@ -214,6 +214,22 @@ class ClassicalGraph:
             groups[int(deg)] = (sites, dirs)
         return groups
 
+    @cached_property
+    def colour_classes(self) -> list:
+        """A greedy proper colouring: sites in index order each take the
+        smallest colour no lower-indexed neighbour holds.
+
+        Returns one increasing site array per colour; no two sites of a
+        class are neighbours, and there are at most max degree + 1 classes.
+        """
+        colour = np.empty(self.n, dtype=np.int64)
+        for s in range(self.n):
+            nbrs = self.dst[self.out_dirs[s]]
+            taken = set(colour[nbrs[nbrs < s]].tolist())
+            colour[s] = min(set(range(len(taken) + 1)) - taken)
+        return [np.flatnonzero(colour == c)
+                for c in range(int(colour.max(initial=-1)) + 1)]
+
     def bfs_order(self, root: int = 0) -> np.ndarray:
         """Sites in BFS order from root, unseen components appended in index order."""
         seen = np.zeros(self.n, dtype=bool)

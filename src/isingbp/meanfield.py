@@ -1,11 +1,12 @@
-"""Product (mean-field) trial states optimized by MaxSum message passing.
+"""Product (mean-field) trial states optimized on a grid of field values.
 
 With all pair couplings of the trial measure at zero the variational
 energy is a sum of single-site and single-bond terms in the per-spin
-fields alone.  MaxSum over a grid of field values then finds the optimal
-product state; on trees it returns the exact grid optimum.  The energy of
-a product state is a true quantum expectation value, so the result is
-always an upper bound on the ground-state energy.
+fields alone.  On forests MaxSum over the grid finds the optimal product
+state; on loopy graphs a colour-class coordinate descent over the same
+grid finds a local optimum.  The energy of a product state is a true
+quantum expectation value, so the result is always an upper bound on the
+ground-state energy.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical_bp import ParameterSet, observables
-from .grids import Grid, _maxsum_loop, argmax_tiebreak
+from .grids import (Grid, _maxsum_loop, argmax_tiebreak, check_count,
+                    tiebreak_order)
 from .instance import QuantumInstance
 
 DEFAULT_FIELD_GRID = Grid(step=0.02, half_count=150)
@@ -45,8 +47,6 @@ class MFSolution:
     iterations: int
     residual: float
 
-
-_PATIENCE = 50  # sweeps without a better residual before the loop gives up
 
 # Row groups of the hop kernel: more groups give tighter bounds and
 # narrower windows but more bound passes; eight measured fastest at nb = 301.
@@ -131,20 +131,43 @@ def _hop_tables(j_tanh, tanh_vals, messages):
 
 def mf_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_FIELD_GRID,
                     max_iters: int = 1000, seed: int = 0) -> MFSolution:
-    """MaxSum over the field grid; returns extracted fields, their energy
-    and the m_x and q_z of the product state.
+    """Product state on the field grid; returns its fields, their energy
+    and the m_x and q_z of the state.
 
-    If the sweeps do not converge (possible on loopy graphs) the extraction
-    uses the best message set seen, and the loop gives up after _PATIENCE
-    (50) sweeps without a better residual: oscillating message sets stop
-    giving new information long before max_iters.  The energy is a valid
-    upper bound either way.  Extraction decides sites in BFS order,
-    conditioning each arg-max on already-decided neighbors, which keeps
-    tied optima globally consistent; remaining ties go to the smallest
-    |b|, negative first.
+    On a forest MaxSum finds the exact grid optimum in diameter + 1
+    sweeps; without convergence within max_iters sweeps the extraction
+    uses the best message set seen.  Extraction decides sites in BFS
+    order, conditioning each arg-max on already-decided neighbors, which
+    keeps tied optima globally consistent; remaining ties go to the
+    smallest |b|, negative first.
+
+    On a loopy graph, where MaxSum need not converge, a colour-class
+    descent (_descent) runs instead and max_iters caps the passes of each
+    start.  Its result is a local optimum on the grid.  The energy is an
+    exact expectation value, so it is an upper bound on either path.
     """
+    check_count("max_iters", max_iters, 1)
+    if inst.graph.is_forest:
+        b_star, converged, iterations, residual = _maxsum(inst, grid.values,
+                                                          max_iters)
+    else:
+        b_star, converged, iterations, residual = _descent(inst, grid,
+                                                           max_iters, seed)
+    obs = _observables(inst, b_star)
+    return MFSolution(
+        b=b_star,
+        energy=obs.energy,
+        m_x=obs.m_x,
+        q_z=obs.q_z,
+        converged=converged,
+        iterations=iterations,
+        residual=residual,
+    )
+
+
+def _maxsum(inst, vals, max_iters):
+    """MaxSum sweeps and extraction; returns (b, converged, sweeps, residual)."""
     graph = inst.graph
-    vals = grid.values
     nb = vals.size
     tanh_vals = np.tanh(2.0 * vals)
     site_term = inst.fields[:, None] / np.cosh(2.0 * vals)[None, :]
@@ -159,20 +182,104 @@ def mf_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_FIELD_GRID,
         return site_src + hop_sum[graph.src] - hop[rev]
 
     messages, converged, iterations, residual = _maxsum_loop(
-        sweep, (2 * graph.m, nb), not graph.is_forest, seed, max_iters,
-        _PATIENCE)
-
+        sweep, (2 * graph.m, nb), False, 0, max_iters)
     b_star = _extract_fields(inst, vals, tanh_vals, j_tanh, site_term, messages)
-    obs = _observables(inst, b_star)
-    return MFSolution(
-        b=b_star,
-        energy=obs.energy,
-        m_x=obs.m_x,
-        q_z=obs.q_z,
-        converged=converged,
-        iterations=iterations,
-        residual=residual,
-    )
+    return b_star, converged, iterations, residual
+
+
+_RANDOM_STARTS = 8  # seeded grid draws besides b = 0 and the saturated start
+_WINDOW = np.array([-1, 0, 1])  # grid offsets around v* that hold the arg-max
+
+
+def _descent(inst, grid, max_iters, seed):
+    """Iterated conditional modes over the colour classes of the graph.
+
+    With its neighbours fixed, site i contributes
+    -(h_i sech(2b_i) + L_i tanh(2b_i)) to the energy, where
+    L_i = sum_j J_ij tanh(2b_j).  The sites of one colour class share no
+    bond, so each moves at once to the arg-max of h_i sech(2v) +
+    L_i tanh(2v) over the grid, first in tiebreak_order, but only where
+    that beats its current value: the energy falls strictly with every
+    move, and a pass without a move is a fixed point.
+
+    The arg-max needs three grid values, not the whole grid.  With
+    R = hypot(h_i, L_i) and sin(theta) = tanh(2v), the objective is
+    R cos(theta - phi) with sin(phi) = L_i / R; theta increases with v, so
+    the objective is unimodal in v and its grid maximum is one of the two
+    grid values around v* = atanh(L_i / R) / 2.  Both lie within one step
+    of the grid value nearest to v*, and the three are compared with the
+    same float expression, ties going to the first in tiebreak_order.
+
+    The starts are b = 0, b = max(grid) everywhere (b = min(grid) is its
+    mirror image, since E(b) = E(-b)) and _RANDOM_STARTS seeded uniform
+    draws from the grid; they run together as the rows of one array, and
+    a row stops once a pass leaves it unchanged, or after max_iters passes.
+    Returns (b, converged, passes, residual) of the start with the lowest
+    reported energy, the first one on ties; the residual is the largest
+    energy drop of one move in its last pass, 0 at a fixed point.
+    """
+    graph = inst.graph
+    vals = grid.values
+    n, nb = graph.n, vals.size
+    tanh_vals = np.tanh(2.0 * vals)
+    sech_vals = 1.0 / np.cosh(2.0 * vals)
+    rank = np.empty(nb, dtype=np.int64)
+    rank[tiebreak_order(vals)] = np.arange(nb)
+    draws = np.random.default_rng(seed).integers(nb, size=(_RANDOM_STARTS, n))
+    state = np.vstack([np.full((1, n), np.argmin(np.abs(vals))),
+                       np.full((1, n), nb - 1), draws])
+    # one zero column past the last site pads the neighbour tables
+    t = np.zeros((state.shape[0], n + 1))
+    t[:, :n] = tanh_vals[state]
+    j_dir = inst.couplings[graph.edge_of_dir]
+    classes = []
+    for sites in graph.colour_classes:
+        deg = graph.degrees[sites]
+        slot = np.arange(int(deg.max(initial=0)))
+        real = slot < deg[:, None]
+        dirs = graph.dir_order[np.where(real, graph.dir_start[sites][:, None]
+                                        + slot, 0)]
+        classes.append((sites, inst.fields[sites],
+                        np.where(real, graph.dst[dirs], n),
+                        np.where(real, j_dir[dirs], 0.0)))
+
+    passes = np.full(state.shape[0], max_iters)
+    drop = np.zeros(state.shape[0])
+    active = np.arange(state.shape[0])
+    for sweep in range(1, max_iters + 1):
+        drop[active] = 0.0
+        rows = active[:, None]
+        for sites, h, nbrs, j in classes:
+            local = (t[rows[:, :, None], nbrs] * j).sum(axis=2)
+            sin_phi = np.divide(local, np.hypot(h, local),
+                                out=np.zeros_like(local), where=local != 0.0)
+            np.clip(sin_phi, tanh_vals[0], tanh_vals[-1], out=sin_phi)
+            centre = np.rint((0.5 * np.arctanh(sin_phi) - vals[0]) / grid.step)
+            cand = np.clip(centre.astype(np.int64)[:, :, None] + _WINDOW,
+                           0, nb - 1)
+            cand = np.take_along_axis(cand, rank[cand].argsort(axis=2), axis=2)
+            score = (h[:, None] * sech_vals[cand]
+                     + local[:, :, None] * tanh_vals[cand])
+            pick = score.argmax(axis=2)[:, :, None]
+            cur = state[rows, sites]
+            gain = (np.take_along_axis(score, pick, axis=2)[:, :, 0]
+                    - (h * sech_vals[cur] + local * tanh_vals[cur]))
+            move = gain > 0.0
+            new = np.where(move, np.take_along_axis(cand, pick, axis=2)[:, :, 0],
+                           cur)
+            state[rows, sites] = new
+            t[rows, sites] = tanh_vals[new]
+            drop[active] = np.maximum(drop[active],
+                                      np.where(move, gain, 0.0).max(axis=1))
+        still = drop[active] > 0.0
+        passes[active[~still]] = sweep
+        active = active[still]
+        if not active.size:
+            break
+
+    win = int(np.argmin([_observables(inst, vals[row]).energy for row in state]))
+    return (vals[state[win]], win not in active, int(passes[win]),
+            float(drop[win]))
 
 
 def _extract_fields(inst, vals, tanh_vals, j_tanh, site_term, messages):

@@ -162,6 +162,55 @@ def hop_tables_dense(j_tanh, tanh_vals, messages):
     return hop
 
 
+def mf_descent_dense(inst, grid, max_iters, seed):
+    """Colour-class descent of meanfield._descent, one start and one site
+    at a time, each arg-max taken over the whole grid.
+
+    Same starts (b = 0, b = max(grid), then the seeded draws), the same
+    pass and stopping rule, and the winner is the first start of least
+    mf_energy.
+    Returns (b, converged, passes, residual).
+    """
+    from isingbp.grids import argmax_tiebreak
+    from isingbp.meanfield import _RANDOM_STARTS, mf_energy
+
+    graph = inst.graph
+    vals = grid.values
+    tanh_v, sech_v = np.tanh(2.0 * vals), 1.0 / np.cosh(2.0 * vals)
+    draws = np.random.default_rng(seed).integers(
+        vals.size, size=(_RANDOM_STARTS, inst.n))
+    starts = [np.full(inst.n, np.argmin(np.abs(vals))),
+              np.full(inst.n, vals.size - 1), *draws]
+    runs = []
+    for idx in starts:
+        idx = idx.copy()
+        converged, passes, drop = False, max_iters, 0.0
+        for sweep in range(1, max_iters + 1):
+            drop = 0.0
+            for sites in graph.colour_classes:
+                t = tanh_v[idx]
+                gains = np.zeros(sites.size)
+                new = idx.copy()
+                for pos, i in enumerate(sites):
+                    out = graph.out_dirs[i]
+                    local = np.sum(t[graph.dst[out]]
+                                   * inst.couplings[graph.edge_of_dir[out]])
+                    score = inst.fields[i] * sech_v + local * tanh_v
+                    best = argmax_tiebreak(score, vals)
+                    if score[best] > score[idx[i]]:
+                        gains[pos] = score[best] - score[idx[i]]
+                        new[i] = best
+                idx = new
+                drop = max(drop, gains.max())
+            if drop == 0.0:
+                converged, passes = True, sweep
+                break
+        runs.append((mf_energy(inst, vals[idx]), vals[idx], converged, passes,
+                     drop))
+    best = min(range(len(runs)), key=lambda r: runs[r][0])
+    return runs[best][1:]
+
+
 def _site_term(h, b, lyp, lym):
     """Transverse-field term of a site: 2h / (e^a1 + e^a2), scaled by max."""
     a1 = 2.0 * b + lyp

@@ -299,3 +299,31 @@ def test_csr_adjacency_without_edges():
     sites, dirs = g.site_groups[0]
     assert list(g.site_groups) == [0]
     assert np.array_equal(sites, [0, 1, 2]) and dirs.shape == (3, 0)
+
+
+@pytest.mark.parametrize("kind", ["gnp", "forest", "rrg"])
+@pytest.mark.parametrize("seed", range(4))
+def test_colour_classes_are_a_greedy_proper_colouring(kind, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9)) * 2 + (kind == "gnp")
+    g = ClassicalGraph(n, _random_graph_edges(kind, n, rng))
+    classes = g.colour_classes
+    assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(n))
+    colour = np.empty(n, dtype=np.int64)
+    for c, sites in enumerate(classes):
+        assert sites.size and np.array_equal(sites, np.sort(sites))
+        colour[sites] = c
+    i, j = g.edge_index.T
+    assert np.all(colour[i] != colour[j])
+    # greedy in site order: each site has a lower-indexed neighbour of
+    # every smaller colour
+    for s in range(n):
+        nbrs = g.dst[g.out_dirs[s]]
+        assert set(range(colour[s])) <= set(colour[nbrs[nbrs < s]].tolist())
+    assert len(classes) <= int(g.degrees.max(initial=0)) + 1
+
+
+def test_colour_classes_without_sites_or_edges():
+    assert ClassicalGraph(0, np.zeros((0, 2), dtype=np.int64)).colour_classes == []
+    (sites,) = ClassicalGraph(3, np.zeros((0, 2), dtype=np.int64)).colour_classes
+    assert np.array_equal(sites, [0, 1, 2])

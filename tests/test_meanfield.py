@@ -11,7 +11,7 @@ from isingbp import (QuantumInstance, generate_chain, generate_rrg, meanfield,
 from isingbp.exact import dense_hamiltonian
 from isingbp.grids import Grid
 from isingbp.meanfield import DEFAULT_FIELD_GRID, _hop_tables, mf_energy
-from oracles import hop_tables_dense, mf_chain_minimum
+from oracles import hop_tables_dense, mf_chain_minimum, mf_descent_dense
 
 COARSE = Grid(step=0.1, half_count=12)
 
@@ -76,12 +76,80 @@ def test_zero_field_aligns_with_couplings():
 
 
 def test_best_messages_survive_early_stop():
-    inst = generate_rrg(8, 3, law="pm_one", h=1.0, seed=2)
-    sol = mf_maxsum_solve(inst, grid=COARSE, max_iters=3)
+    # MaxSum on a forest: 3 sweeps are fewer than the tree needs, so the
+    # fields come from the best message set seen
+    tree = testutil.random_tree(10, np.random.default_rng(4))
+    sol = mf_maxsum_solve(tree, grid=COARSE, max_iters=3)
     assert not sol.converged
     assert np.isfinite(sol.energy)
-    e0 = float(np.linalg.eigvalsh(dense_hamiltonian(inst))[0])
+    e0 = float(np.linalg.eigvalsh(dense_hamiltonian(tree))[0])
     assert sol.energy >= e0 - 1e-9
+    # the loopy descent stopped after one pass, before its winning start
+    # reached a fixed point
+    loopy = generate_rrg(8, 3, law="pm_one", h=1.0, seed=2)
+    sol = mf_maxsum_solve(loopy, grid=COARSE, max_iters=1)
+    assert not sol.converged and sol.iterations == 1
+    assert np.isfinite(sol.energy)
+    e0 = float(np.linalg.eigvalsh(dense_hamiltonian(loopy))[0])
+    assert sol.energy >= e0 - 1e-9
+
+
+@pytest.mark.parametrize("grid", [DEFAULT_FIELD_GRID, COARSE,
+                                  Grid(step=0.05, half_count=40, cap=1.1)],
+                         ids=["default", "coarse", "capped"])
+@pytest.mark.parametrize("inst", [
+    generate_rrg(12, 3, law="pm_one", h=0.5, seed=7),
+    generate_rrg(12, 3, law="pm_one", h=0.0, seed=7),
+    generate_rrg(30, 3, law="gaussian", h=1.5, seed=77),
+    generate_rrg(20, 4, law="pm_one", h=3.0, seed=5),
+    testutil.ring_instance(9, j=-1.0, h=0.8),
+], ids=["glass-h0.5", "glass-h0", "gauss-h1.5", "deg4-h3", "odd-ring"])
+@pytest.mark.parametrize("max_iters", [2, 1000])
+def test_descent_matches_whole_grid_oracle(inst, grid, max_iters):
+    """The three-value arg-max of the descent picks what the whole grid
+    picks, so every start moves as in the site-by-site oracle."""
+    got = meanfield._descent(inst, grid, max_iters, seed=11)
+    want = mf_descent_dense(inst, grid, max_iters, seed=11)
+    assert np.array_equal(got[0], want[0])
+    assert got[1:] == want[1:]
+    sol = mf_maxsum_solve(inst, grid=grid, max_iters=max_iters, seed=11)
+    assert np.array_equal(sol.b, got[0])
+    assert (sol.converged, sol.iterations, sol.residual) == got[1:]
+    assert sol.converged == (sol.residual == 0.0)
+
+
+# Distance from lambda_max at which the descent must find the right phase.
+# Measured with the default grid (step 0.02) on ten +-J 3-RRGs with n=200
+# (seeds 0-9): at lambda_max - 0.08 the descent still ends at b = 0 on 7
+# of 10, at lambda_max - 0.1 it orders on all 10 (q_z 0.018-0.030), at
+# lambda_max - 0.15 with q_z 0.030-0.049.  A lone site cannot leave b = 0
+# (its local field is 0 there), and just below lambda_max the ordered
+# minimum is shallow and its fields smaller than the grid resolves, so
+# the descent from the other starts falls back to b = 0.  Above
+# lambda_max b = 0 is the global minimum for any margin.
+_LAMBDA_MARGIN = 0.15
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_paramagnet_exactly_above_top_coupling_eigenvalue(seed):
+    """For uniform h the b = 0 state is the product-state minimum iff
+    h >= lambda_max(J): with t = tanh(2b), sech = sqrt(1 - t^2) <= 1 - t^2/2
+    gives E(b) >= -n h + (h - lambda_max) |t|^2 / 2."""
+    inst = generate_rrg(200, 3, law="pm_one", h=1.0, seed=seed)
+    coupling = np.zeros((inst.n, inst.n))
+    i, j = inst.edge_index.T
+    coupling[i, j] = coupling[j, i] = inst.couplings
+    lam = float(np.linalg.eigvalsh(coupling)[-1])
+
+    above = inst.with_uniform_field(lam + _LAMBDA_MARGIN)
+    sol = mf_maxsum_solve(above)
+    assert sol.q_z == 0.0
+    assert sol.energy == -np.sum(above.fields)
+
+    below = inst.with_uniform_field(lam - _LAMBDA_MARGIN)
+    sol = mf_maxsum_solve(below)
+    assert sol.q_z > 0.0
+    assert sol.energy < -np.sum(below.fields)
 
 
 def _dense_hop_reference(couplings, tanh_vals, messages):
@@ -138,11 +206,14 @@ def test_hop_tables_bit_identical_to_dense(ndir, grid, law, messages):
     assert np.array_equal(_hop_tables(j_tanh, tanh_vals, msgs), want)
 
 
+_TREE = testutil.random_tree(30, np.random.default_rng(77))
+
+
 @pytest.mark.parametrize("inst", [
-    generate_rrg(30, 3, law="pm_one", h=1.5, seed=77),
-    generate_rrg(30, 3, law="pm_one", h=2.5, seed=77),
+    _TREE.with_uniform_field(1.5),
+    _TREE.with_uniform_field(2.5),
     generate_chain(14, law="gaussian", h=1.0, seed=42),
-], ids=["rrg-h1.5", "rrg-h2.5", "chain"])
+], ids=["tree-h1.5", "tree-h2.5", "chain"])
 def test_solve_identical_with_dense_hop_tables(inst, monkeypatch):
     got = mf_maxsum_solve(inst, seed=3)
     monkeypatch.setattr(meanfield, "_hop_tables", hop_tables_dense)

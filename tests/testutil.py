@@ -56,3 +56,27 @@ def star_instance(leaves, j_scale=1.0, h=1.0, seed=0):
         fields=np.full(leaves + 1, float(h)),
         seed=seed,
     )
+
+
+def relabel(inst, seed):
+    """Same physics under a seeded site permutation and gauge.
+
+    Site i becomes perm[i], and each bond's coupling changes sign once for
+    each of its ends whose spin is flipped (sign -1).  The spectrum and
+    every variational optimum stay the same.
+    """
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(inst.n)
+    sign = rng.choice([-1.0, 1.0], size=inst.n)
+    i, j = inst.edge_index.T
+    lo, hi = np.minimum(perm[i], perm[j]), np.maximum(perm[i], perm[j])
+    order = np.lexsort((hi, lo))
+    fields = np.empty(inst.n)
+    fields[perm] = inst.fields
+    return QuantumInstance(
+        n=inst.n,
+        edge_index=np.column_stack([lo, hi])[order],
+        couplings=(inst.couplings * sign[i] * sign[j])[order],
+        fields=fields,
+        seed=seed,
+    )
