@@ -414,110 +414,64 @@ def _site_maxes(inst, tables, messages, tol, cfg):
 
 
 def _inner_convolution(h_site, cfg, tol, tables, messages, target, nbr_dirs):
-    """Sequential inner max: fold neighbor edges one at a time into a table.
+    """Sequential inner max: fold neighbour edges one at a time into a table.
 
-    The table is indexed by the accumulated field shift x_plus, a running
-    guess slot x_rem (seeded free, decremented by each shift, finally
-    pinned to 2b plus the target's own shift so the per-step consistency
-    checks used the right total), and the two accumulated log flip-weight
-    factors, binned logarithmically.  Values are max-merged per bin, so
-    each fold costs (table entries) x (states) instead of the full product.
-    target is the directed edge the message goes out along and nbr_dirs
-    the other edges leaving its source; returns the value per target state.
+    The table is an (E, 4) array of bin keys and an (E,) array of values.
+    The keys are the accumulated field shift x_plus, a running guess x_rem
+    (seeded free, decremented by each shift, finally pinned to 2b plus the
+    target's own shift so the per-step consistency checks used the right
+    total) and the two accumulated log flip-weight factors, binned
+    logarithmically.  Each fold keeps the max value per key, so it costs
+    (table entries) x (states) instead of the full product.  target is
+    the directed edge the message goes out along and nbr_dirs the other
+    edges leaving its source; returns the value per target state.
     """
     x_step = cfg.delta_nu
-    k_scale = max(
-        float(np.max(np.abs(tables.u_in[d]))) for d in nbr_dirs
-    ) if len(nbr_dirs) else 0.0
+    k_scale = max((float(np.max(np.abs(tables.u_in[d]))) for d in nbr_dirs),
+                  default=0.0)
     y_span = 0.0
     for d in nbr_dirs:
-        y_span += max(
-            float(np.max(np.abs(tables.lyp_in[d]))),
-            float(np.max(np.abs(tables.lym_in[d]))),
-        )
-    y_span = max(y_span, 1e-6)
-    y_step = 2.0 * y_span / (_CONV_Y_BINS - 1)
-
-    b_max = cfg.half_b * cfg.delta_b
+        y_span += max(float(np.max(np.abs(tables.lyp_in[d]))),
+                      float(np.max(np.abs(tables.lym_in[d]))))
+    y_step = 2.0 * max(y_span, 1e-6) / (_CONV_Y_BINS - 1)
+    steps = np.array([x_step, x_step, y_step, y_step])
     t_u, t_nu = tables.u_in[target], tables.nu_out[target]
-    t_lyp, t_lym = tables.lyp_in[target], tables.lym_in[target]
-    n_t = t_u.size
-    u_t_max = float(np.max(np.abs(t_u))) if n_t else 0.0
-    nu_max = cfg.half_nu * cfg.delta_nu
+    u_t_max = float(np.max(np.abs(t_u))) if t_u.size else 0.0
     x_plus_span = k_scale * len(nbr_dirs) + x_step
-    x_rem_span = 2.0 * b_max + u_t_max + x_plus_span + nu_max + tol + x_step
-
-    def xbin(v):
-        return np.rint(np.asarray(v) / x_step).astype(np.int64)
-
-    def ybin(v):
-        return np.rint(np.asarray(v) / y_step).astype(np.int64)
-
-    rem0 = np.arange(-math.ceil(x_rem_span / x_step),
-                     math.ceil(x_rem_span / x_step) + 1, dtype=np.int64)
-    entries = {
-        "xp": np.zeros(rem0.size, dtype=np.int64),
-        "xr": rem0,
-        "yp": np.zeros(rem0.size, dtype=np.int64),
-        "ym": np.zeros(rem0.size, dtype=np.int64),
-        "val": np.zeros(rem0.size),
-    }
-
+    x_rem_span = (2.0 * (cfg.half_b * cfg.delta_b) + u_t_max + x_plus_span
+                  + cfg.half_nu * cfg.delta_nu + tol + x_step)
+    n_rem = math.ceil(x_rem_span / x_step)
+    keys = np.zeros((2 * n_rem + 1, 4), dtype=np.int64)
+    keys[:, 1] = np.arange(-n_rem, n_rem + 1)
+    val = np.zeros(keys.shape[0])
     for d in nbr_dirs:
         u = tables.u_in[d]
-        nu_out = tables.nu_out[d]
-        xp = entries["xp"][:, None] * x_step + u[None, :]
-        xr = entries["xr"][:, None] * x_step - u[None, :]
-        pred = (entries["xp"] + entries["xr"])[:, None] * x_step - u[None, :]
-        ok = np.abs(nu_out[None, :] - pred) <= tol + 1e-12
+        pred = (keys[:, 0] + keys[:, 1])[:, None] * x_step - u
+        ok = np.abs(tables.nu_out[d] - pred) <= tol + 1e-12
         if not np.any(ok):
-            return np.full(n_t, -np.inf)
-        yp = entries["yp"][:, None] * y_step + tables.lyp_in[d][None, :]
-        ym = entries["ym"][:, None] * y_step + tables.lym_in[d][None, :]
-        val = entries["val"][:, None] + messages[d ^ 1][None, :]
-        flat_ok = ok.ravel()
-        cols = {
-            "xp": xbin(xp).ravel()[flat_ok],
-            "xr": xbin(xr).ravel()[flat_ok],
-            "yp": ybin(yp).ravel()[flat_ok],
-            "ym": ybin(ym).ravel()[flat_ok],
-        }
-        vals = val.ravel()[flat_ok]
-        key = np.stack([cols["xp"], cols["xr"], cols["yp"], cols["ym"]])
-        order = np.lexsort(np.vstack([vals, key[::-1]]))
-        key_sorted = key[:, order]
-        new_group = np.ones(order.size, dtype=bool)
-        if order.size > 1:
-            new_group[1:] = np.any(key_sorted[:, 1:] != key_sorted[:, :-1], axis=0)
-        # lexsort put the max value last within each key group
-        last = np.flatnonzero(new_group)
-        last = np.append(last[1:] - 1, order.size - 1)
-        take = order[last]
-        entries = {name: col[take] for name, col in cols.items()}
-        entries["val"] = vals[take]
+            return np.full(t_u.size, -np.inf)
+        moved = np.stack([keys[:, 0, None] * x_step + u,
+                          keys[:, 1, None] * x_step - u,
+                          keys[:, 2, None] * y_step + tables.lyp_in[d],
+                          keys[:, 3, None] * y_step + tables.lym_in[d]], axis=2)
+        keys, group = np.unique(np.rint(moved[ok] / steps).astype(np.int64),
+                                axis=0, return_inverse=True)
+        folded = (val[:, None] + messages[d ^ 1])[ok]
+        val = np.full(keys.shape[0], -np.inf)
+        np.maximum.at(val, group, folded)
 
     b_vals = cfg.b_grid().values
-    out = np.full(n_t, -np.inf)
-    xp_c = entries["xp"] * x_step
-    xr_c = entries["xr"] * x_step
-    lyp_c = entries["yp"] * y_step
-    lym_c = entries["ym"] * y_step
-    for t in range(n_t):
-        want_rem = 2.0 * b_vals + t_u[t]
-        need_xp = t_nu[t] - 2.0 * b_vals
-        for bi, b in enumerate(b_vals):
-            mask = (np.abs(xp_c - need_xp[bi]) <= tol + 1e-12) & (
-                np.abs(xr_c - want_rem[bi]) <= 0.5 * x_step + 1e-12
-            )
-            if not np.any(mask):
-                continue
-            site = _site_term(
-                h_site, b, lyp_c[mask] + t_lyp[t],
-                lym_c[mask] + t_lym[t],
-            )
-            cand = float(np.max(site + entries["val"][mask]))
-            if cand > out[t]:
-                out[t] = cand
+    xp, xr, lyp, lym = (keys * steps).T
+    out = np.full(t_u.size, -np.inf)
+    for t in range(t_u.size):
+        bi, ei = np.nonzero(
+            (np.abs(xp - (t_nu[t] - 2.0 * b_vals)[:, None]) <= tol + 1e-12)
+            & (np.abs(xr - (2.0 * b_vals + t_u[t])[:, None])
+               <= 0.5 * x_step + 1e-12))
+        if bi.size:
+            out[t] = np.max(_site_term(
+                h_site, b_vals[bi], lyp[ei] + tables.lyp_in[target][t],
+                lym[ei] + tables.lym_in[target][t]) + val[ei])
     return out
 
 
@@ -761,7 +715,7 @@ def gs_solve(inst: QuantumInstance, cfg: GSConfig | None = None) -> GSResult:
 
     mf = mf_maxsum_solve(inst, seed=cfg.seed)
     nu_mf = 2.0 * mf.b[graph.src]
-    ss = ss_maxsum_solve(inst, seed=cfg.seed)
+    ss = ss_maxsum_solve(inst)
     candidates = [  # (label, b, k, nu_init)
         ("meanfield-seed", mf.b.copy(), np.zeros(graph.m), nu_mf),
         ("symmetric-seed", np.zeros(graph.n), ss.k.copy(), np.zeros(2 * graph.m)),

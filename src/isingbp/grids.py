@@ -81,17 +81,16 @@ def argmax_tiebreak(table: np.ndarray, values: np.ndarray) -> int:
 _EPS = 1e-9  # message residual at which both MaxSum solvers converge
 
 
-def _maxsum_loop(sweep, shape, loopy: bool, seed: int, max_iters: int):
+def _maxsum_loop(sweep, shape, max_iters: int):
     """Iterate sweep(messages) -> messages over a (directed edge, grid value)
-    table, normalized to max zero per message, until the residual reaches _EPS.
+    table, normalized to max zero per message, from zero until the residual
+    reaches _EPS.
 
-    A loopy graph's zero start is jittered by a seeded draw in [-1e-8, 0].
     Without convergence within max_iters sweeps the best-residual message
     set seen is returned.  Returns (messages, converged, iterations, residual).
     """
     check_count("max_iters", max_iters, 1)
-    messages = (np.random.default_rng(seed).uniform(-1e-8, 0.0, size=shape)
-                if loopy else np.zeros(shape))
+    messages = np.zeros(shape)
     best = (np.inf, messages.copy())
     converged = False
     iterations = 0

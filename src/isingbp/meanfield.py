@@ -182,7 +182,7 @@ def _maxsum(inst, vals, max_iters):
         return site_src + hop_sum[graph.src] - hop[rev]
 
     messages, converged, iterations, residual = _maxsum_loop(
-        sweep, (2 * graph.m, nb), False, 0, max_iters)
+        sweep, (2 * graph.m, nb), max_iters)
     b_star = _extract_fields(inst, vals, tanh_vals, j_tanh, site_term, messages)
     return b_star, converged, iterations, residual
 

@@ -104,8 +104,7 @@ def _mf(work, seed, options):
 
 def _ss(work, seed, options):
     grid = _grid_override(options, "delta_k", "half_k", cap_key="k_cap")
-    sol = ss_maxsum_solve(work, seed=seed, **grid,
-                          **_options(ss_maxsum_solve, options))
+    sol = ss_maxsum_solve(work, **grid, **_options(ss_maxsum_solve, options))
     return sol.energy / work.n, sol.m_x, sol.q_z, sol.converged, sol.iterations
 
 

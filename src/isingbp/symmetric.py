@@ -112,7 +112,7 @@ def _eval_front(front, c: np.ndarray) -> np.ndarray:
 
 
 def ss_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_COUPLING_GRID,
-                    max_iters: int = 1000, seed: int = 0) -> SSSolution:
+                    max_iters: int = 1000) -> SSSolution:
     """MaxSum over the coupling grid; extraction is a per-edge arg-max of
 
         w_e(K) = -J_e tanh(2K) + M_fwd(K) + M_rev(K),
@@ -126,7 +126,7 @@ def ss_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_COUPLING_GRID,
     bond_gain = inst.couplings[:, None] * np.tanh(2.0 * vals)[None, :]
 
     def sweep(messages):
-        fronts = [_envelope(sech.copy(), messages[d].copy())
+        fronts = [_envelope(sech, messages[d])
                   for d in range(2 * graph.m)]
         new = np.empty_like(messages)
         for d in range(2 * graph.m):
@@ -143,7 +143,7 @@ def ss_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_COUPLING_GRID,
         return new
 
     messages, converged, iterations, residual = _maxsum_loop(
-        sweep, (2 * graph.m, vals.size), not graph.is_forest, seed, max_iters)
+        sweep, (2 * graph.m, vals.size), max_iters)
 
     k_star = np.zeros(graph.m)
     for e in range(graph.m):

@@ -277,8 +277,10 @@ def test_set_keys_reach_the_solver(method, monkeypatch):
     run_cell(inst, "x", method, 0.5, seed=4, overrides=dict(SET_KEYS[method]))
     keys = SET_KEYS[method]
     grids = {"mf": Grid(0.02, 150), "ss": Grid(0.01, 200, cap=1.0)}
-    if method in grids:
+    if method == "mf":
         expected = ((), dict(seed=4, grid=grids[method], max_iters=1000))
+    elif method == "ss":  # ss takes no seed
+        expected = ((), dict(grid=grids[method], max_iters=1000))
     elif method == "exact":
         expected = ((), dict(seed=4, **keys))
     else:

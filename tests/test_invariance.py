@@ -3,9 +3,9 @@
 A site permutation and a gauge flip (testutil.relabel) change neither the
 spectrum of an instance nor the optimum of any trial family.  Each
 benchmark instance of tests/test_regression.py is solved on six such
-copies (seeds 1000-1005, each also the solver seed) at its workload's
-fields, and the spread of the per-spin energies over the copies is
-bounded.
+copies (seeds 1000-1005, each also the mf seed; ss takes none) at its
+workload's fields, and the spread of the per-spin energies over the
+copies is bounded.
 """
 
 import numpy as np
@@ -29,14 +29,24 @@ ROUNDING = 1e-15
 # and stays fixed.
 LOOPY_MF_SPREAD = 1e-4
 
-SOLVERS = {"mf": mf_maxsum_solve, "ss": ss_maxsum_solve}
+SOLVERS = {"mf": mf_maxsum_solve,
+           "ss": lambda inst, seed: ss_maxsum_solve(inst)}  # ss takes no seed
+
+
+def _cells():
+    # each (instance, field) once: a case may rerun an earlier instance
+    seen = set()
+    for name, build, _, fields, _ in CASES:
+        inst = build()
+        for h in fields:
+            key = (inst.edge_index.tobytes(), inst.couplings.tobytes(), h)
+            if key not in seen:
+                seen.add(key)
+                yield pytest.param(name, build, h, id=f"{name}-h{h}")
 
 
 @pytest.mark.parametrize("method", SOLVERS)
-@pytest.mark.parametrize("name,build,h", [
-    pytest.param(name, build, h, id=f"{name}-h{h}")
-    for name, build, _, fields, _ in CASES for h in fields
-])
+@pytest.mark.parametrize("name,build,h", list(_cells()))
 def test_energy_spread_over_relabelled_copies(name, build, h, method):
     inst = build()
     energies = []

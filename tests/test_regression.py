@@ -1,9 +1,10 @@
 """Fixed regression set: run_grid rows on the three benchmark instances.
 
 Every method runs on the instance of a perfbench workload, at that
-workload's fields and with its overrides, and each CSV row but time_ms
-must equal the checked-in tests/data/regression_rows.csv.  A change that
-moves any printed digit of any solver output fails here.
+workload's fields and with its overrides; one more gs case runs the
+convolution inner max on the rrg_glass instance.  Each CSV row but
+time_ms must equal the checked-in tests/data/regression_rows.csv.  A
+change that moves any printed digit of any solver output fails here.
 
 The file was written by this module's generator at a commit whose outputs
 are the reference, and is rewritten only when a change is meant to move
@@ -36,6 +37,11 @@ CASES = [
     ("rrg_scan", lambda: generate_rrg(30, 3, "pm_one", 1.0, 77),
      ("gs",), (2.0,),
      {"gs": {"space_size": 12, "outer_rounds": 8, "k_cap": 1.5}}),
+    # no workload runs the convolution inner max; this pins its sweeps
+    ("rrg_glass_conv", lambda: generate_rrg(12, 3, "pm_one", 1.0, 7),
+     ("gs",), (1.5,),
+     {"gs": {"inner": "convolution", "space_size": 3, "outer_rounds": 3,
+             "k_cap": 2.0}}),
 ]
 
 
