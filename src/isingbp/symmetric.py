@@ -16,7 +16,10 @@ for a target coupling K_ij it is max over combos of
 [c * prod_k sech(2 K_ik) + sum_k M_k] with c = h_i sech(2 K_ij) >= 0, a
 maximum of lines in c, so pruning each neighbor table to its upper
 envelope and composing the envelopes gives the exhaustive answer exactly
-at a fraction of the cost, at any degree.
+at a fraction of the cost, at any degree.  Composing two envelopes takes
+the envelope of their a*b product lines; a dominance prefilter on the
+(a, b) table drops most of them before the sort, only lines the envelope
+drops anyway, so the composed front is the same bytes.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical_bp import ParameterSet, observables
-from .grids import Grid, _maxsum_loop, argmax_tiebreak
+from .grids import Grid, _maxsum_loop, tiebreak_order
 from .instance import QuantumInstance
 
 DEFAULT_COUPLING_GRID = Grid(step=0.01, half_count=200)
@@ -94,11 +97,30 @@ def _envelope(p: np.ndarray, q: np.ndarray):
 
 
 def _compose(front_a, front_b):
+    """Upper envelope of the product lines (pa_i * pb_j, qa_i + qb_j).
+
+    Before the sort, a line is dropped when an anti-diagonal neighbour in
+    the (i, j) table, (i+1, j-1) or (i-1, j+1), is strictly steeper and no
+    lower.  _envelope drops every such line anyway, with every line of
+    equal (p, q): the steeper one, or the end of a chain of such
+    neighbours, dominates them all and survives.  The survivors keep their
+    row-major order, so the stable sort breaks ties as on the full
+    product and the result is the same bytes.  On hulls, with slopes
+    rising and intercepts falling along both axes, what is left to sort
+    is a small multiple of the product's Pareto staircase.
+    """
     pa, qa = front_a
     pb, qb = front_b
-    p = (pa[:, None] * pb[None, :]).ravel()
-    q = (qa[:, None] + qb[None, :]).ravel()
-    return _envelope(p, q)
+    p = pa[:, None] * pb[None, :]
+    q = qa[:, None] + qb[None, :]
+    drop = np.zeros(p.shape, dtype=bool)
+    # (i, j) against (i+1, j-1), and (i+1, j-1) against (i, j)
+    lo_p, lo_q = p[:-1, 1:], q[:-1, 1:]
+    hi_p, hi_q = p[1:, :-1], q[1:, :-1]
+    drop[:-1, 1:] = (hi_p > lo_p) & (hi_q >= lo_q)
+    drop[1:, :-1] |= (lo_p > hi_p) & (lo_q >= hi_q)
+    keep = ~drop
+    return _envelope(p[keep], q[keep])
 
 
 def _eval_front(front, c: np.ndarray) -> np.ndarray:
@@ -145,10 +167,10 @@ def ss_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_COUPLING_GRID,
     messages, converged, iterations, residual = _maxsum_loop(
         sweep, (2 * graph.m, vals.size), max_iters)
 
-    k_star = np.zeros(graph.m)
-    for e in range(graph.m):
-        weight = -bond_gain[e] + messages[2 * e] + messages[2 * e + 1]
-        k_star[e] = vals[argmax_tiebreak(weight, vals)]
+    # one arg-max per edge over the grid in tie-break order
+    order = tiebreak_order(vals)
+    weight = -bond_gain + messages[0::2] + messages[1::2]
+    k_star = vals[order[np.argmax(weight[:, order], axis=1)]]
     obs = _observables(inst, k_star)
     return SSSolution(
         k=k_star,

@@ -447,3 +447,16 @@ def envelope_loop(p, q):
         hull_p.append(x)
         hull_q.append(y)
     return np.asarray(hull_p), np.asarray(hull_q)
+
+
+def compose_loop(front_a, front_b):
+    """Upper envelope of all a*b product lines (pa_i * pb_j, qa_i + qb_j).
+
+    The whole product in row-major order goes to envelope_loop, with no
+    pruning before the sort.  Returns (p, q) arrays.
+    """
+    pa, qa = front_a
+    pb, qb = front_b
+    p = (pa[:, None] * pb[None, :]).ravel()
+    q = (qa[:, None] + qb[None, :]).ravel()
+    return envelope_loop(p, q)

@@ -2,10 +2,9 @@
 
 A site permutation and a gauge flip (testutil.relabel) change neither the
 spectrum of an instance nor the optimum of any trial family.  Each
-benchmark instance of tests/test_regression.py is solved on six such
-copies (seeds 1000-1005, each also the mf seed; ss takes none) at its
-workload's fields, and the spread of the per-spin energies over the
-copies is bounded.
+instance of tests/test_regression.py is solved on six such copies
+(seeds 1000-1005, each also the mf seed; ss takes none) at its fields,
+and the spread of the per-spin energies over the copies is bounded.
 """
 
 import numpy as np

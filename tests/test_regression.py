@@ -2,9 +2,10 @@
 
 Every method runs on the instance of a perfbench workload, at that
 workload's fields and with its overrides; one more gs case runs the
-convolution inner max on the rrg_glass instance.  Each CSV row but
-time_ms must equal the checked-in tests/data/regression_rows.csv.  A
-change that moves any printed digit of any solver output fails here.
+convolution inner max on the rrg_glass instance, and one ss case runs on
+a Gaussian 4-regular graph.  Each CSV row but time_ms must equal the
+checked-in tests/data/regression_rows.csv.  A change that moves any
+printed digit of any solver output fails here.
 
 The file was written by this module's generator at a commit whose outputs
 are the reference, and is rewritten only when a change is meant to move
@@ -42,6 +43,9 @@ CASES = [
      ("gs",), (1.5,),
      {"gs": {"inner": "convolution", "space_size": 3, "outer_rounds": 3,
              "k_cap": 2.0}}),
+    # workload sites have degree <= 3; this pins ss composing three fronts
+    ("rrg4_ss", lambda: generate_rrg(12, 4, "gaussian", 1.0, 7), ("ss",), (1.0,),
+     {}),
 ]
 
 

@@ -16,7 +16,7 @@ from isingbp.enumeration import quantum_expectation
 from isingbp.exact import dense_hamiltonian
 from isingbp.grids import Grid
 from isingbp.symmetric import _compose, _envelope, ss_energy
-from oracles import envelope_loop, ss_chain_minimum
+from oracles import compose_loop, envelope_loop, ss_chain_minimum
 
 COARSE = Grid(step=0.05, half_count=16)
 
@@ -132,6 +132,19 @@ _LINES = st.lists(
 )
 
 
+def _grid_lines(width, centre):
+    # the lines ss_maxsum_solve envelopes: slope sech(2K) on a grid of K,
+    # each slope twice, with a peaked message as the intercept
+    vals = COARSE.values
+    q = -width * (vals - centre) ** 2
+    return list(zip((1.0 / np.cosh(2.0 * vals)).tolist(), q.tolist()))
+
+
+_GRID_LINES = st.builds(_grid_lines, st.integers(1, 40).map(lambda i: i / 4),
+                        st.integers(-8, 8).map(lambda i: i / 8))
+_FRONTS = st.one_of(_LINES, _GRID_LINES)
+
+
 def _arrays(lines):
     p = np.array([x for x, _ in lines], dtype=np.float64)
     q = np.array([y for _, y in lines], dtype=np.float64)
@@ -165,3 +178,27 @@ def test_envelope_is_idempotent(lines):
         assert a.tobytes() == b.tobytes()
         # adding the identity's zero intercept can only turn -0.0 into 0.0
         assert np.array_equal(a, c)
+
+
+_IDENTITY = [(1.0, 0.0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_FRONTS, _FRONTS, st.booleans())
+@example([(0.5, 1.0)], [(2.0, -1.0)], False)  # one line each
+@example(_IDENTITY, [(0.0, 2.0), (1.0, 1.0), (2.0, -0.0)], True)
+@example([(0.25, -0.0), (0.5, -0.0), (1.0, -1.0)], _IDENTITY, False)
+@example([(1.0, 1.0), (2.0, 0.0)], [(1.0, 1.0), (2.0, 0.0)], True)  # tied (p, q)
+@example([(0.5, 2.0), (1.0, 1.0), (2.0, 0.0)],
+         [(0.5, 0.0), (1.0, -0.5), (0.5, 0.5)], False)
+def test_compose_matches_envelope_of_full_product(lines_a, lines_b, hulls):
+    # the prefilter must be exact for any NaN-free input, not only for the
+    # hulls ss_maxsum_solve composes
+    front_a, front_b = _arrays(lines_a), _arrays(lines_b)
+    if hulls:
+        front_a, front_b = _envelope(*front_a), _envelope(*front_b)
+    got = _compose(front_a, front_b)
+    want = compose_loop(front_a, front_b)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.float64
+        assert a.tobytes() == b.tobytes()
