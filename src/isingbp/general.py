@@ -16,7 +16,11 @@ The sweep, the reference inner max and the site maximization of the
 extraction all sum the per-edge quantities over neighbour-state
 combinations with one accumulator (_accumulate), and all three work
 through blocks of at most _BLOCK_ELEMS combinations (_blocks), so their
-temporaries take a fixed few MB at any graph size.  The inner strategy
+temporaries take a fixed few MB at any graph size.  The sweep keeps the
+message-independent part of its inner max for the round, as the
+admissible entries of the window table only (_window_table): most
+combinations of edge states admit no grid field, above all in the early,
+loose rounds, and every sweep reduces just the rest.  The inner strategy
 "convolution" instead folds neighbours in one at a time into binned
 partial sums: approximate, but its memory does not grow as S**degree.
 
@@ -143,7 +147,8 @@ class _SweepTables:
     """Per-directed-edge state quantities, fixed while the spaces are.
 
     window caches the message-independent part of the exhaustive inner
-    max (see _window_values), keyed by (neighbour count, tol, b grid).
+    max, the _window_table of its admissible entries per sweep group,
+    keyed by (neighbour count, tol, b grid).
     """
 
     u_in: np.ndarray    # (2m, S) field shift into src
@@ -177,34 +182,51 @@ def _site_term(h, b, lyp, lym):
     return 2.0 * h * np.exp(-mx) / (np.exp(a1 - mx) + np.exp(a2 - mx))
 
 
-def _window_max(h_site, cfg: GSConfig, xlo, xhi, sum_u, lyp_tot, lym_tot):
-    """Best site term over grid fields b with 2b + sum_u inside [xlo, xhi].
+def _field_window(cfg: GSConfig, xlo, xhi, sum_u):
+    """Grid indices [ilo, ihi] of the fields b with 2b + sum_u in [xlo, xhi].
 
-    Returns (value, b_index) arrays of the broadcast shape; infeasible
-    windows give -inf and index 0.  The site term is unimodal in b, so the
-    best grid point is the rounded unconstrained optimum clipped into the
-    window.  It costs three exp, so it is evaluated on the feasible
-    entries only and scattered into the -inf table.
+    The window holds a grid field where ilo <= ihi.
     """
     db = cfg.delta_b
     ilo = np.maximum(np.ceil((xlo - sum_u) / (2.0 * db) - 1e-9), -cfg.half_b)
     ihi = np.minimum(np.floor((xhi - sum_u) / (2.0 * db) + 1e-9), cfg.half_b)
+    return ilo, ihi
+
+
+def _best_field(h, cfg: GSConfig, ilo, ihi, lyp, lym):
+    """(site term, b index) at the best grid field of each feasible window.
+
+    The site term is unimodal in b, so the best grid point is the rounded
+    unconstrained optimum clipped into the window.
+    """
+    idx = np.clip(np.rint((lym - lyp) / 4.0 / cfg.delta_b), ilo, ihi)
+    return _site_term(h, idx * cfg.delta_b, lyp, lym), idx
+
+
+def _window_max(h_site, cfg: GSConfig, xlo, xhi, sum_u, lyp_tot, lym_tot):
+    """Best site term over grid fields b with 2b + sum_u inside [xlo, xhi].
+
+    Returns (value, b_index) arrays of the broadcast shape; infeasible
+    windows give -inf and index 0.  The site term costs three exp, so it
+    is evaluated on the feasible entries only and scattered into the -inf
+    table.
+    """
+    ilo, ihi = _field_window(cfg, xlo, xhi, sum_u)
     feasible = ilo <= ihi
     shape = feasible.shape
-    lyp = np.broadcast_to(lyp_tot, shape)[feasible]
-    lym = np.broadcast_to(lym_tot, shape)[feasible]
-    idx = np.clip(np.rint((lym - lyp) / 4.0 / db), ilo[feasible], ihi[feasible])
     value = np.full(shape, -np.inf)
-    value[feasible] = _site_term(np.broadcast_to(h_site, shape)[feasible],
-                                 idx * db, lyp, lym)
     b_idx = np.zeros(shape, dtype=np.int64)
-    b_idx[feasible] = idx
+    value[feasible], b_idx[feasible] = _best_field(
+        np.broadcast_to(h_site, shape)[feasible], cfg, ilo[feasible],
+        ihi[feasible], np.broadcast_to(lyp_tot, shape)[feasible],
+        np.broadcast_to(lym_tot, shape)[feasible])
     return value, b_idx
 
 
-# Entries per block of the site kernels: 256 KB per float64 temporary, so
-# their working set stays fixed whatever the table size.
-_BLOCK_ELEMS = 1 << 15
+# Entries per block of the site kernels: 128 KB per float64 temporary, so
+# their working set stays fixed whatever the table size.  The site
+# maximization of the extraction holds about 15 of them at once.
+_BLOCK_ELEMS = 1 << 14
 
 
 def _blocks(g_total, size, c):
@@ -254,64 +276,120 @@ def _accumulate(table, rows, idx, op=np.add, start=0.0):
     """
     out = np.full((rows.shape[0], idx.shape[1]), start)
     for pos in range(rows.shape[1]):
-        op(out, table[rows[:, pos]][:, idx[pos]], out=out)
+        op(out, table[rows[:, pos]].take(idx[pos], axis=1), out=out)
     return out
 
 
-def _window_values(h_sites, cfg, tol, tables, dirs, nbrs):
-    """Message-independent part of the exhaustive inner max, shape (G, S, C).
+def _admissible(cfg, tol, tables, dd, nn, ii):
+    """BP interval test of one _blocks block of the window table.
 
-    Entry [g, s, c] is the best site term at src[dirs[g]] for target state
-    s and neighbour-state combination c (-inf when no grid field keeps BP
-    consistency within tol).  This is G*S*C floats, kept for as long as the
-    tables are: 1.2 MB for the 90 directed edges of a 30-spin 3-regular
-    graph at S = 12 (C = 144), 41 MB for a 1000-spin one.  It is filled
-    one _blocks block at a time, so the temporaries take a fixed few MB.
+    dd, nn and ii are the block's directed edges, their neighbour rows and
+    its combinations.  Returns (row, col, ilo, ihi) of the admissible
+    entries: row = g * S + s and col = c within the block, and the grid
+    index bounds of their windows.  The dense temporaries of the test end
+    with the call, before the admissible entries are evaluated.
+    """
+    c_max = _accumulate(tables.c_in, nn, ii, np.maximum, -np.inf)
+    c_min = _accumulate(tables.c_in, nn, ii, np.minimum, np.inf)
+    nf = tables.nu_out[dd][:, :, None]
+    u_t = tables.u_in[dd][:, :, None]
+    ilo, ihi = _field_window(
+        cfg, np.maximum(nf, c_max[:, None, :] - u_t) - tol,
+        np.minimum(nf, c_min[:, None, :] - u_t) + tol,
+        _accumulate(tables.u_in, nn, ii)[:, None, :])
+    at = np.flatnonzero(ilo <= ihi)
+    return (*np.divmod(at, ii.shape[1]), ilo.ravel()[at], ihi.ravel()[at])
+
+
+def _window_table(h_sites, cfg, tol, tables, dirs, nbrs) -> list:
+    """Message-independent part of the exhaustive inner max, compressed.
+
+    The (G, S, C) window table holds, for directed edge dirs[g], target
+    state s and neighbour-state combination c, the best site term at
+    src[dirs[g]], or -inf when no grid field keeps BP consistency within
+    tol.  Only its admissible (finite) entries are kept, in (g, s, c)
+    order, as a list of pieces of at most _BLOCK_ELEMS entries (or one
+    _blocks block, if that is larger).  A piece is (values, cols, starts,
+    rows): cols indexes the flattened (G, C) table of summed neighbour
+    messages, and the entries from starts[i] up to the next start share
+    the flattened (G, S) row rows[i].  A row appears once per _blocks
+    block that holds it, so more than once only where a block splits the
+    combinations.
+
+    Works one _blocks block at a time: the interval test of BP consistency
+    first (_admissible), then the sums of the log flip weights and the
+    site term on the admissible entries only.  The table takes 12 bytes
+    per admissible entry, against 8 per entry for the whole table: at
+    S = 12 on a 3-regular graph that is 0.6% of them in the first round
+    and about 64% by the eighth.  Both arrays are reserved at the full
+    table size, but only the pages written become resident, and the final
+    resize hands the rest back without a copy.
     """
     size = tables.u_in.shape[1]
     idx = _combo_index(size, nbrs.shape[1])
-    value = np.empty((dirs.size, size, idx.shape[1]))
-    for gs, cs in _blocks(*value.shape):
+    g_total, c = dirs.size, idx.shape[1]
+    values = np.empty(g_total * size * c)
+    cols = np.empty(values.size, dtype=np.int32 if g_total * c < 2 ** 31
+                    else np.int64)
+    starts, rows, bounds = [], [], []
+    used = piece = piece_seg = n_seg = 0
+    for gs, cs in _blocks(g_total, size, c):
         dd, nn, ii = dirs[gs], nbrs[gs], idx[:, cs]
-        c_max = _accumulate(tables.c_in, nn, ii, np.maximum, -np.inf)
-        c_min = _accumulate(tables.c_in, nn, ii, np.minimum, np.inf)
-        nf = tables.nu_out[dd][:, :, None]
-        u_t = tables.u_in[dd][:, :, None]
-        xlo = np.maximum(nf, c_max[:, None, :] - u_t) - tol
-        xhi = np.minimum(nf, c_min[:, None, :] - u_t) + tol
-        lyp_tot = (tables.lyp_in[dd][:, :, None]
-                   + _accumulate(tables.lyp_in, nn, ii)[:, None, :])
-        lym_tot = (tables.lym_in[dd][:, :, None]
-                   + _accumulate(tables.lym_in, nn, ii)[:, None, :])
-        value[gs, :, cs], _ = _window_max(
-            h_sites[gs][:, None, None], cfg, xlo, xhi,
-            _accumulate(tables.u_in, nn, ii)[:, None, :], lyp_tot, lym_tot,
-        )
-    return value
+        row, col, ilo, ihi = _admissible(cfg, tol, tables, dd, nn, ii)
+        if not row.size:
+            continue
+        g = row // size
+        flat_gc = g * ii.shape[1] + col
+        lyp = (tables.lyp_in[dd].ravel()[row]
+               + _accumulate(tables.lyp_in, nn, ii).ravel()[flat_gc])
+        lym = (tables.lym_in[dd].ravel()[row]
+               + _accumulate(tables.lym_in, nn, ii).ravel()[flat_gc])
+        del flat_gc  # before the site term adds its own temporaries
+        end = used + row.size
+        if end - piece > _BLOCK_ELEMS and used > piece:
+            bounds.append((piece, used, piece_seg, n_seg))
+            piece, piece_seg = used, n_seg
+        values[used:end], _ = _best_field(h_sites[gs][g], cfg, ilo, ihi, lyp, lym)
+        cols[used:end] = (g + gs.start) * c + (col + cs.start)
+        first = np.flatnonzero(np.diff(row, prepend=-1))
+        starts.append(first + (used - piece))
+        rows.append(row[first] + gs.start * size)
+        n_seg += first.size
+        used = end
+    if used > piece:
+        bounds.append((piece, used, piece_seg, n_seg))
+    values.resize(used, refcheck=False)
+    cols.resize(used, refcheck=False)
+    starts = np.concatenate(starts) if starts else np.empty(0, dtype=np.intp)
+    rows = np.concatenate(rows) if rows else np.empty(0, dtype=np.intp)
+    return [(values[a:b], cols[a:b], starts[sa:sb], rows[sa:sb])
+            for a, b, sa, sb in bounds]
 
 
-def _batched_exhaustive(value, messages, nbrs):
+def _window_sweep(pieces, messages, nbrs):
     """Exhaustive inner max for a batch of directed edges of equal degree.
 
-    value is the (G, S, C) output of _window_values for the batch and nbrs
-    (G, ln) its neighbour directed edges; returns (G, S) inner values.
-    Only this part depends on the messages: block by block it gathers the
-    neighbour messages per combination, adds them to the window values in
-    one reused buffer and takes the max.
+    pieces is the _window_table of the batch and nbrs (G, ln) its
+    neighbour directed edges; returns (G, S) inner values.  Only this part
+    depends on the messages: it sums the neighbour messages per
+    combination once, then piece by piece gathers them onto the admissible
+    entries, adds the window values and takes the max of each row into a
+    -inf output.
     """
-    g_total, size, c = value.shape
-    idx = _combo_index(size, nbrs.shape[1])
-    out = np.full((g_total, size), -np.inf)
-    buf = None
-    for gs, cs in _blocks(g_total, size, c):
-        part = value[gs, :, cs]
-        if buf is None:
-            buf = np.empty(part.size)
-        total = buf[:part.size].reshape(part.shape)
-        sum_m = _accumulate(messages, nbrs[gs] ^ 1, idx[:, cs])
-        np.add(part, sum_m[:, None, :], out=total)
-        np.maximum(out[gs], total.max(axis=2), out=out[gs])
-    return out
+    g_total, size = nbrs.shape[0], messages.shape[1]
+    sum_m = _accumulate(messages, nbrs ^ 1,
+                        _combo_index(size, nbrs.shape[1])).ravel()
+    out = np.full(g_total * size, -np.inf)
+    longest = max((p[0].size for p in pieces), default=0)
+    # take is fastest on intp indices and, without bounds errors, unbuffered
+    at, buf = np.empty(longest, dtype=np.intp), np.empty(longest)
+    for values, cols, starts, rows in pieces:
+        total = buf[:values.size]
+        at[:values.size] = cols
+        np.take(sum_m, at[:values.size], out=total, mode="clip")
+        total += values
+        np.maximum.at(out, rows, np.maximum.reduceat(total, starts))
+    return out.reshape(g_total, size)
 
 
 def gs_maxsum_sweep(inst: QuantumInstance, spaces: SearchSpace,
@@ -339,10 +417,10 @@ def gs_maxsum_sweep(inst: QuantumInstance, spaces: SearchSpace,
             continue
         key = (ln, tol, cfg.delta_b, cfg.half_b)
         if key not in tables.window:
-            tables.window[key] = _window_values(
+            tables.window[key] = _window_table(
                 inst.fields[graph.src[dirs]], cfg, tol, tables, dirs, nbrs
             )
-        inner = _batched_exhaustive(tables.window[key], messages, nbrs)
+        inner = _window_sweep(tables.window[key], messages, nbrs)
         new[dirs] = tables.neg_bond[dirs // 2] + inner
     mx = new.max(axis=1)
     finite = np.isfinite(mx)
@@ -460,18 +538,39 @@ def _inner_convolution(h_site, cfg, tol, tables, messages, target, nbr_dirs):
         val = np.full(keys.shape[0], -np.inf)
         np.maximum.at(val, group, folded)
 
+    return _conv_field_max(h_site, cfg, tol, keys * steps, val, t_u, t_nu,
+                           tables.lyp_in[target], tables.lym_in[target])
+
+
+def _conv_field_max(h_site, cfg, tol, sums, val, t_u, t_nu, t_lyp, t_lym):
+    """Final stage of the convolution inner max: the best field per state.
+
+    sums holds the (x_plus, x_rem, log y_+, log y_-) of each table entry
+    and val its value; t_u, t_nu, t_lyp and t_lym describe the target
+    states.  For target state t, a grid field b and an entry are admitted
+    together when |x_plus - (nu_t - 2b)| <= tol and
+    |x_rem - (2b + u_t)| <= delta_nu / 2.  Returns per t the max over the
+    admitted pairs of the site term plus val, or -inf.  The second test
+    bounds b to within delta_nu / 4 of (x_rem - u_t) / 2, so each (state,
+    entry) pair is tested only against those grid fields, with one index
+    of margin on each side, rather than against the whole grid.
+    """
     b_vals = cfg.b_grid().values
-    xp, xr, lyp, lym = (keys * steps).T
+    xp, xr, lyp, lym = sums.T
+    reach = 0.25 * cfg.delta_nu / cfg.delta_b  # in b indices
+    first = np.floor((xr - t_u[:, None]) / (2.0 * cfg.delta_b) - reach) - 1.0
+    bi = first.astype(np.int64)[:, :, None] + (
+        cfg.half_b + np.arange(math.ceil(2.0 * reach) + 4))
+    on_grid = (bi >= 0) & (bi < b_vals.size)
+    ti, ei, _ = np.nonzero(on_grid)
+    bi = bi[on_grid]
+    ok = ((np.abs(xp[ei] - (t_nu[ti] - 2.0 * b_vals[bi])) <= tol + 1e-12)
+          & (np.abs(xr[ei] - (2.0 * b_vals[bi] + t_u[ti]))
+             <= 0.5 * cfg.delta_nu + 1e-12))
+    ti, ei, bi = ti[ok], ei[ok], bi[ok]
     out = np.full(t_u.size, -np.inf)
-    for t in range(t_u.size):
-        bi, ei = np.nonzero(
-            (np.abs(xp - (t_nu[t] - 2.0 * b_vals)[:, None]) <= tol + 1e-12)
-            & (np.abs(xr - (2.0 * b_vals + t_u[t])[:, None])
-               <= 0.5 * x_step + 1e-12))
-        if bi.size:
-            out[t] = np.max(_site_term(
-                h_site, b_vals[bi], lyp[ei] + tables.lyp_in[target][t],
-                lym[ei] + tables.lym_in[target][t]) + val[ei])
+    np.maximum.at(out, ti, _site_term(h_site, b_vals[bi], lyp[ei] + t_lyp[ti],
+                                      lym[ei] + t_lym[ti]) + val[ei])
     return out
 
 
@@ -498,8 +597,8 @@ def exhaustive_inner_max(inst: QuantumInstance, spaces: SearchSpace,
     out_dirs = inst.graph.out_dirs[site]
     nbrs = out_dirs[out_dirs != target_dir][None, :]
     dirs = np.array([target_dir], dtype=np.int64)
-    value = _window_values(inst.fields[[site]], cfg, tol, tables, dirs, nbrs)
-    return _batched_exhaustive(value, messages, nbrs)[0]
+    pieces = _window_table(inst.fields[[site]], cfg, tol, tables, dirs, nbrs)
+    return _window_sweep(pieces, messages, nbrs)[0]
 
 
 def _random_state(rng, k_vals, nu_vals):

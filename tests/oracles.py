@@ -274,6 +274,25 @@ def batched_exhaustive_dense(value, messages, nbrs):
     return np.max(value + _fold(messages, nbrs ^ 1, idx)[:, None, :], axis=2)
 
 
+def conv_field_max_dense(h_site, cfg, tol, sums, val, t_u, t_nu, t_lyp, t_lym):
+    """Final stage of the convolution inner max, every entry against every
+    grid field: per target state t, the max of the site term plus val over
+    the (b, entry) pairs with |x_plus - (nu_t - 2b)| <= tol and
+    |x_rem - (2b + u_t)| <= delta_nu / 2."""
+    b_vals = cfg.b_grid().values
+    xp, xr, lyp, lym = sums.T
+    out = np.full(t_u.size, -np.inf)
+    for t in range(t_u.size):
+        bi, ei = np.nonzero(
+            (np.abs(xp - (t_nu[t] - 2.0 * b_vals)[:, None]) <= tol + 1e-12)
+            & (np.abs(xr - (2.0 * b_vals + t_u[t])[:, None])
+               <= 0.5 * cfg.delta_nu + 1e-12))
+        if bi.size:
+            out[t] = np.max(_site_term(h_site, b_vals[bi], lyp[ei] + t_lyp[t],
+                                       lym[ei] + t_lym[t]) + val[ei])
+    return out
+
+
 def site_shift_max_loop(inst, tables, messages, tol, cfg, site):
     """Joint max at one site, one incident edge at a time.
 

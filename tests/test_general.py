@@ -23,18 +23,24 @@ from isingbp import (
     mf_maxsum_solve,
     ss_maxsum_solve,
 )
-from isingbp.classical_bp import bond_energy, field_shift, logcosh
+from isingbp.classical_bp import (
+    ParameterSet,
+    bond_energy,
+    bp_fixed_point,
+    field_shift,
+    logcosh,
+)
 from isingbp import general
 from isingbp.general import (
     _BLOCK_ELEMS,
     _CONV_Y_BINS,
     SearchSpaceError,
-    _batched_exhaustive,
     _combo_index,
     _extract,
     _site_maxes,
     _sweep_tables,
-    _window_values,
+    _window_sweep,
+    _window_table,
     candidates_order,
 )
 from isingbp.grids import Grid
@@ -42,6 +48,7 @@ from isingbp.meanfield import mf_energy
 from isingbp.symmetric import ss_energy
 from oracles import (
     batched_exhaustive_dense,
+    conv_field_max_dense,
     extract_loop,
     gs_resample_loop,
     mf_chain_minimum,
@@ -335,6 +342,39 @@ def test_convolution_brackets_exhaustive(degree):
     assert violations == 0
 
 
+def test_convolution_field_max_matches_dense_oracle(monkeypatch):
+    # every final-stage call of the convolution, on stars of degree 3 to 5
+    # and in a short solve on a loopy graph, against the whole-grid scan
+    calls = []
+    real = general._conv_field_max
+
+    def both(*args):
+        got = real(*args)
+        assert got.tobytes() == conv_field_max_dense(*args).tobytes()
+        calls.append(int(np.isfinite(got).sum()))
+        return got
+
+    monkeypatch.setattr(general, "_conv_field_max", both)
+    rng = np.random.default_rng(1)
+    for degree in (3, 4, 5):
+        inst = testutil.star_instance(degree, h=0.9, seed=degree)
+        g = inst.graph
+        # delta_b below, at and above delta_nu / 2 change the candidate count
+        for delta_b in (0.02, 0.1, 0.3):
+            cfg = GSConfig(delta_b=delta_b, half_b=8, delta_k=0.2, half_k=3,
+                           delta_nu=0.2, half_nu=10, space_size=6)
+            spaces = init_spaces(g, cfg, rng)
+            messages = rng.standard_normal((2 * g.m, cfg.space_size))
+            for tol in (0.2, 0.6):
+                for target in g.out_dirs[0]:
+                    convolution_inner_max(inst, spaces, messages, 0, int(target),
+                                          tol, cfg)
+    gs_solve(generate_rrg(8, 3, law="pm_one", h=1.5, seed=7),
+             GSConfig(inner="convolution", space_size=4, outer_rounds=2,
+                      k_cap=1.0, seed=1))
+    assert len(calls) > 100 and sum(calls) > 0
+
+
 def _isolated_site_instance():
     # a triangle with a tail, and site 5 coupled to nothing
     return QuantumInstance(
@@ -375,6 +415,36 @@ def _kernel_inputs(inst, infeasible):
     return g, cfg, spaces, _sweep_tables(inst, spaces), messages
 
 
+def _expand(pieces, shape):
+    """The (G, S, C) window table that a compressed one stands for."""
+    g_total, size, c = shape
+    dense = np.full(g_total * size * c, -np.inf)
+    for values, cols, starts, rows in pieces:
+        row = np.repeat(rows, np.diff(starts, append=values.size))
+        dense[row * c + cols.astype(np.int64) - row // size * c] = values
+    return dense.reshape(shape)
+
+
+def _check_window_kernels(inst, cfg, tol, tables, messages, dirs, nbrs):
+    """Compressed table and sweep against the dense oracles, byte for byte.
+
+    Returns the number of admissible (finite) entries.
+    """
+    h = inst.fields[inst.graph.src[dirs]]
+    pieces = _window_table(h, cfg, tol, tables, dirs, nbrs)
+    want = window_values_dense(h, cfg, tol, tables, dirs, nbrs)
+    assert _expand(pieces, want.shape).tobytes() == want.tobytes()
+    finite = int(np.isfinite(want).sum())
+    assert sum(p[0].size for p in pieces) == finite
+    for values, cols, starts, rows in pieces:
+        assert values.size and starts[0] == 0 and np.all(np.diff(starts) > 0)
+        assert values.size <= max(general._BLOCK_ELEMS, want.shape[1])
+    inner = _window_sweep(pieces, messages, nbrs)
+    assert inner.shape == (dirs.size, messages.shape[1])
+    assert inner.tobytes() == batched_exhaustive_dense(want, messages, nbrs).tobytes()
+    return finite
+
+
 @pytest.mark.parametrize("infeasible", [False, True], ids=["random", "infeasible"])
 @pytest.mark.parametrize("inst", KERNEL_CASES, ids=KERNEL_IDS)
 def test_window_kernels_match_dense_oracles(inst, infeasible):
@@ -383,16 +453,41 @@ def test_window_kernels_match_dense_oracles(inst, infeasible):
     finite = 0
     for tol in (0.05, 0.5, 1.0):
         for ln, (dirs, nbrs) in g.sweep_groups.items():
-            h = inst.fields[g.src[dirs]]
-            value = _window_values(h, cfg, tol, tables, dirs, nbrs)
-            want = window_values_dense(h, cfg, tol, tables, dirs, nbrs)
-            assert value.shape == want.shape == (dirs.size, 6, 6 ** ln)
-            assert value.tobytes() == want.tobytes()
-            inner = _batched_exhaustive(value, messages, nbrs)
-            assert inner.tobytes() == batched_exhaustive_dense(
-                want, messages, nbrs).tobytes()
-            finite += int(np.isfinite(value).sum())
+            finite += _check_window_kernels(inst, cfg, tol, tables, messages,
+                                            dirs, nbrs)
     assert (finite == 0) == infeasible
+
+
+def _converged_spaces(inst, cfg, rng):
+    # states scattered around a BP fixed point, by one coupling bin and by
+    # up to 24 cavity-field bins: the spaces of a late round
+    g = inst.graph
+    k = cfg.k_grid().snap(0.2 * inst.couplings)
+    nu, rep = bp_fixed_point(g, ParameterSet(np.full(g.n, 0.3), k))
+    assert rep.converged
+    size, nu_grid = cfg.space_size, cfg.nu_grid()
+    return SearchSpace(
+        k=k[:, None] + cfg.delta_k * rng.integers(-1, 2, (g.m, size)),
+        nu_fwd=nu_grid.snap(nu[0::2, None] + cfg.delta_nu
+                            * rng.integers(-24, 25, (g.m, size))),
+        nu_rev=nu_grid.snap(nu[1::2, None] + cfg.delta_nu
+                            * rng.integers(-24, 25, (g.m, size))),
+    )
+
+
+@pytest.mark.parametrize("inst", [KERNEL_CASES[0], KERNEL_CASES[3]],
+                         ids=["pm_one-3rrg", "gaussian-4rrg"])
+def test_window_kernels_match_dense_oracles_when_mostly_admissible(inst, monkeypatch):
+    # late rounds at C10 admit about 64% of the entries; here 76-84%, with
+    # tables of several pieces
+    g, cfg, _, _, messages = _kernel_inputs(inst, False)
+    tables = _sweep_tables(inst, _converged_spaces(inst, cfg, np.random.default_rng(4)))
+    for elems in (_BLOCK_ELEMS, 500):
+        monkeypatch.setattr(general, "_BLOCK_ELEMS", elems)
+        for ln, (dirs, nbrs) in g.sweep_groups.items():
+            finite = _check_window_kernels(inst, cfg, 1.0, tables, messages,
+                                           dirs, nbrs)
+            assert finite > 0.5 * dirs.size * 6 ** (ln + 1)
 
 
 def test_window_kernels_split_blocks_match_dense(monkeypatch):
@@ -400,14 +495,9 @@ def test_window_kernels_split_blocks_match_dense(monkeypatch):
     inst = generate_rrg(10, 4, law="gaussian", h=0.9, seed=6)
     g, cfg, spaces, tables, messages = _kernel_inputs(inst, False)
     dirs, nbrs = g.sweep_groups[3]
-    h = inst.fields[g.src[dirs]]
-    want = window_values_dense(h, cfg, 0.5, tables, dirs, nbrs)
     for elems in (100, 6 * 216 - 1, 6 * 216 + 1, 3 * 6 * 216):
         monkeypatch.setattr(general, "_BLOCK_ELEMS", elems)
-        value = _window_values(h, cfg, 0.5, tables, dirs, nbrs)
-        assert value.tobytes() == want.tobytes()
-        assert _batched_exhaustive(value, messages, nbrs).tobytes() == (
-            batched_exhaustive_dense(want, messages, nbrs).tobytes())
+        assert _check_window_kernels(inst, cfg, 0.5, tables, messages, dirs, nbrs)
         got = _site_maxes(inst, tables, messages, 0.5, cfg)
         for site in range(g.n):
             ref_value, ref_b, ref_choice = site_shift_max_loop(
@@ -416,9 +506,9 @@ def test_window_kernels_split_blocks_match_dense(monkeypatch):
             assert {d: int(got[2][d]) for d in ref_choice} == ref_choice
 
 
-def test_window_values_peak_memory():
-    # G = 36 directed edges, S = 20, C = 400: the table is 2.3 MB, while
-    # building it in one piece held about 17 temporaries of that size
+def test_window_table_peak_memory():
+    # G = 36 directed edges, S = 20, C = 400: the dense table is 2.3 MB,
+    # while building it in one piece held about 17 temporaries of that size
     inst = generate_rrg(12, 3, law="pm_one", h=1.0, seed=2)
     g = inst.graph
     cfg = GSConfig(space_size=20, k_cap=1.0)
@@ -429,13 +519,12 @@ def test_window_values_peak_memory():
     _combo_index(20, 2)
     tracemalloc.start()
     try:
-        value = _window_values(h, cfg, 0.5, tables, dirs, nbrs)
+        pieces = _window_table(h, cfg, 0.5, tables, dirs, nbrs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert value.shape == (36, 20, 400)
-    assert np.any(np.isfinite(value))
-    assert peak < value.nbytes + 24 * _BLOCK_ELEMS * 8
+    assert dirs.size == 36 and pieces
+    assert peak < 36 * 20 * 400 * 8 + 24 * _BLOCK_ELEMS * 8
 
 
 def _check_site_maxes(inst, infeasible):
