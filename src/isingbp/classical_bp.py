@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grids import check_count
 from .instance import ClassicalGraph, QuantumInstance
 
 NU_CAP = 30.0  # cavity fields are clamped here; tanh is saturated far earlier
@@ -153,14 +154,18 @@ def bp_update(graph: ClassicalGraph, params: ParameterSet, nu) -> np.ndarray:
 
 
 def bp_fixed_points(graph: ClassicalGraph, b, k, inits, damping: float | None = None,
-                    eps: float = 1e-9, max_iters: int = 10000):
+                    eps: float = 1e-9, max_iters: int = 10000,
+                    patience: int | None = None):
     """Iterate R independent BP problems on one graph as one batch.
 
-    Row r has fields b[r] (n), couplings k[r] (m) and start inits[r] (2m).
-    Every row damps and stops as bp_fixed_point does; a row that converges
-    is frozen with its fields, iteration count and residual and leaves the
-    batch, so only the others keep iterating, up to max_iters.  Returns
-    (nu of shape (R, 2m), one BPReport per row).
+    Row r has fields b[r] (n), couplings k[r] (m) and start inits[r] (2m),
+    and damps as bp_fixed_point does.  Each row stops on its own: converged
+    once its residual reaches eps, stalled once its least residual has not
+    fallen for `patience` iterations (never when patience is None), or at
+    max_iters.  A stopped row leaves the batch, so only the others keep
+    iterating.  It returns its least-residual iterate with that residual
+    and the iteration at which it stopped; for a converged row that is its
+    last iterate.  Returns (nu of shape (R, 2m), one BPReport per row).
     """
     b = np.asarray(b, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
@@ -170,33 +175,48 @@ def bp_fixed_points(graph: ClassicalGraph, b, k, inits, damping: float | None = 
         raise ValueError("parameter shapes do not match the graph")
     if nu.shape != (rows, 2 * graph.m):
         raise ValueError("need one cavity field per directed edge")
+    check_count("max_iters", max_iters, 1)
+    if patience is not None:
+        check_count("patience", patience, 1)
+    reports: list = [None] * rows
+    if not rows:
+        return nu, reports
     if damping is None:
         damping = 0.0 if graph.is_forest else 0.5
     rev = np.arange(2 * graph.m) ^ 1
     b2_src = 2.0 * b[:, graph.src]
     k2_dir = 2.0 * k[:, graph.edge_of_dir]
     sites = (graph.src + graph.n * np.arange(rows)[:, None]).reshape(-1)
-    reports: list = [None] * rows
     active = np.arange(rows)
     act = nu
-    residual = np.zeros(rows)
+    # per active row: least residual so far, its iterate and its iteration
+    best_res = np.full(rows, np.inf)
+    best = nu.copy()
+    best_it = np.zeros(rows, dtype=np.int64)
     for it in range(1, max_iters + 1):
         new = _bp_step(graph, act, b2_src, k2_dir, rev, sites[:act.size])
         residual = np.max(np.abs(new - act), axis=1, initial=0.0)
         act = (1.0 - damping) * new + damping * act
-        done = residual <= eps
-        if done.any():
-            nu[active[done]] = act[done]
-            for r, res in zip(active[done], residual[done]):
-                reports[r] = BPReport(converged=True, iterations=it, residual=float(res))
-            keep = ~done
-            active, act, residual = active[keep], act[keep], residual[keep]
-            b2_src, k2_dir = b2_src[keep], k2_dir[keep]
+        better = residual < best_res
+        np.copyto(best_res, residual, where=better)
+        np.copyto(best, act, where=better[:, None])
+        best_it[better] = it
+        # a row at eps stops now, so a stopping row converged iff best_res <= eps
+        stop = best_res <= eps
+        if patience is not None:
+            stop |= it - best_it >= patience
+        if it == max_iters:
+            stop[:] = True
+        if stop.any():
+            nu[active[stop]] = best[stop]
+            for r, res in zip(active[stop], best_res[stop]):
+                reports[r] = BPReport(converged=bool(res <= eps), iterations=it,
+                                      residual=float(res))
+            keep = ~stop
+            active, act, b2_src, k2_dir = active[keep], act[keep], b2_src[keep], k2_dir[keep]
+            best_res, best, best_it = best_res[keep], best[keep], best_it[keep]
             if not active.size:
                 break
-    nu[active] = act
-    for r, res in zip(active, residual):
-        reports[r] = BPReport(converged=False, iterations=max_iters, residual=float(res))
     return nu, reports
 
 

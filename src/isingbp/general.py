@@ -61,6 +61,7 @@ _RESAMPLE_FRACTION = 0.5  # share of each edge's states replaced per round
 _PROPOSAL_RADIUS_BINS = 5.0  # first round's proposal radius, in grid steps
 _BP_EPS = 1e-9  # refit BP residual
 _BP_MAX_ITERS = 10000
+_BP_PATIENCE = 200  # refit iterations without a new least residual before a start stops
 _BP_RESTARTS = 3  # random refit starts per candidate
 _DELTA_M = 0.05  # least mean |<s^z>| of a refit fixed point
 _CONV_Y_BINS = 64  # bins of each log flip weight in the convolution inner max
@@ -753,10 +754,15 @@ def _refit(inst, candidates, rng):
     candidates are (label, b, k, nu_init).  Each candidate gets the starts
     nu_init, zeros and _BP_RESTARTS uniform draws from rng, drawn candidate
     by candidate, and all (candidate, start) rows run as one
-    bp_fixed_points call.  Returns one (obs, nu, report, fallback, reports)
-    per candidate, reports holding every start's BPReport.  Fixed points
-    with mean |<s^z>| below _DELTA_M are rejected; if none passes, the
-    lowest-energy one is used anyway and flagged.
+    bp_fixed_points call.  A start stops when it converges, when its least
+    residual has not fallen for _BP_PATIENCE iterations (damped BP on a
+    frustrated loopy graph can stay chaotic and never converge) or at
+    _BP_MAX_ITERS; one that does not converge keeps its least-residual
+    iterate.  Returns one (obs, nu, report, fallback, reports) per
+    candidate, reports holding every start's BPReport.  Fixed points with
+    mean |<s^z>| below _DELTA_M are rejected; if none passes, the
+    lowest-energy one is used anyway and flagged.  A candidate with no
+    converged start gets its least-residual start, unflagged.
     """
     graph = inst.graph
     params = [ParameterSet(b, k) for _, b, k, _ in candidates]
@@ -771,7 +777,7 @@ def _refit(inst, candidates, rng):
         np.repeat(np.stack([p.b for p in params]), starts, axis=0),
         np.repeat(np.stack([p.k for p in params]), starts, axis=0),
         np.stack(inits),
-        eps=_BP_EPS, max_iters=_BP_MAX_ITERS,
+        eps=_BP_EPS, max_iters=_BP_MAX_ITERS, patience=_BP_PATIENCE,
     )
     out = []
     for c, p in enumerate(params):
@@ -801,8 +807,12 @@ def gs_solve(inst: QuantumInstance, cfg: GSConfig | None = None) -> GSResult:
     Every round's extraction is refit by BP and kept as a candidate, as
     are the mean-field and symmetric solutions, which always run (their
     states also enter the initial search spaces, grid-snapped).  The
-    returned solution is the candidate with the lowest refit energy,
-    which makes the solver dominate both seeds by construction.
+    returned solution is the candidate with the lowest refit energy among
+    those refit to a BP fixed point (among all if none is).  Each seed's
+    first start is an exact fixed point, so the solver dominates both seeds
+    by construction.  A Bethe energy away from a fixed point is no
+    estimate: the least-residual iterate of a stalled refit can sit just
+    below a fixed point's energy.
     """
     from .meanfield import mf_maxsum_solve
     from .symmetric import ss_maxsum_solve
@@ -895,7 +905,7 @@ def gs_solve(inst: QuantumInstance, cfg: GSConfig | None = None) -> GSResult:
                        for r in starts],
             "delta_m_fallback": fallback,
         })
-    refits.sort(key=lambda r: (r[0], candidates_order(r[1])))
+    refits.sort(key=lambda r: (not r[6].converged, r[0], candidates_order(r[1])))
     energy, label, b, k, nu, obs, rep, fallback = refits[0]
 
     last = next((r for r in reversed(rounds_log) if r["maxsum_energy"] is not None), None)

@@ -81,18 +81,21 @@ def free_fermion_chain_energy(inst) -> float:
     return float(-np.sum(np.linalg.svd(mat, compute_uv=False)))
 
 
-def bp_fixed_point_loop(graph, b, k, init, damping, eps, max_iters):
+def bp_fixed_point_loop(graph, b, k, init, damping, eps, max_iters, patience=None):
     """Damped synchronous BP on one parameter set, one update at a time.
 
     nu'_{i->j} = 2 b_i + sum_{l in di \\ j} field_shift(nu_{l->i}, k_il),
     clamped to +-NU_CAP, then nu <- (1 - damping) nu' + damping nu, until
-    the largest change of an update is <= eps.  Returns (nu, BPReport).
+    the largest change of an update is <= eps, until the least such change
+    has not fallen for `patience` updates (unless patience is None), or for
+    max_iters updates.  Without convergence the iterate of least change is
+    returned with that change.  Returns (nu, BPReport).
     """
     from isingbp.classical_bp import NU_CAP, BPReport, field_shift
 
     rev = np.arange(2 * graph.m) ^ 1
     nu = np.array(init, dtype=np.float64)
-    residual = 0.0
+    best_res, best_nu, best_it = np.inf, nu, 0
     for it in range(1, max_iters + 1):
         if graph.m:
             shift_in = field_shift(nu[rev], k[graph.edge_of_dir])
@@ -106,7 +109,11 @@ def bp_fixed_point_loop(graph, b, k, init, damping, eps, max_iters):
         nu = (1.0 - damping) * new + damping * nu
         if residual <= eps:
             return nu, BPReport(converged=True, iterations=it, residual=residual)
-    return nu, BPReport(converged=False, iterations=max_iters, residual=residual)
+        if residual < best_res:
+            best_res, best_nu, best_it = residual, nu, it
+        if patience is not None and it - best_it >= patience:
+            break
+    return best_nu, BPReport(converged=False, iterations=it, residual=best_res)
 
 
 def refit_one(inst, b, k, nu_init, rng):
@@ -116,8 +123,9 @@ def refit_one(inst, b, k, nu_init, rng):
     from rng.  Converged fixed points are deduplicated (max change < 1e-7),
     those with mean |<s^z>| below _DELTA_M rejected unless none passes
     (then flagged), and the lowest energy kept; with no converged start
-    the least-residual run is returned unflagged.  Returns (obs, nu,
-    report, fallback).
+    the least-residual run is returned unflagged.  Every start stops on
+    the refit's patience rule.  Returns (obs, nu, report, fallback,
+    reports), reports holding every start's BPReport.
     """
     from isingbp import general
     from isingbp.classical_bp import ParameterSet, observables
@@ -128,10 +136,12 @@ def refit_one(inst, b, k, nu_init, rng):
     inits = [np.asarray(nu_init), np.zeros(2 * graph.m)]
     for _ in range(general._BP_RESTARTS):
         inits.append(rng.uniform(-2.0, 2.0, size=2 * graph.m))
-    fixed, backup = [], None
+    fixed, backup, reports = [], None, []
     for init in inits:
         nu, rep = bp_fixed_point_loop(graph, params.b, params.k, init, damping,
-                                      general._BP_EPS, general._BP_MAX_ITERS)
+                                      general._BP_EPS, general._BP_MAX_ITERS,
+                                      general._BP_PATIENCE)
+        reports.append(rep)
         obs = observables(inst, params, nu)
         if rep.converged:
             if not any(np.max(np.abs(nu - f[1])) < 1e-7 for f in fixed):
@@ -139,11 +149,11 @@ def refit_one(inst, b, k, nu_init, rng):
         elif backup is None or rep.residual < backup[2].residual:
             backup = (obs, nu, rep)
     if not fixed:
-        return (*backup, False)
+        return (*backup, False, reports)
     passing = [f for f in fixed
                if float(np.mean(np.abs(f[0].sigma_z))) >= general._DELTA_M]
     obs, nu, rep = min(passing or fixed, key=lambda f: f[0].energy)
-    return obs, nu, rep, not passing
+    return obs, nu, rep, not passing, reports
 
 
 def hop_tables_dense(j_tanh, tanh_vals, messages):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import testutil
-from isingbp import ClassicalGraph, ParameterSet, bp_fixed_point, observables
+from isingbp import ClassicalGraph, ParameterSet, bp_fixed_point, classical_bp, observables
 from isingbp.classical_bp import (
     NU_CAP,
     bond_energy,
@@ -181,16 +181,16 @@ def test_shape_validation():
 
 
 def _assert_rows_match_loop(graph, b, k, inits, damping, eps, max_iters,
-                            explicit_damping=False):
+                            explicit_damping=False, patience=None):
     """The kernel (default damping unless explicit) against the loop per row."""
     nus, reports = bp_fixed_points(graph, b, k, inits,
                                    damping=damping if explicit_damping else None,
-                                   eps=eps, max_iters=max_iters)
+                                   eps=eps, max_iters=max_iters, patience=patience)
     assert nus.shape == (len(inits), 2 * graph.m)
     assert len(reports) == len(inits)
     for r in range(len(inits)):
         nu, rep = bp_fixed_point_loop(graph, b[r], k[r], inits[r], damping,
-                                      eps, max_iters)
+                                      eps, max_iters, patience)
         assert np.array_equal(nus[r], nu)
         assert reports[r] == rep
     return reports
@@ -211,6 +211,24 @@ def test_batched_fixed_points_match_loop_on_loopy_graph():
     # an explicit damping reaches every row as well
     _assert_rows_match_loop(graph, b, k, inits, 0.3, 1e-9, 150,
                             explicit_damping=True)
+    # a patience of 10 stops three rows early, each on its least residual
+    stalled = _assert_rows_match_loop(graph, b, k, inits, 0.5, 1e-9, 150,
+                                      patience=10)
+    assert [r.converged for r in stalled] == [r.converged for r in reports]
+    assert sum(not r.converged and r.iterations < 60 for r in stalled) == 3
+
+
+def test_batched_fixed_points_without_rows_return_at_once(monkeypatch):
+    graph = generate_rrg(12, 3, law="pm_one", h=1.0, seed=3).graph
+
+    def no_sweep(*args):
+        raise AssertionError("a batch without rows must not sweep")
+
+    monkeypatch.setattr(classical_bp, "_bp_step", no_sweep)
+    nus, reports = bp_fixed_points(graph, np.zeros((0, graph.n)), np.zeros((0, graph.m)),
+                                   np.zeros((0, 2 * graph.m)), max_iters=10000)
+    assert nus.shape == (0, 2 * graph.m)
+    assert reports == []
 
 
 def test_batched_fixed_points_match_loop_on_forest():
@@ -261,3 +279,7 @@ def test_batched_shape_validation():
         bp_fixed_points(graph, np.zeros((2, 4)), np.zeros((1, 3)), np.zeros((2, 6)))
     with pytest.raises(ValueError):
         bp_fixed_points(graph, np.zeros(4), np.zeros(3), np.zeros(6))
+    ok = (np.zeros((2, 4)), np.zeros((2, 3)), np.zeros((2, 6)))
+    for bad in ({"max_iters": 0}, {"patience": 0}, {"patience": 2.5}):
+        with pytest.raises(ValueError):
+            bp_fixed_points(graph, *ok, **bad)
