@@ -87,11 +87,13 @@ def _maxsum_loop(sweep, shape, max_iters: int):
     reaches _EPS.
 
     Without convergence within max_iters sweeps the best-residual message
-    set seen is returned.  Returns (messages, converged, iterations, residual).
+    set seen is returned.  sweep must return a new array and leave its
+    input alone, so the best set is kept by reference.  Returns
+    (messages, converged, iterations, residual).
     """
     check_count("max_iters", max_iters, 1)
     messages = np.zeros(shape)
-    best = (np.inf, messages.copy())
+    best = (np.inf, messages)
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
@@ -100,7 +102,7 @@ def _maxsum_loop(sweep, shape, max_iters: int):
         residual = float(np.max(np.abs(new - messages))) if new.size else 0.0
         messages = new
         if residual < best[0]:
-            best = (residual, messages.copy())
+            best = (residual, messages)
         if residual <= _EPS:
             converged = True
             break

@@ -16,10 +16,32 @@ for a target coupling K_ij it is max over combos of
 [c * prod_k sech(2 K_ik) + sum_k M_k] with c = h_i sech(2 K_ij) >= 0, a
 maximum of lines in c, so pruning each neighbor table to its upper
 envelope and composing the envelopes gives the exhaustive answer exactly
-at a fraction of the cost, at any degree.  Composing two envelopes takes
-the envelope of their a*b product lines; a dominance prefilter on the
-(a, b) table drops most of them before the sort, only lines the envelope
-drops anyway, so the composed front is the same bytes.
+at a fraction of the cost, at any degree.
+
+A sweep computes all 2m new messages from the old ones in batched passes
+over the directed edges, rows in blocks of at most _BLOCK_ELEMS table
+entries.  It keeps every float expression of the one-edge-at-a-time
+sweep (tests/oracles.py), so the messages are the same bytes:
+
+1. Fronts.  Every message envelopes the lines (sech(2K), M(K)), whose
+   slopes are sorted once: each equal-slope group keeps its largest
+   intercept, the first on ties, and a reverse cumulative max drops the
+   lines that a steeper one matches or beats.
+2. Compose.  Composing two envelopes takes the envelope of their a*b
+   product lines.  A dominance prefilter on the (a, b) table drops most
+   of them, only lines the envelope drops anyway, and one sort call
+   orders the survivors of a whole block of rows, row by row.
+3. Evaluate.  A front's maximum of p*c + q at each c, one line at a
+   time over a block of rows, at the distinct slopes only, since
+   c(K) = c(-K).
+
+Both envelope stages end in the convex-hull scan, a sequential stack
+pass.  Where it pops each line it pops at the next line, one at a time,
+as it does on almost every front at degree 3, numpy foresees the whole
+run from one test per line (_single_pops); a row that pops nothing is
+the simplest such case.  Only the other rows run the Python scan
+(_hull_scan), line by line, and so does a large front that has its
+block to itself, where foreseeing the run costs about what the scan does.
 """
 
 from __future__ import annotations
@@ -34,7 +56,11 @@ from .instance import QuantumInstance
 
 DEFAULT_COUPLING_GRID = Grid(step=0.01, half_count=200)
 
-_DENSE_FRONT_LIMIT = 4096
+_DENSE_FRONT_LIMIT = 4096  # fronts with more surviving lines skip the scan
+_BLOCK_ELEMS = 1 << 14  # entries per temporary table of a block of rows
+
+# the front of a leaf: max over no neighbours is c itself
+_IDENTITY = (np.ones(1), np.zeros(1), np.array([0, 1]))
 
 
 def ss_energy(inst: QuantumInstance, k) -> float:
@@ -62,75 +88,299 @@ class SSSolution:
     residual: float
 
 
-def _envelope(p: np.ndarray, q: np.ndarray):
-    """Prune lines c -> p*c + q (c >= 0) to their upper envelope.
+def _hull_scan(xs: list, ys: list, lo: int, hi: int) -> list:
+    """Indices of the lines c -> xs[i]*c + ys[i], lo <= i < hi, that the
+    convex-hull scan keeps.
 
-    Drops pointwise-dominated lines with a cumulative max, then runs a
-    convex-hull scan; with slopes ascending and intercepts descending the
-    survivors are exactly the lines that win somewhere on c >= 0.
+    The lines come by strictly rising slope with strictly falling
+    intercept; the scan pops the last hull line while the new one reaches
+    the line before it no later than the last did, so the survivors are
+    exactly the lines that win somewhere on c >= 0.
     """
-    order = np.lexsort((-q, p))
-    p, q = p[order], q[order]
-    keep = np.ones(p.size, dtype=bool)
-    keep[1:] = p[1:] > p[:-1]
-    p, q = p[keep], q[keep]
-    rev_max = np.maximum.accumulate(q[::-1])[::-1]
-    keep = np.ones(p.size, dtype=bool)
-    keep[:-1] = q[:-1] > rev_max[1:]
-    p, q = p[keep], q[keep]
-    if p.size > _DENSE_FRONT_LIMIT:
-        return p, q
-    hull_p, hull_q = [], []
     # Python floats: the same IEEE arithmetic as numpy scalars, faster
-    for x, y in zip(p.tolist(), q.tolist()):
-        while len(hull_p) >= 2:
-            x1, y1 = hull_p[-2], hull_q[-2]
-            x2, y2 = hull_p[-1], hull_q[-1]
+    hull = [lo]
+    x2, y2 = xs[lo], ys[lo]
+    for k in range(lo + 1, hi):
+        x, y = xs[k], ys[k]
+        while len(hull) >= 2:
+            x1, y1 = xs[hull[-2]], ys[hull[-2]]
             if (y2 - y1) * (x - x1) <= (y - y1) * (x2 - x1):
-                hull_p.pop()
-                hull_q.pop()
+                hull.pop()
+                x2, y2 = x1, y1
             else:
                 break
-        hull_p.append(x)
-        hull_q.append(y)
-    return np.asarray(hull_p), np.asarray(hull_q)
+        hull.append(k)
+        x2, y2 = x, y
+    return hull
 
 
-def _compose(front_a, front_b):
-    """Upper envelope of the product lines (pa_i * pb_j, qa_i + qb_j).
+def _pops(p, q, i, j, k):
+    """The hull scan's test on lines i < j < k: j goes when k reaches i no
+    later than j does."""
+    return (q[j] - q[i]) * (p[k] - p[i]) <= (q[k] - q[i]) * (p[j] - p[i])
 
-    Before the sort, a line is dropped when an anti-diagonal neighbour in
-    the (i, j) table, (i+1, j-1) or (i-1, j+1), is strictly steeper and no
-    lower.  _envelope drops every such line anyway, with every line of
-    equal (p, q): the steeper one, or the end of a chain of such
-    neighbours, dominates them all and survives.  The survivors keep their
-    row-major order, so the stable sort breaks ties as on the full
-    product and the result is the same bytes.  On hulls, with slopes
-    rising and intercepts falling along both axes, what is left to sort
-    is a small multiple of the product's Pareto staircase.
+
+def _single_pops(rows, p, q):
+    """Which lines the hull scan pops, where its run is easy to foresee.
+
+    The lines come flat, row by row.  On each new line k the scan tests
+    the last hull line t = k-1 against the one below it and pops t while
+    the test holds.  Guess that it pops exactly the middles of the
+    consecutive triples that pass the test, each at the next line.  The
+    guess is the scan's run iff at every k of a row, with b the last line
+    before t that the guess keeps and bb the last before b: t popped
+    passes the test on (b, t, k) and fails it on (bb, b, k) or has no bb;
+    t kept fails the test on (b, t, k) or has no b.  That takes one test
+    per line, in numpy.  Returns the guessed pops and the rows where the
+    guess is wrong.
     """
-    pa, qa = front_a
-    pb, qb = front_b
-    p = pa[:, None] * pb[None, :]
-    q = qa[:, None] + qb[None, :]
+    n = p.size
+    line = np.arange(n)
+    popped = np.zeros(n, dtype=bool)
+    popped[1:-1] = (rows[2:] == rows[:-2]) & _pops(p, q, line[:-2], line[1:-1], line[2:])
+    # below[i]: the last line before i that the guess keeps, or -1
+    below = np.full(n, -1)
+    below[1:] = np.maximum.accumulate(np.where(popped, -1, line))[:-1]
+    k = line[1:][rows[1:] == rows[:-1]]
+    t = k - 1
+    b = below[t]
+    bb = below[np.maximum(b, 0)]
+    has_b = (b >= 0) & (rows[np.maximum(b, 0)] == rows[t])
+    has_bb = has_b & (bb >= 0) & (rows[np.maximum(bb, 0)] == rows[t])
+    b, bb = np.maximum(b, 0), np.maximum(bb, 0)
+    pops_t = has_b & _pops(p, q, b, t, k)
+    pops_b = has_bb & _pops(p, q, bb, b, k)
+    right = np.where(popped[t], pops_t & ~pops_b, ~pops_t)
+    return popped, np.unique(rows[k[~right]])
+
+
+def _settle(p, q, valid):
+    """Upper envelopes of the rows of a (rows, width) line table.
+
+    Each row holds its lines at the True entries of valid, by strictly
+    rising slope, with finite intercepts, and -inf at the other entries.
+    A line is dropped when a steeper one of its row is no lower, then
+    rows of at most _DENSE_FRONT_LIMIT lines go through the hull scan:
+    the Python scan where _single_pops cannot foresee it, or where a row
+    has its block to itself.  Returns the fronts (p, q, start): flat
+    arrays, row r's lines at [start[r], start[r + 1]).
+    """
+    rev_max = np.maximum.accumulate(q[:, ::-1], axis=1)[:, ::-1]
+    keep = valid.copy()
+    keep[:, :-1] &= q[:, :-1] > rev_max[:, 1:]
+    count = keep.sum(axis=1)
+    rows = np.repeat(np.arange(count.size), count)
+    p, q = p[keep], q[keep]
+    if len(count) > 1:
+        popped, redo = _single_pops(rows, p, q)
+    else:  # a large front alone in its block: foreseeing costs a scan
+        popped, redo = np.zeros(p.size, dtype=bool), np.flatnonzero(count > 2)
+    scanned = count <= _DENSE_FRONT_LIMIT
+    keep = ~(popped & scanned[rows])
+    start = np.zeros(count.size + 1, dtype=np.int64)
+    np.cumsum(count, out=start[1:])
+    redo = redo[scanned[redo]]
+    if redo.size:
+        xs, ys = p.tolist(), q.tolist()
+        for lo, hi in zip(start[redo].tolist(), start[redo + 1].tolist()):
+            keep[lo:hi] = False
+            keep[_hull_scan(xs, ys, lo, hi)] = True
+    np.cumsum(np.bincount(rows[keep], minlength=count.size), out=start[1:])
+    return p[keep], q[keep], start
+
+
+def _join(parts):
+    """One fronts triple from the fronts of consecutive blocks of rows."""
+    if len(parts) == 1:
+        return parts[0]
+    count = np.concatenate([np.diff(start) for _, _, start in parts])
+    start = np.zeros(count.size + 1, dtype=np.int64)
+    np.cumsum(count, out=start[1:])
+    return (np.concatenate([p for p, _, _ in parts]),
+            np.concatenate([q for _, q, _ in parts]), start)
+
+
+def _blocks(dims):
+    """Blocks of row indices, in ascending order of the product of the
+    per-row sizes dims, each small enough that its padded table, rows x
+    the largest of each size, holds at most _BLOCK_ELEMS entries (or is
+    one row)."""
+    order = np.argsort(np.prod(dims, axis=0), kind="stable")
+    dims = dims[:, order]
+    s = 0
+    while s < order.size:
+        cost = np.arange(1, order.size - s + 1)
+        for dim in dims:
+            cost = cost * np.maximum.accumulate(dim[s:])
+        e = s + max(1, int(np.searchsorted(cost, _BLOCK_ELEMS, side="right")))
+        yield order[s:e]
+        s = e
+
+
+def _pad(fronts, rows):
+    """(rows, width) slope and intercept tables of the given fronts, with
+    slope 0 and intercept -inf after each front's lines, and the mask of
+    its lines."""
+    p, q, start = fronts
+    lo, hi = start[rows], start[rows + 1]
+    idx = lo[:, None] + np.arange(int((hi - lo).max()))
+    valid = idx < hi[:, None]
+    idx = np.where(valid, idx, lo[:, None])
+    return np.where(valid, p[idx], 0.0), np.where(valid, q[idx], -np.inf), valid
+
+
+def _slope_groups(sech):
+    """The distinct slopes in ascending order, the group of each grid
+    value, the column of each group's first member, and per further rank
+    the columns of the members of that rank with their groups.  Equal
+    slopes keep grid order within their group."""
+    order = np.argsort(sech, kind="stable")
+    s = sech[order]
+    new = np.ones(s.size, dtype=bool)
+    new[1:] = s[1:] > s[:-1]
+    group = np.cumsum(new) - 1
+    first = np.flatnonzero(new)
+    rank = np.arange(s.size) - first[group]
+    inverse = np.empty(s.size, dtype=np.int64)
+    inverse[order] = group
+    ties = [(order[rank == t], group[rank == t])
+            for t in range(1, rank.max(initial=0) + 1)]
+    return s[first], inverse, order[first], ties
+
+
+def _fronts(messages, slopes):
+    """The envelope of the lines (sech(2K), M(K)) of every message."""
+    u, _, heads, ties = slopes
+    parts = []
+    step = max(1, _BLOCK_ELEMS // max(1, messages.shape[1]))
+    for s in range(0, max(1, len(messages)), step):
+        block = messages[s:s + step]
+        q = block[:, heads]
+        # the largest intercept per slope, the first in grid order on ties
+        for cols, groups in ties:
+            cand, cur = block[:, cols], q[:, groups]
+            q[:, groups] = np.where(cand > cur, cand, cur)
+        parts.append(_settle(np.broadcast_to(u, q.shape), q,
+                             np.ones(q.shape, dtype=bool)))
+    return _join(parts)
+
+
+def _products(fa, ra, fb, rb):
+    """The product lines (pa_i * pb_j, qa_i + qb_j) of fronts ra[g] of fa
+    and rb[g] of fb that survive a dominance prefilter, row g of a
+    (rows, width) table in row-major (i, j) order, then slope +inf and
+    intercept -inf; and the mask of the lines.
+
+    A line is dropped when an anti-diagonal neighbour in the (i, j)
+    table, (i+1, j-1) or (i-1, j+1), is strictly steeper and no lower.
+    The envelope drops every such line anyway, with every line of equal
+    (p, q): the steeper one, or the end of a chain of such neighbours,
+    dominates them all and survives.  The survivors keep their row-major
+    order, so a stable sort breaks ties as on the full product and the
+    envelope is the same bytes.  On hulls, with slopes rising and
+    intercepts falling along both axes, what is left is a small multiple
+    of the product's Pareto staircase.
+    """
+    pa, qa, va = _pad(fa, ra)
+    pb, qb, vb = _pad(fb, rb)
+    p = pa[:, :, None] * pb[:, None, :]
+    q = qa[:, :, None] + qb[:, None, :]
     drop = np.zeros(p.shape, dtype=bool)
-    # (i, j) against (i+1, j-1), and (i+1, j-1) against (i, j)
-    lo_p, lo_q = p[:-1, 1:], q[:-1, 1:]
-    hi_p, hi_q = p[1:, :-1], q[1:, :-1]
-    drop[:-1, 1:] = (hi_p > lo_p) & (hi_q >= lo_q)
-    drop[1:, :-1] |= (lo_p > hi_p) & (lo_q >= hi_q)
-    keep = ~drop
-    return _envelope(p[keep], q[keep])
+    # (i, j) against (i+1, j-1), and (i+1, j-1) against (i, j); a padded
+    # neighbour has intercept -inf and drops nothing
+    lo_p, lo_q = p[:, :-1, 1:], q[:, :-1, 1:]
+    hi_p, hi_q = p[:, 1:, :-1], q[:, 1:, :-1]
+    drop[:, :-1, 1:] = (hi_p > lo_p) & (hi_q >= lo_q)
+    drop[:, 1:, :-1] |= (lo_p > hi_p) & (lo_q >= hi_q)
+    keep = va[:, :, None] & vb[:, None, :] & ~drop
+    count = keep.sum(axis=(1, 2))
+    valid = np.arange(count.max()) < count[:, None]
+    p2 = np.full(valid.shape, np.inf)
+    q2 = np.full(valid.shape, -np.inf)
+    p2[valid], q2[valid] = p[keep], q[keep]
+    return p2, q2, valid
 
 
-def _eval_front(front, c: np.ndarray) -> np.ndarray:
-    p, q = front
-    out = np.full(c.shape, -np.inf)
-    step = max(1, (1 << 22) // max(1, p.size))
-    for start in range(0, c.size, step):
-        block = c[start:start + step, None]
-        out[start:start + step] = np.max(block * p[None, :] + q[None, :], axis=1)
-    return out
+def _compose(batch_a, batch_b):
+    """Upper envelopes of the product lines (pa_i * pb_j, qa_i + qb_j).
+
+    A batch is (fronts, rows): row g composes front rows_a[g] of the
+    first with front rows_b[g] of the second.  Returns the batch of the
+    composed fronts.
+    """
+    (fa, ra), (fb, rb) = batch_a, batch_b
+    parts = []
+    blocks = list(_blocks(np.stack([np.diff(fa[2])[ra], np.diff(fb[2])[rb]])))
+    for block in blocks:
+        p, q, valid = _products(fa, ra[block], fb, rb[block])
+        # by slope, the highest first, ties in row-major order; the first
+        # line of each slope stays
+        order = np.lexsort((-q, p), axis=1)
+        p = np.take_along_axis(p, order, axis=1)
+        q = np.take_along_axis(q, order, axis=1)
+        first = valid.copy()
+        first[:, 1:] &= p[:, 1:] > p[:, :-1]
+        q[~first] = -np.inf
+        parts.append(_settle(p, q, first))
+    # the composed fronts come in block order
+    rows = np.empty(ra.size, dtype=np.int64)
+    rows[np.concatenate(blocks)] = np.arange(ra.size)
+    return _join(parts), rows
+
+
+def _evaluate(batch, h, slopes):
+    """Yield (rows, maxima) over blocks of rows: row g's maximum of
+    p*c + q over its front's lines at c = h[g] * sech(2K) on the grid.
+
+    c(K) = c(-K), so the maxima are taken at the distinct slopes only,
+    one line at a time.
+    """
+    fronts, rows = batch
+    u, inverse = slopes[:2]
+    # rows by front size, so that a block pads few lines
+    order = np.argsort(np.diff(fronts[2])[rows], kind="stable")
+    step = max(1, _BLOCK_ELEMS // inverse.size)
+    for s in range(0, order.size, step):
+        block = order[s:s + step]
+        p, q, _ = _pad(fronts, rows[block])
+        c = h[block, None] * u[None, :]
+        top = np.full(c.shape, -np.inf)
+        value = np.empty(c.shape)
+        for line in range(p.shape[1]):
+            np.multiply(p[:, line, None], c, out=value)
+            value += q[:, line, None]
+            np.maximum(top, value, out=top)
+        yield block, top[:, inverse]
+
+
+def _sweeper(inst: QuantumInstance, grid: Grid):
+    """The MaxSum sweep messages -> new messages of ss_maxsum_solve."""
+    graph = inst.graph
+    vals = grid.values
+    sech = 1.0 / np.cosh(2.0 * vals)
+    bond_gain = inst.couplings[:, None] * np.tanh(2.0 * vals)[None, :]
+    slopes = _slope_groups(sech)
+
+    def sweep(messages):
+        fronts = _fronts(messages, slopes)
+        new = np.empty_like(messages)
+        for ln, (dirs, nbrs) in graph.sweep_groups.items():
+            # the first front is a hull already, and enveloping a hull
+            # leaves it unchanged; a leaf keeps the identity front
+            if ln == 0:
+                batch = (_IDENTITY, np.zeros(dirs.size, dtype=np.int64))
+            else:
+                batch = (fronts, nbrs[:, 0] ^ 1)
+            for k in range(1, ln):
+                batch = _compose(batch, (fronts, nbrs[:, k] ^ 1))
+            h = inst.fields[graph.src[dirs]]
+            for rows, top in _evaluate(batch, h, slopes):
+                d = dirs[rows]
+                top += bond_gain[graph.edge_of_dir[d]]
+                new[d] = top
+        return new
+
+    return sweep
 
 
 def ss_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_COUPLING_GRID,
@@ -142,33 +392,13 @@ def ss_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_COUPLING_GRID,
     ties to the smallest |K|, negative first.  Non-convergence (loopy
     graphs) falls back to the best message set seen.
     """
-    graph = inst.graph
     vals = grid.values
-    sech = 1.0 / np.cosh(2.0 * vals)
-    bond_gain = inst.couplings[:, None] * np.tanh(2.0 * vals)[None, :]
-
-    def sweep(messages):
-        fronts = [_envelope(sech, messages[d])
-                  for d in range(2 * graph.m)]
-        new = np.empty_like(messages)
-        for d in range(2 * graph.m):
-            site = int(graph.src[d])
-            others = [fronts[int(d_out) ^ 1] for d_out in graph.out_dirs[site]
-                      if int(d_out) != d]
-            # the first front is a hull already, and enveloping a hull
-            # leaves it unchanged; a leaf keeps the identity front
-            front = others[0] if others else (np.ones(1), np.zeros(1))
-            for other in others[1:]:
-                front = _compose(front, other)
-            c = inst.fields[site] * sech
-            new[d] = bond_gain[graph.edge_of_dir[d]] + _eval_front(front, c)
-        return new
-
     messages, converged, iterations, residual = _maxsum_loop(
-        sweep, (2 * graph.m, vals.size), max_iters)
+        _sweeper(inst, grid), (2 * inst.m, vals.size), max_iters)
 
     # one arg-max per edge over the grid in tie-break order
     order = tiebreak_order(vals)
+    bond_gain = inst.couplings[:, None] * np.tanh(2.0 * vals)[None, :]
     weight = -bond_gain + messages[0::2] + messages[1::2]
     k_star = vals[order[np.argmax(weight[:, order], axis=1)]]
     obs = _observables(inst, k_star)

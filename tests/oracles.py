@@ -489,3 +489,41 @@ def compose_loop(front_a, front_b):
     p = (pa[:, None] * pb[None, :]).ravel()
     q = (qa[:, None] + qb[None, :]).ravel()
     return envelope_loop(p, q)
+
+
+def eval_front_loop(front, c):
+    """max over the front's lines of p*c + q at every c, in blocks of c."""
+    p, q = front
+    out = np.full(c.shape, -np.inf)
+    step = max(1, (1 << 22) // max(1, p.size))
+    for start in range(0, c.size, step):
+        block = c[start:start + step, None]
+        out[start:start + step] = np.max(block * p[None, :] + q[None, :], axis=1)
+    return out
+
+
+def ss_sweep_loop(inst, grid, messages):
+    """One zero-field MaxSum sweep, one directed edge at a time.
+
+    Each message M is enveloped as the lines (sech(2K), M(K)); the new
+    message on d = (i -> j) is -J tanh(2K) plus the maximum, at
+    c = h_i sech(2K), of the composition of the fronts of the other
+    messages into i, in out_dirs order (the first as it is, a leaf the
+    identity front).
+    """
+    graph = inst.graph
+    vals = grid.values
+    sech = 1.0 / np.cosh(2.0 * vals)
+    bond_gain = inst.couplings[:, None] * np.tanh(2.0 * vals)[None, :]
+    fronts = [envelope_loop(sech, messages[d]) for d in range(2 * graph.m)]
+    new = np.empty_like(messages)
+    for d in range(2 * graph.m):
+        site = int(graph.src[d])
+        others = [fronts[int(d_out) ^ 1] for d_out in graph.out_dirs[site]
+                  if int(d_out) != d]
+        front = others[0] if others else (np.ones(1), np.zeros(1))
+        for other in others[1:]:
+            front = compose_loop(front, other)
+        c = inst.fields[site] * sech
+        new[d] = bond_gain[graph.edge_of_dir[d]] + eval_front_loop(front, c)
+    return new

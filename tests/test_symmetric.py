@@ -1,5 +1,7 @@
 """Zero-field solver: oracle equality, closed forms, envelope pruning."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,14 +13,31 @@ from isingbp import (
     QuantumInstance,
     generate_chain,
     ss_maxsum_solve,
+    symmetric,
 )
 from isingbp.enumeration import quantum_expectation
 from isingbp.exact import dense_hamiltonian
 from isingbp.grids import Grid
-from isingbp.symmetric import _compose, _envelope, ss_energy
-from oracles import compose_loop, envelope_loop, ss_chain_minimum
+from isingbp.symmetric import _compose, _fronts, _slope_groups, _sweeper, ss_energy
+from oracles import compose_loop, envelope_loop, ss_chain_minimum, ss_sweep_loop
 
 COARSE = Grid(step=0.05, half_count=16)
+
+
+def _envelope(p, q):
+    # one message row whose grid slopes are p: the sweep's front code
+    fp, fq, _ = _fronts(q[None, :], _slope_groups(p))
+    return fp, fq
+
+
+def _compose_pair(front_a, front_b):
+    # one row of the sweep's batched composition
+    def batch(front):
+        p, q = front
+        return (p, q, np.array([0, p.size])), np.zeros(1, dtype=np.int64)
+
+    (p, q, _), _ = _compose(batch(front_a), batch(front_b))
+    return p, q
 
 
 def test_energy_formula():
@@ -115,8 +134,8 @@ def test_compose_matches_pairwise_maximum():
     rng = np.random.default_rng(7)
     pa, qa = rng.uniform(0, 1.5, 12), rng.standard_normal(12)
     pb, qb = rng.uniform(0, 1.5, 9), rng.standard_normal(9)
-    front = _compose(_envelope(pa.copy(), qa.copy()),
-                     _envelope(pb.copy(), qb.copy()))
+    front = _compose_pair(_envelope(pa.copy(), qa.copy()),
+                          _envelope(pb.copy(), qb.copy()))
     for c in rng.uniform(0.0, 2.5, size=15):
         full = np.max(c * (pa[:, None] * pb[None, :]) + qa[:, None] + qb[None, :])
         kept = np.max(c * front[0] + front[1])
@@ -173,7 +192,7 @@ def test_envelope_is_idempotent(lines):
     # front's own envelope, which must be the front itself
     front = _envelope(*_arrays(lines))
     again = _envelope(front[0].copy(), front[1].copy())
-    via_identity = _compose((np.ones(1), np.zeros(1)), front)
+    via_identity = _compose_pair((np.ones(1), np.zeros(1)), front)
     for a, b, c in zip(front, again, via_identity):
         assert a.tobytes() == b.tobytes()
         # adding the identity's zero intercept can only turn -0.0 into 0.0
@@ -197,8 +216,151 @@ def test_compose_matches_envelope_of_full_product(lines_a, lines_b, hulls):
     front_a, front_b = _arrays(lines_a), _arrays(lines_b)
     if hulls:
         front_a, front_b = _envelope(*front_a), _envelope(*front_b)
-    got = _compose(front_a, front_b)
+    got = _compose_pair(front_a, front_b)
     want = compose_loop(front_a, front_b)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype == np.float64
         assert a.tobytes() == b.tobytes()
+
+
+# degrees 4, 2, 2, 3, 1, 1, 1: a degree-4 site (two compositions per
+# message), a degree-3 site (one), degree-2 sites and leaves
+_MIXED_EDGES = [[0, 1], [0, 2], [0, 3], [0, 4], [1, 2], [3, 5], [3, 6]]
+
+
+def _sweep_case(topology, seed, grid):
+    rng = np.random.default_rng(seed)
+    if topology == "mixed":
+        n, edges = 7, _MIXED_EDGES
+    elif topology == "chain":
+        n, edges = 5, [[i, i + 1] for i in range(4)]
+    else:  # a 4-star: one degree-4 centre, four leaves
+        n, edges = 5, [[0, i] for i in range(1, 5)]
+    couplings = rng.choice([-1.0, 1.0, rng.standard_normal()], size=len(edges))
+    fields = np.abs(rng.choice([0.0, 0.5, 1.0, rng.uniform(0.0, 3.0)], size=n))
+    return QuantumInstance(n=n, edge_index=edges, couplings=couplings,
+                           fields=fields)
+
+
+def _messages(inst, grid, kind, seed, sweeps):
+    rng = np.random.default_rng(seed)
+    shape = (2 * inst.m, grid.size)
+    if kind == "quarters":  # many equal intercepts
+        table = rng.integers(-12, 1, size=shape) / 4
+    elif kind == "normal":
+        table = rng.standard_normal(shape)
+    else:  # messages as the solver makes them, from zero
+        table = np.zeros(shape)
+        sweep = _sweeper(inst, grid)
+        for _ in range(sweeps):
+            table = sweep(table)
+            table -= table.max(axis=1, keepdims=True)
+    return table
+
+
+@settings(max_examples=120, deadline=None)
+@given(topology=st.sampled_from(["mixed", "chain", "star"]),
+       grid=st.sampled_from([COARSE, Grid(step=0.25, half_count=3),
+                             Grid(step=0.05, half_count=16, cap=0.5)]),
+       kind=st.sampled_from(["quarters", "normal", "sweeps"]),
+       sweeps=st.integers(0, 3),
+       mirrored=st.booleans(),
+       seed=st.integers(0, 2**32 - 1),
+       block=st.sampled_from([1, 40, 700, symmetric._BLOCK_ELEMS]),
+       limit=st.sampled_from([2, 6, symmetric._DENSE_FRONT_LIMIT]))
+@example(topology="mixed", grid=COARSE, kind="sweeps", sweeps=3, mirrored=False,
+         seed=1, block=symmetric._BLOCK_ELEMS, limit=symmetric._DENSE_FRONT_LIMIT)
+def test_sweep_matches_per_edge_oracle(topology, grid, kind, sweeps, mirrored,
+                                       seed, block, limit):
+    # the batched sweep against the per-edge one, bytes, no tolerance:
+    # mirrored messages tie M(K) = M(-K) on every slope; a limit below the
+    # front sizes skips the hull scan as grids above _DENSE_FRONT_LIMIT do;
+    # small blocks split the rows of every stage
+    inst = _sweep_case(topology, seed, grid)
+    messages = _messages(inst, grid, kind, seed, sweeps)
+    if mirrored:
+        messages = np.minimum(messages, messages[:, ::-1])
+    with mock.patch.object(symmetric, "_BLOCK_ELEMS", block), \
+            mock.patch.object(symmetric, "_DENSE_FRONT_LIMIT", limit):
+        got = _sweeper(inst, grid)(messages.copy())
+        want = ss_sweep_loop(inst, grid, messages.copy())
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+# steps between consecutive lines: rising slope, falling intercept; on
+# a quarter lattice equal steps make collinear triples common
+_STEPS = st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                  min_size=1, max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_STEPS, min_size=2, max_size=5))
+@example([[(1, 1)] * 4, [(1, 1)]])  # collinear: each line goes at the next
+@example([[(1, 1), (1, 2), (1, 3), (1, 1)], [(1, 1), (2, 1)]])  # the last pops two
+def test_single_pops_matches_the_hull_scan(rows_of_steps):
+    # every row the guess accepts pops exactly what the scan pops
+    p = [np.cumsum([a / 4 for a, _ in steps]) for steps in rows_of_steps]
+    q = [-np.cumsum([b / 4 for _, b in steps]) for steps in rows_of_steps]
+    count = [x.size for x in p]
+    rows = np.repeat(np.arange(len(count)), count)
+    p, q = np.concatenate(p), np.concatenate(q)
+    popped, redo = symmetric._single_pops(rows, p, q)
+    start = np.concatenate([[0], np.cumsum(count)])
+    for r in set(range(len(count))) - set(redo.tolist()):
+        lo, hi = int(start[r]), int(start[r + 1])
+        kept = symmetric._hull_scan(p.tolist(), q.tolist(), lo, hi)
+        assert (lo + np.flatnonzero(~popped[lo:hi])).tolist() == kept
+
+
+def _front_rows(fronts):
+    p, q, start = fronts
+    return [(p[a:b], q[a:b]) for a, b in zip(start[:-1], start[1:])]
+
+
+def _same_fronts(got, want):
+    assert len(got) == len(want)
+    for (gp, gq), (wp, wq) in zip(got, want):
+        assert gp.dtype == gq.dtype == np.float64
+        assert gp.tobytes() == wp.tobytes() and gq.tobytes() == wq.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["quarters", "normal", "zeros"]),
+       rows=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1),
+       block=st.sampled_from([1, 40, 700, symmetric._BLOCK_ELEMS]),
+       limit=st.sampled_from([2, 6, symmetric._DENSE_FRONT_LIMIT]))
+def test_fronts_and_compositions_match_per_row_oracle(kind, rows, seed, block, limit):
+    # the batched fronts of a message table and batched compositions of
+    # pairs of them, row by row against envelope_loop and compose_loop; a
+    # limit below the front sizes skips the hull scan, small blocks split
+    # the rows, and "zeros" ties +0.0 with -0.0
+    rng = np.random.default_rng(seed)
+    sech = 1.0 / np.cosh(2.0 * COARSE.values)
+    if kind == "zeros":
+        messages = rng.choice([-0.5, -0.25, -0.0, 0.0], size=(rows, COARSE.size))
+    elif kind == "quarters":
+        messages = rng.integers(-12, 1, size=(rows, COARSE.size)) / 4
+    else:
+        messages = rng.standard_normal((rows, COARSE.size))
+    pairs = rng.integers(0, rows, size=(2, int(rng.integers(1, 2 * rows + 1))))
+    with mock.patch.object(symmetric, "_BLOCK_ELEMS", block), \
+            mock.patch.object(symmetric, "_DENSE_FRONT_LIMIT", limit):
+        fronts = _fronts(messages, _slope_groups(sech))
+        want = [envelope_loop(sech, row) for row in messages]
+        composed, order = _compose((fronts, pairs[0]), (fronts, pairs[1]))
+        want_composed = [compose_loop(want[a], want[b]) for a, b in pairs.T]
+    _same_fronts(_front_rows(fronts), want)
+    _same_fronts([_front_rows(composed)[g] for g in order], want_composed)
+
+
+def test_front_above_dense_limit_skips_the_scan():
+    # 4501 distinct slopes, every line above all steeper ones: the front
+    # keeps them all without the hull scan, which would drop most
+    grid = Grid(step=1e-3, half_count=4500)
+    sech = 1.0 / np.cosh(2.0 * grid.values)
+    messages = np.abs(grid.values)[None, :]
+    fronts = _front_rows(_fronts(messages, _slope_groups(sech)))
+    _same_fronts(fronts, [envelope_loop(sech, messages[0])])
+    assert fronts[0][0].size == 4501 > symmetric._DENSE_FRONT_LIMIT
