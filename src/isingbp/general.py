@@ -12,17 +12,17 @@ the surrounding edges) is exhaustive by default.  Closed-form pieces keep
 it cheap: for a fixed combination of edge states the admissible local
 fields form an interval, and the site energy is unimodal in the field, so
 the best grid field is the clipped rounding of the unconstrained optimum.
-The sweep, the reference inner max and the site maximization of the
-extraction all sum the per-edge quantities over neighbour-state
-combinations with one accumulator (_accumulate), and all three work
-through blocks of at most _BLOCK_ELEMS combinations (_blocks), so their
-temporaries take a fixed few MB at any graph size.  The sweep keeps the
-message-independent part of its inner max for the round, as the
-admissible entries of the window table only (_window_table): most
+The sweep and the reference inner max sum the per-edge quantities over
+neighbour-state combinations with one accumulator (_accumulate), and
+work through blocks of at most _BLOCK_ELEMS combinations (_blocks), so
+their temporaries take a fixed few MB at any graph size.  The sweep
+keeps the message-independent part of its inner max for the round, as
+the admissible entries of the window table only (_window_table): most
 combinations of edge states admit no grid field, above all in the early,
-loose rounds, and every sweep reduces just the rest.  The inner strategy
-"convolution" instead folds neighbours in one at a time into binned
-partial sums: approximate, but its memory does not grow as S**degree.
+loose rounds, and every sweep reduces just the rest; the extraction
+reads the same table.  The inner strategy "convolution" instead folds
+neighbours in one at a time into binned partial sums: approximate, but
+its memory does not grow as S**degree.
 
 Extraction reads the best state per edge from the edge weights, the field
 per site from the site shift maximizer, and then refits the cavity fields
@@ -57,6 +57,7 @@ _TOL_INIT = 0.2  # BP-consistency tolerance of the first round
 _TOL_DECAY = 0.7  # per round, for the tolerance and the proposal radius
 _MAX_SWEEPS = 60  # per round, unless messages move by <= _SWEEP_TOL
 _SWEEP_TOL = 1e-10
+_RUNAWAY_SCALE = 1000.0  # residual floor: -scale * (sum |J| + sum h)
 _RESAMPLE_FRACTION = 0.5  # share of each edge's states replaced per round
 _PROPOSAL_RADIUS_BINS = 5.0  # first round's proposal radius, in grid steps
 _BP_EPS = 1e-9  # refit BP residual
@@ -183,17 +184,6 @@ def _site_term(h, b, lyp, lym):
     return 2.0 * h * np.exp(-mx) / (np.exp(a1 - mx) + np.exp(a2 - mx))
 
 
-def _field_window(cfg: GSConfig, xlo, xhi, sum_u):
-    """Grid indices [ilo, ihi] of the fields b with 2b + sum_u in [xlo, xhi].
-
-    The window holds a grid field where ilo <= ihi.
-    """
-    db = cfg.delta_b
-    ilo = np.maximum(np.ceil((xlo - sum_u) / (2.0 * db) - 1e-9), -cfg.half_b)
-    ihi = np.minimum(np.floor((xhi - sum_u) / (2.0 * db) + 1e-9), cfg.half_b)
-    return ilo, ihi
-
-
 def _best_field(h, cfg: GSConfig, ilo, ihi, lyp, lym):
     """(site term, b index) at the best grid field of each feasible window.
 
@@ -204,29 +194,8 @@ def _best_field(h, cfg: GSConfig, ilo, ihi, lyp, lym):
     return _site_term(h, idx * cfg.delta_b, lyp, lym), idx
 
 
-def _window_max(h_site, cfg: GSConfig, xlo, xhi, sum_u, lyp_tot, lym_tot):
-    """Best site term over grid fields b with 2b + sum_u inside [xlo, xhi].
-
-    Returns (value, b_index) arrays of the broadcast shape; infeasible
-    windows give -inf and index 0.  The site term costs three exp, so it
-    is evaluated on the feasible entries only and scattered into the -inf
-    table.
-    """
-    ilo, ihi = _field_window(cfg, xlo, xhi, sum_u)
-    feasible = ilo <= ihi
-    shape = feasible.shape
-    value = np.full(shape, -np.inf)
-    b_idx = np.zeros(shape, dtype=np.int64)
-    value[feasible], b_idx[feasible] = _best_field(
-        np.broadcast_to(h_site, shape)[feasible], cfg, ilo[feasible],
-        ihi[feasible], np.broadcast_to(lyp_tot, shape)[feasible],
-        np.broadcast_to(lym_tot, shape)[feasible])
-    return value, b_idx
-
-
 # Entries per block of the site kernels: 128 KB per float64 temporary, so
-# their working set stays fixed whatever the table size.  The site
-# maximization of the extraction holds about 15 of them at once.
+# their working set stays fixed whatever the table size.
 _BLOCK_ELEMS = 1 << 14
 
 
@@ -244,6 +213,13 @@ def _blocks(g_total, size, c):
             yield slice(lo_g, lo_g + g_step), slice(lo_c, lo_c + c_step)
 
 
+def _check_combos(size: int, ln: int) -> None:
+    if ln and size ** ln > COMBO_LIMIT:
+        raise SearchSpaceError(
+            f"{size} states on each of {ln} edges give {size ** ln} state combinations, "
+            f"above the limit of {COMBO_LIMIT}; use a smaller space_size")
+
+
 @functools.lru_cache(maxsize=16)
 def _combo_index(size: int, ln: int) -> np.ndarray:
     """(ln, size**ln) state index per neighbour position, last one fastest.
@@ -251,12 +227,7 @@ def _combo_index(size: int, ln: int) -> np.ndarray:
     Read-only and shared between calls with the same (size, ln); the
     cache keeps 16 tables, each at most ln * COMBO_LIMIT * 8 bytes.  A
     call over the limit raises every time: lru_cache stores no exception."""
-    if ln and size ** ln > COMBO_LIMIT:
-        raise SearchSpaceError(
-            f"{size} states on each of {ln} edges give {size ** ln} state "
-            f"combinations, above the limit of {COMBO_LIMIT}; use a smaller "
-            "space_size"
-        )
+    _check_combos(size, ln)
     if not ln:
         idx = np.zeros((0, 1), dtype=np.int64)
     else:
@@ -290,14 +261,17 @@ def _admissible(cfg, tol, tables, dd, nn, ii):
     index bounds of their windows.  The dense temporaries of the test end
     with the call, before the admissible entries are evaluated.
     """
-    c_max = _accumulate(tables.c_in, nn, ii, np.maximum, -np.inf)
-    c_min = _accumulate(tables.c_in, nn, ii, np.minimum, np.inf)
+    c_max = _accumulate(tables.c_in, nn, ii, np.maximum, -np.inf)[:, None, :]
+    c_min = _accumulate(tables.c_in, nn, ii, np.minimum, np.inf)[:, None, :]
     nf = tables.nu_out[dd][:, :, None]
     u_t = tables.u_in[dd][:, :, None]
-    ilo, ihi = _field_window(
-        cfg, np.maximum(nf, c_max[:, None, :] - u_t) - tol,
-        np.minimum(nf, c_min[:, None, :] - u_t) + tol,
-        _accumulate(tables.u_in, nn, ii)[:, None, :])
+    sum_u = _accumulate(tables.u_in, nn, ii)[:, None, :]
+    # grid indices [ilo, ihi] of the fields b with 2b + sum_u in the window
+    step = 2.0 * cfg.delta_b
+    ilo = np.maximum(np.ceil(
+        (np.maximum(nf, c_max - u_t) - tol - sum_u) / step - 1e-9), -cfg.half_b)
+    ihi = np.minimum(np.floor(
+        (np.minimum(nf, c_min - u_t) + tol - sum_u) / step + 1e-9), cfg.half_b)
     at = np.flatnonzero(ilo <= ihi)
     return (*np.divmod(at, ii.shape[1]), ilo.ravel()[at], ihi.ravel()[at])
 
@@ -446,49 +420,73 @@ def gs_weights(inst: QuantumInstance, spaces: SearchSpace,
     return bond + messages[0::2] + messages[1::2]
 
 
-def _site_maxes(inst, tables, messages, tol, cfg):
+def _site_picks(inst, tables, messages, tol, cfg):
     """Joint max at every site over its field and all incident edge states.
 
     Returns (value (n,), b (n,), pick (2m,)), pick[d] being the state of
-    directed edge d at the maximizer of its source site (the first one in
-    combination order).  This is the site counterpart of the message
-    update: BP consistency must hold for every outgoing direction at once.
-    Sites of equal degree are evaluated together, in _blocks blocks of
-    their (G, C) table; an isolated site has one (empty) combination and
-    an unconstrained field.
+    directed edge d at the first maximizer of its source site in
+    combination order (out_dirs order, last edge fastest).  The entries
+    (s, c) of the window table of the site's first out-edge d are its
+    admissible combinations; a site value is _window_sweep's total plus
+    the message along d.  The round's cached table is read, else one is
+    built for the first out-edges.  A site without a finite value takes
+    combination 0 and its field (0 if none); an isolated site's field is
+    unconstrained.
     """
     graph = inst.graph
     size = tables.u_in.shape[1]
-    value = np.empty(graph.n)
-    b = np.empty(graph.n)
+    value, b = np.empty(graph.n), np.zeros(graph.n)
     pick = np.empty(2 * graph.m, dtype=np.int64)
-    for ln, (sites, rows) in graph.site_groups.items():
-        idx = _combo_index(size, ln)
-        best = np.full(sites.size, -np.inf)
-        col = np.zeros(sites.size, dtype=np.int64)
-        b_idx = np.zeros(sites.size, dtype=np.int64)
-        for gs, cs in _blocks(sites.size, 1, idx.shape[1]):
-            rr, ii = rows[gs], idx[:, cs]
-            val, b_blk = _window_max(
-                inst.fields[sites[gs]][:, None], cfg,
-                _accumulate(tables.c_in, rr, ii, np.maximum, -np.inf) - tol,
-                _accumulate(tables.c_in, rr, ii, np.minimum, np.inf) + tol,
-                _accumulate(tables.u_in, rr, ii),
-                _accumulate(tables.lyp_in, rr, ii),
-                _accumulate(tables.lym_in, rr, ii),
-            )
-            val += _accumulate(messages, rr ^ 1, ii)
-            at = np.argmax(val, axis=1)
-            g = np.arange(at.size)
-            # a later block wins only when strictly better, so the first
-            # maximum counts, as in np.argmax over the whole row
-            win = (val[g, at] > best[gs]) | (cs.start == 0)
-            best[gs] = np.where(win, val[g, at], best[gs])
-            col[gs] = np.where(win, at + cs.start, col[gs])
-            b_idx[gs] = np.where(win, b_blk[g, at], b_idx[gs])
+    for deg, (sites, rows) in graph.site_groups.items():
+        if not deg:
+            value[sites] = _site_term(inst.fields[sites], 0.0, 0.0, 0.0)
+            continue
+        _check_combos(size, deg)
+        first, nbrs = rows[:, 0], rows[:, 1:]
+        idx = _combo_index(size, deg - 1)
+        c = idx.shape[1]
+        key = (deg - 1, tol, cfg.delta_b, cfg.half_b)
+        if key in tables.window:
+            dirs, pieces = graph.sweep_groups[deg - 1][0], tables.window[key]
+        else:
+            dirs, pieces = first, _window_table(inst.fields[sites], cfg, tol,
+                                                tables, first, nbrs)
+        site_of = np.full(2 * graph.m, -1)
+        site_of[first] = np.arange(sites.size)
+        site_of = site_of[dirs]  # per table row block g, -1 off first out-edges
+        sum_m = _accumulate(messages, nbrs ^ 1, idx).ravel()
+        own = messages[first ^ 1].ravel()
+        best, win = np.full(sites.size, -np.inf), np.zeros(sites.size, dtype=np.int64)
+        for values, cols, starts, seg_rows in pieces:
+            lengths = np.diff(starts, append=values.size)
+            kept = site_of[seg_rows // size] >= 0
+            at = np.flatnonzero(np.repeat(kept, lengths))
+            row = np.repeat(seg_rows[kept], lengths[kept])
+            p, s, col = site_of[row // size], row % size, cols[at] % c
+            total = values[at] + sum_m[p * c + col] + own[p * size + s]
+            # pieces split a site's entries: ties go to the least s * C + c
+            top = np.full(sites.size, -np.inf)
+            np.maximum.at(top, p, total)
+            combo = np.full(sites.size, size * c)
+            hit = total == top[p]
+            np.minimum.at(combo, p[hit], s[hit] * c + col[hit])
+            better = (top > best) | ((top == best) & (top > -np.inf) & (combo < win))
+            win = np.where(better, combo, win)
+            best = np.maximum(best, top)
+        s, col = np.divmod(win, c)
         value[sites] = best
-        b[sites] = b_idx * cfg.delta_b
-        pick[rows] = idx[:, col].T
+        pick[first], pick[nbrs] = s, idx[:, col].T
+        # the winners' fields, by _window_table's own test and evaluation
+        # on tables cut to one state per directed edge
+        flat = _SweepTables(*(a.reshape(-1, 1) for a in (
+            tables.u_in, tables.lyp_in, tables.lym_in, tables.c_in, tables.nu_out)), None)
+        dd, nn = first * size + s, nbrs * size + idx[:, col].T
+        one = np.zeros((deg - 1, 1), dtype=np.int64)
+        at, _, ilo, ihi = _admissible(cfg, tol, flat, dd, nn, one)
+        lyp = flat.lyp_in[dd[at], 0] + _accumulate(flat.lyp_in, nn[at], one)[:, 0]
+        lym = flat.lym_in[dd[at], 0] + _accumulate(flat.lym_in, nn[at], one)[:, 0]
+        _, b_idx = _best_field(inst.fields[sites[at]], cfg, ilo, ihi, lyp, lym)
+        b[sites[at]] = b_idx.astype(np.int64) * cfg.delta_b
     return value, b, pick
 
 
@@ -602,41 +600,49 @@ def exhaustive_inner_max(inst: QuantumInstance, spaces: SearchSpace,
     return _window_sweep(pieces, messages, nbrs)[0]
 
 
-def _random_state(rng, k_vals, nu_vals):
-    return (
-        float(rng.choice(k_vals)),
-        float(rng.choice(nu_vals)),
-        float(rng.choice(nu_vals)),
-    )
+def _fill_uniform(states, have, rng, k_vals, nu_vals, size, guard, limit):
+    """Append uniform grid draws (k, nu_fwd, nu_rev) to states up to size;
+    a state in have is redrawn until the guard count reaches limit."""
+    while len(states) < size:
+        st = (float(rng.choice(k_vals)), float(rng.choice(nu_vals)),
+              float(rng.choice(nu_vals)))
+        guard += 1
+        if st in have and guard < limit:
+            continue
+        have.add(st)
+        states.append(st)
 
 
 def init_spaces(graph: ClassicalGraph, cfg: GSConfig, rng,
                 seed_states=None) -> SearchSpace:
     """Random initial spaces; seed_states maps edge -> list of states that
-    must be present (deduplicated, truncated to the space size)."""
-    k_vals = cfg.k_grid().values
-    nu_vals = cfg.nu_grid().values
-    s = cfg.space_size
-    k = np.zeros((graph.m, s))
-    nf = np.zeros((graph.m, s))
-    nr = np.zeros((graph.m, s))
-    for e in range(graph.m):
-        states = []
-        have = set()
-        for st in (seed_states or {}).get(e, []):
-            if st not in have and len(states) < s:
-                have.add(st)
-                states.append(st)
-        guard = 0
-        while len(states) < s:
-            st = _random_state(rng, k_vals, nu_vals)
-            guard += 1
-            if st in have and guard < 200:
-                continue
-            have.add(st)
-            states.append(st)
-        k[e], nf[e], nr[e] = map(np.array, zip(*states))
-    return SearchSpace(k, nf, nr)
+    must be present (deduplicated, truncated to the space size).
+
+    Uniform grid draws fill the rest, edge by edge, a duplicate redrawn up
+    to the 200th try.  One batch of draws for all edges gives the same
+    states up to the first edge that draws a state it holds; from there
+    the generator is rewound and draws one at a time.
+    """
+    k_vals, nu_vals, s = cfg.k_grid().values, cfg.nu_grid().values, cfg.space_size
+    held = [list(dict.fromkeys((seed_states or {}).get(e, [])))[:s]
+            for e in range(graph.m)]
+    out = np.zeros((graph.m, s, 3))
+    saved = rng.bit_generator.state
+    ends = np.cumsum([0] + [s - len(states) for states in held])
+    highs = np.tile([k_vals.size, nu_vals.size, nu_vals.size], ends[-1])
+    idx = rng.integers(0, highs).reshape(-1, 3)
+    draws = np.stack([k_vals[idx[:, 0]], nu_vals[idx[:, 1]], nu_vals[idx[:, 2]]], 1)
+    for e, states in enumerate(held):
+        new = draws[ends[e]:ends[e + 1]]
+        if len(set(states).union(map(tuple, new.tolist()))) < s:
+            rng.bit_generator.state = saved  # replay the draws before edge e
+            rng.integers(0, highs[:3 * ends[e]])
+            for f, rest in enumerate(held[e:], start=e):
+                _fill_uniform(rest, set(rest), rng, k_vals, nu_vals, s, 0, 200)
+                out[f] = rest
+            break
+        out[e] = [*states, *new]
+    return SearchSpace(*out.transpose(2, 0, 1))
 
 
 def gs_resample(spaces: SearchSpace, weights: np.ndarray, cfg: GSConfig,
@@ -689,13 +695,7 @@ def gs_resample(spaces: SearchSpace, weights: np.ndarray, cfg: GSConfig,
                 if st not in have:
                     have.add(st)
                     states.append(st)
-        while len(states) < s:
-            guard += 1
-            st = _random_state(rng, k_vals, nu_vals)
-            if st in have and guard < 400:
-                continue
-            have.add(st)
-            states.append(st)
+        _fill_uniform(states, have, rng, k_vals, nu_vals, s, guard, 400)
         new_k[e], new_nf[e], new_nr[e] = map(np.array, zip(*states))
     return SearchSpace(new_k, new_nf, new_nr), kept
 
@@ -736,7 +736,7 @@ def _extract(inst, spaces, messages, tol, cfg, tables=None, weights=None):
     nu[0::2] = spaces.nu_fwd[np.arange(inst.m), edge_pick]
     nu[1::2] = spaces.nu_rev[np.arange(inst.m), edge_pick]
 
-    value, b, pick = _site_maxes(inst, tables, messages, tol, cfg)
+    value, b, pick = _site_picks(inst, tables, messages, tol, cfg)
     shift_total = 0.0
     for val in value.tolist():  # in site order
         shift_total += val
@@ -846,24 +846,23 @@ def gs_solve(inst: QuantumInstance, cfg: GSConfig | None = None) -> GSResult:
 
     rounds_log = []
     total_sweeps = 0
+    # entries under the floor in two successive sweeps ran away toward -inf
+    floor = -_RUNAWAY_SCALE * float(np.abs(inst.couplings).sum() + inst.fields.sum())
     for rnd in range(cfg.outer_rounds):
-        residual = np.inf
-        sweeps = 0
-        dead = []
         tables = _sweep_tables(inst, spaces)
-        for _ in range(_MAX_SWEEPS):
+        for sweeps in range(1, _MAX_SWEEPS + 1):
             new, dead = gs_maxsum_sweep(inst, spaces, messages, tol, cfg,
                                         tables=tables)
-            finite = np.isfinite(new) & np.isfinite(messages)
-            if np.any(finite):
-                residual = float(np.max(np.abs(new[finite] - messages[finite])))
-            else:
-                residual = 0.0
+            live = np.isfinite(new) & np.isfinite(messages)
+            runaway = live & (new < floor) & (messages < floor)
+            diff = np.subtract(new, messages, out=np.zeros_like(new),
+                               where=live & ~runaway)
+            residual = float(np.max(np.abs(diff), initial=0.0))
             changed_shape = np.any(np.isfinite(new) != np.isfinite(messages))
             messages = new
-            sweeps += 1
             if not changed_shape and residual <= _SWEEP_TOL:
                 break
+        stop = "converged" if not changed_shape and residual <= _SWEEP_TOL else "cap"
         total_sweeps += sweeps
 
         weights = gs_weights(inst, spaces, messages)
@@ -878,9 +877,9 @@ def gs_solve(inst: QuantumInstance, cfg: GSConfig | None = None) -> GSResult:
                                                  cfg, tables, weights)
             candidates.append((f"round-{rnd}", b, k, nu0))
         rounds_log.append({
-            "round": rnd, "tol": tol, "sweeps": sweeps,
-            "residual": residual, "maxsum_energy": e_ms,
-            "disagreements": disagree, "dead_edges": len(dead),
+            "round": rnd, "tol": tol, "sweeps": sweeps, "stop": stop,
+            "residual": residual, "runaway": int(np.count_nonzero(runaway)),
+            "maxsum_energy": e_ms, "disagreements": disagree, "dead_edges": len(dead),
         })
         if rnd < cfg.outer_rounds - 1:
             spaces, kept = gs_resample(
@@ -894,6 +893,7 @@ def gs_solve(inst: QuantumInstance, cfg: GSConfig | None = None) -> GSResult:
             tol = max(tol * _TOL_DECAY, 2.0 * cfg.delta_nu)
             radius = max(radius * _TOL_DECAY, 1.0)
 
+    del tables  # the last round's window tables, before the refit batch
     refits = []
     refit_log = []
     fits = _refit(inst, candidates, rng)

@@ -303,14 +303,59 @@ def conv_field_max_dense(h_site, cfg, tol, sums, val, t_u, t_nu, t_lyp, t_lym):
     return out
 
 
+def site_maxes_dense(inst, tables, messages, tol, cfg):
+    """Joint max at every site over the whole (sites, S**degree) table.
+
+    For each combination of incident edge states (out_dirs order, last
+    edge fastest) the local field may take the grid values b with
+    2b + sum(u_in) inside [max(c_in) - tol, min(c_in) + tol]; the best is
+    the site term at the unconstrained optimum b* = (sum(lym) -
+    sum(lyp)) / 4 rounded to the grid and clipped into that window, plus
+    the incoming messages, or -inf without a window.  Each site takes its
+    first maximum (combination 0 if all are -inf) and that combination's
+    field (0 without a window); an isolated site has one empty
+    combination and an unconstrained field.  Returns (value (n,), b (n,),
+    pick (2m,)).
+    """
+    graph = inst.graph
+    size = tables.u_in.shape[1]
+    value, b = np.empty(graph.n), np.empty(graph.n)
+    pick = np.empty(2 * graph.m, dtype=np.int64)
+    for deg, (sites, rows) in graph.site_groups.items():
+        idx = _combos(size, deg)
+        c_max = _fold(tables.c_in, rows, idx, np.maximum, -np.inf)
+        c_min = _fold(tables.c_in, rows, idx, np.minimum, np.inf)
+        sum_u = _fold(tables.u_in, rows, idx)
+        lyp = _fold(tables.lyp_in, rows, idx)
+        lym = _fold(tables.lym_in, rows, idx)
+        db = cfg.delta_b
+        ilo = np.maximum(np.ceil((c_max - tol - sum_u) / (2.0 * db) - 1e-9), -cfg.half_b)
+        ihi = np.minimum(np.floor((c_min + tol - sum_u) / (2.0 * db) + 1e-9), cfg.half_b)
+        feasible = ilo <= ihi
+        b_idx = np.where(feasible, np.clip(np.rint((lym - lyp) / 4.0 / db), ilo, ihi), 0.0)
+        val = np.where(feasible, _site_term(inst.fields[sites][:, None], b_idx * db,
+                                            lyp, lym), -np.inf)
+        val = val + _fold(messages, rows ^ 1, idx)
+        at = np.argmax(val, axis=1)
+        g = np.arange(sites.size)
+        value[sites] = val[g, at]
+        b[sites] = b_idx[g, at].astype(np.int64) * db
+        pick[rows] = idx[:, at].T
+    return value, b, pick
+
+
 def site_shift_max_loop(inst, tables, messages, tol, cfg, site):
     """Joint max at one site, one incident edge at a time.
 
-    Over every combination of incident edge states (last edge fastest),
-    the local field may take the grid values b with 2b + sum(u_in) inside
-    [max(c_in) - tol, min(c_in) + tol]; the best is the site term at the
-    unconstrained optimum b* = (sum(lym) - sum(lyp)) / 4 rounded to the
-    grid and clipped into that window, plus the incoming messages.  An
+    Seen from the site's first out-edge d, as the MaxSum sweep sees it:
+    over every combination of incident edge states (out_dirs order, last
+    edge fastest; d's own state s first) the local field may take the
+    grid values b with 2b + sum(u_in of the other edges) inside
+    [max(nu_out_d(s), max(c_in) - u_d(s)) - tol, min(nu_out_d(s),
+    min(c_in) - u_d(s)) + tol], the max and min running over the other
+    edges; the best is the site term at b* = (sum(lym) - sum(lyp)) / 4
+    rounded to the grid and clipped into that window.  The value is that
+    term plus the other edges' incoming messages, then plus d's.  An
     isolated site takes b = 0.  Returns (value, b_value, {dir: state}).
     """
     h = inst.fields[site]
@@ -327,7 +372,7 @@ def site_shift_max_loop(inst, tables, messages, tol, cfg, site):
     sum_m = np.zeros(idx.shape[1])
     c_max = np.full(idx.shape[1], -np.inf)
     c_min = np.full(idx.shape[1], np.inf)
-    for pos, d in enumerate(dirs):
+    for pos, d in enumerate(dirs[1:], start=1):
         sel = idx[pos]
         sum_u += tables.u_in[d][sel]
         lyp += tables.lyp_in[d][sel]
@@ -336,16 +381,20 @@ def site_shift_max_loop(inst, tables, messages, tol, cfg, site):
         c = tables.c_in[d][sel]
         c_max = np.maximum(c_max, c)
         c_min = np.minimum(c_min, c)
+    d, s = dirs[0], idx[0]
+    u_d, nu_d = tables.u_in[d][s], tables.nu_out[d][s]
+    lyp = tables.lyp_in[d][s] + lyp
+    lym = tables.lym_in[d][s] + lym
     db = cfg.delta_b
-    ilo = np.ceil((c_max - tol - sum_u) / (2.0 * db) - 1e-9)
-    ihi = np.floor((c_min + tol - sum_u) / (2.0 * db) + 1e-9)
+    ilo = np.ceil((np.maximum(nu_d, c_max - u_d) - tol - sum_u) / (2.0 * db) - 1e-9)
+    ihi = np.floor((np.minimum(nu_d, c_min - u_d) + tol - sum_u) / (2.0 * db) + 1e-9)
     ilo = np.maximum(ilo, -cfg.half_b)
     ihi = np.minimum(ihi, cfg.half_b)
     feasible = ilo <= ihi
     b_star = (lym - lyp) / 4.0
     b_idx = np.where(feasible, np.clip(np.rint(b_star / db), ilo, ihi), 0.0)
     value = np.where(feasible, _site_term(h, b_idx * db, lyp, lym), -np.inf)
-    value = value + sum_m
+    value = value + sum_m + messages[d ^ 1][s]
     best = int(np.argmax(value))
     choice = {d: int(idx[pos, best]) for pos, d in enumerate(dirs)}
     return float(value[best]), float(b_idx.astype(np.int64)[best] * db), choice
@@ -383,6 +432,34 @@ def extract_loop(inst, spaces, messages, tol, cfg, tables, weights):
     finite = np.isfinite(edge_shift)
     maxsum_energy = -(shift_total - float(edge_shift[finite].sum()))
     return b, k, nu, maxsum_energy, disagreements
+
+
+def init_spaces_loop(graph, cfg, rng, seed_states=None):
+    """gs initial spaces one edge and one uniform grid draw at a time.
+
+    Per edge the seed states come first (duplicates dropped, at most
+    space_size of them), then uniform draws of k, nu_fwd and nu_rev in
+    that order fill the rest; a duplicate is redrawn, and kept from the
+    200th try on.  Returns (k, nu_fwd, nu_rev).
+    """
+    k_vals, nu_vals = cfg.k_grid().values, cfg.nu_grid().values
+    s = cfg.space_size
+    out = np.zeros((3, graph.m, s))
+    for e in range(graph.m):
+        states = []
+        for st in (seed_states or {}).get(e, []):
+            if st not in states and len(states) < s:
+                states.append(st)
+        guard = 0
+        while len(states) < s:
+            st = (float(rng.choice(k_vals)), float(rng.choice(nu_vals)),
+                  float(rng.choice(nu_vals)))
+            guard += 1
+            if st in states and guard < 200:
+                continue
+            states.append(st)
+        out[:, e] = np.array(states).T
+    return out[0], out[1], out[2]
 
 
 def gs_resample_loop(spaces, weights, cfg, rng, centers=None, radius_bins=None,

@@ -38,7 +38,7 @@ from isingbp.general import (
     SearchSpaceError,
     _combo_index,
     _extract,
-    _site_maxes,
+    _site_picks,
     _sweep_tables,
     _window_sweep,
     _window_table,
@@ -53,8 +53,10 @@ from oracles import (
     conv_field_max_dense,
     extract_loop,
     gs_resample_loop,
+    init_spaces_loop,
     mf_chain_minimum,
     refit_one,
+    site_maxes_dense,
     site_shift_max_loop,
     ss_chain_minimum,
     window_values_dense,
@@ -89,6 +91,28 @@ def test_init_spaces_deterministic_with_seeds():
     np.testing.assert_array_equal(a.nu_rev, b.nu_rev)
     assert (a.k[0, 0], a.nu_fwd[0, 0], a.nu_rev[0, 0]) == (0.0, 0.1, -0.2)
     assert (a.k[2, 0], a.nu_fwd[2, 0], a.nu_rev[2, 0]) == (0.5, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("options", [
+    dict(space_size=12, k_cap=1.5), dict(space_size=2),
+    dict(space_size=4, k_cap=0.1, delta_k=0.1, half_nu=1),
+    dict(space_size=10, k_cap=0.1, delta_k=0.1, half_nu=0),
+], ids=["c10", "seeds-only", "coarse", "too-few-states"])
+def test_init_spaces_match_edge_by_edge_draws(options):
+    # the coarse grids make edges draw states they hold already: 27 states
+    # for 4 slots, and 3 for 10 slots, which keeps duplicates in the end
+    g = generate_rrg(30, 3, "pm_one", 1.0, 77).graph
+    cfg = GSConfig(**options)
+    seeds = {e: [(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.1, 0.05, -0.05)]
+             for e in range(0, g.m, 3)}
+    for seed_states in (None, seeds):
+        rng_new, rng_old = np.random.default_rng(5), np.random.default_rng(5)
+        spaces = init_spaces(g, cfg, rng_new, seed_states)
+        k, nf, nr = init_spaces_loop(g, cfg, rng_old, seed_states)
+        assert spaces.k.tobytes() == k.tobytes()
+        assert spaces.nu_fwd.tobytes() == nf.tobytes()
+        assert spaces.nu_rev.tobytes() == nr.tobytes()
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
 
 def _converge_sweep(inst, g, spaces, cfg, tol, sweeps=60):
@@ -313,6 +337,38 @@ def test_a_stalled_refit_does_not_outrank_a_fixed_point():
     assert min(stalled) < res.energy
 
 
+def test_rounds_stop_once_only_runaway_entries_move(monkeypatch):
+    # the rrg_glass gs cell at h=1.5: in round 0 some message entries fall
+    # without bound and held the residual at 1e13 through all 60 sweeps
+    inst = generate_rrg(12, 3, "pm_one", 1.5, 7)
+    cfg = GSConfig(k_cap=2.0, outer_rounds=1, seed=cell_seed(0, "gs", 1.5))
+    res = gs_solve(inst, cfg)
+    (rnd,) = res.diagnostics["rounds"]
+    assert rnd["stop"] == "converged" and rnd["sweeps"] < general._MAX_SWEEPS
+    assert rnd["runaway"] > 0 and rnd["residual"] <= general._SWEEP_TOL
+    # without the floor the round runs to the cap, for the same candidate
+    monkeypatch.setattr(general, "_RUNAWAY_SCALE", np.inf)
+    capped = gs_solve(inst, cfg)
+    (rnd,) = capped.diagnostics["rounds"]
+    assert rnd["stop"] == "cap" and rnd["sweeps"] == general._MAX_SWEEPS
+    assert rnd["runaway"] == 0 and rnd["residual"] > 1e6
+    assert capped.diagnostics["refits"] == res.diagnostics["refits"]
+    assert capped.iterations == general._MAX_SWEEPS > res.iterations
+
+
+def test_rounds_whose_live_entries_move_run_to_the_cap():
+    # rrg_glass at h=0.5: rounds 2 and 3 oscillate above the floor
+    inst = generate_rrg(12, 3, "pm_one", 0.5, 7)
+    res = gs_solve(inst, GSConfig(k_cap=2.0, outer_rounds=4,
+                                  seed=cell_seed(0, "gs", 0.5)))
+    rounds = res.diagnostics["rounds"]
+    assert [r["stop"] for r in rounds] == ["converged"] * 2 + ["cap"] * 2
+    for r in rounds[2:]:
+        assert r["sweeps"] == general._MAX_SWEEPS and r["runaway"] == 0
+        assert r["residual"] > 1e-5
+    assert res.iterations == sum(r["sweeps"] for r in rounds)
+
+
 def _least_residual(graph, b, k, init, iterations):
     """Least update size of plain damped BP from init over its first updates."""
     nu = np.array(init, dtype=np.float64)
@@ -525,29 +581,38 @@ def test_window_kernels_match_dense_oracles_when_mostly_admissible(inst, monkeyp
     # late rounds at C10 admit about 64% of the entries; here 76-84%, with
     # tables of several pieces
     g, cfg, _, _, messages = _kernel_inputs(inst, False)
-    tables = _sweep_tables(inst, _converged_spaces(inst, cfg, np.random.default_rng(4)))
+    spaces = _converged_spaces(inst, cfg, np.random.default_rng(4))
+    tables = _sweep_tables(inst, spaces)
+    flat = inst.with_uniform_field(0.0)
     for elems in (_BLOCK_ELEMS, 500):
         monkeypatch.setattr(general, "_BLOCK_ELEMS", elems)
         for ln, (dirs, nbrs) in g.sweep_groups.items():
             finite = _check_window_kernels(inst, cfg, 1.0, tables, messages,
                                            dirs, nbrs)
             assert finite > 0.5 * dirs.size * 6 ** (ln + 1)
+        # at h = 0 every site term is 0, so with zero or whole-number
+        # messages a site's best entries tie, in several pieces at 500
+        for case, msgs in ((inst, messages), (flat, np.zeros_like(messages)),
+                           (flat, np.rint(messages))):
+            _check_site_picks_on_swept_tables(case, spaces, msgs, 1.0, cfg)
 
 
 def test_window_kernels_split_blocks_match_dense(monkeypatch):
     # blocks smaller than one (S, C) row split the combinations as well
     inst = generate_rrg(10, 4, law="gaussian", h=0.9, seed=6)
     g, cfg, spaces, tables, messages = _kernel_inputs(inst, False)
+    flat = inst.with_uniform_field(0.0)
     dirs, nbrs = g.sweep_groups[3]
-    for elems in (100, 6 * 216 - 1, 6 * 216 + 1, 3 * 6 * 216):
+    for elems in (12, 100, 6 * 216 - 1, 6 * 216 + 1, 3 * 6 * 216):
         monkeypatch.setattr(general, "_BLOCK_ELEMS", elems)
         assert _check_window_kernels(inst, cfg, 0.5, tables, messages, dirs, nbrs)
-        got = _site_maxes(inst, tables, messages, 0.5, cfg)
-        for site in range(g.n):
-            ref_value, ref_b, ref_choice = site_shift_max_loop(
-                inst, tables, messages, 0.5, cfg, site)
-            assert got[0][site] == ref_value and got[1][site] == ref_b
-            assert {d: int(got[2][d]) for d in ref_choice} == ref_choice
+        # the extraction on a table of its own and on the sweep's, whose
+        # pieces split each site's entries between blocks; at h = 0 every
+        # site term is 0, so with zero messages all of a site's entries
+        # tie, and at 12 entries a block the pieces run 2 c at a time
+        _check_site_picks_on_swept_tables(inst, spaces, messages, 0.5, cfg)
+        _check_site_picks_on_swept_tables(flat, spaces, np.zeros_like(messages),
+                                          1.0, cfg)
 
 
 def test_window_table_peak_memory():
@@ -571,20 +636,42 @@ def test_window_table_peak_memory():
     assert peak < 36 * 20 * 400 * 8 + 24 * _BLOCK_ELEMS * 8
 
 
+def _check_site_picks(inst, tables, messages, tol, cfg):
+    """_site_picks against the per-site loop, which sums in the sweep's
+    order, byte for byte, and against the dense site table: the same
+    fields and picks, values to rounding.  Returns the site values."""
+    g = inst.graph
+    value, b, pick = _site_picks(inst, tables, messages, tol, cfg)
+    assert value.shape == b.shape == (g.n,) and pick.shape == (2 * g.m,)
+    for site in range(g.n):
+        ref_value, ref_b, ref_choice = site_shift_max_loop(
+            inst, tables, messages, tol, cfg, site)
+        assert np.float64(value[site]).tobytes() == np.float64(ref_value).tobytes()
+        assert np.float64(b[site]).tobytes() == np.float64(ref_b).tobytes()
+        assert {d: int(pick[d]) for d in ref_choice} == ref_choice
+    d_value, d_b, d_pick = site_maxes_dense(inst, tables, messages, tol, cfg)
+    assert b.tobytes() == d_b.tobytes() and np.array_equal(pick, d_pick)
+    np.testing.assert_allclose(value, d_value, rtol=0, atol=1e-12)
+    return value
+
+
+def _check_site_picks_on_swept_tables(inst, spaces, messages, tol, cfg):
+    swept = _sweep_tables(inst, spaces)
+    gs_maxsum_sweep(inst, spaces, messages, tol, cfg, tables=swept)
+    assert swept.window
+    for tables in (_sweep_tables(inst, spaces), swept):
+        _check_site_picks(inst, tables, messages, tol, cfg)
+
+
 def _check_site_maxes(inst, infeasible):
     g, cfg, spaces, tables, messages = _kernel_inputs(inst, infeasible)
     infeasible_sites = 0
     # the small tolerances leave some sites without any admissible combination
     for tol in (0.05, 0.2, 1.0):
-        value, b, pick = _site_maxes(inst, tables, messages, tol, cfg)
-        assert value.shape == b.shape == (g.n,) and pick.shape == (2 * g.m,)
-        for site in range(g.n):
-            ref_value, ref_b, ref_choice = site_shift_max_loop(
-                inst, tables, messages, tol, cfg, site)
-            assert np.float64(value[site]).tobytes() == np.float64(ref_value).tobytes()
-            assert np.float64(b[site]).tobytes() == np.float64(ref_b).tobytes()
-            assert {d: int(pick[d]) for d in ref_choice} == ref_choice
-            infeasible_sites += value[site] == -np.inf
+        value = _check_site_picks(inst, tables, messages, tol, cfg)
+        infeasible_sites += int(np.count_nonzero(value == -np.inf))
+        # the round's cached tables, of every directed edge
+        _check_site_picks_on_swept_tables(inst, spaces, messages, tol, cfg)
     if infeasible:
         # only the isolated site, whose field is unconstrained, is feasible
         assert infeasible_sites == 3 * int(np.count_nonzero(g.degrees))
@@ -595,12 +682,8 @@ def _check_site_maxes(inst, infeasible):
     for site in np.flatnonzero(g.degrees):
         cut = messages.copy()
         cut[g.out_dirs[site] ^ 1] = -np.inf
-        value, b, pick = _site_maxes(inst, tables, cut, 1.0, cfg)
-        ref_value, ref_b, ref_choice = site_shift_max_loop(
-            inst, tables, cut, 1.0, cfg, site)
-        assert value[site] == ref_value == -np.inf
-        assert b[site] == ref_b
-        assert {d: int(pick[d]) for d in ref_choice} == ref_choice
+        value = _check_site_picks(inst, tables, cut, 1.0, cfg)
+        assert value[site] == -np.inf
 
 
 @pytest.mark.parametrize("inst", KERNEL_CASES, ids=KERNEL_IDS)
@@ -611,6 +694,18 @@ def test_site_shift_max_matches_per_site_loop(inst):
 @pytest.mark.parametrize("inst", KERNEL_CASES, ids=KERNEL_IDS)
 def test_site_maxes_on_infeasible_windows_match_per_site_loop(inst):
     _check_site_maxes(inst, infeasible=True)
+
+
+@pytest.mark.parametrize("inst", KERNEL_CASES, ids=KERNEL_IDS)
+def test_site_picks_after_convolution_sweeps(inst):
+    # the convolution sweep caches the window tables of leaves only; the
+    # extraction builds the rest for the first out-edges
+    g, cfg, spaces, _, messages = _kernel_inputs(inst, False)
+    cfg = GSConfig(space_size=6, k_cap=1.0, inner="convolution")
+    tables = _sweep_tables(inst, spaces)
+    gs_maxsum_sweep(inst, spaces, messages, 0.5, cfg, tables=tables)
+    assert all(key[0] == 0 for key in tables.window)
+    _check_site_picks(inst, tables, messages, 0.5, cfg)
 
 
 @pytest.mark.parametrize("inst", KERNEL_CASES, ids=KERNEL_IDS)

@@ -17,8 +17,8 @@ ROOT = Path(__file__).resolve().parent.parent
      ["h", "b", "k", "nu", "E_per_spin", "m_z", "m_x", "converged"]),
     ("large_rrg_hc.py", ["--n", "12", "--steps", "1", "--rounds", "1",
                          "--space-size", "4"],
-     ["h", "E_per_spin", "q_z", "m_x", "chosen", "converged", "time_s",
-      "peak_rss_mb", "digest"]),
+     ["h", "E_per_spin", "q_z", "m_x", "chosen", "converged", "sweeps",
+      "time_s", "peak_rss_mb", "digest"]),
 ])
 def test_script_writes_its_csv(script, args, header):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -44,5 +44,6 @@ def test_solver_seed_defaults_to_the_instance_seed():
         rows = list(csv.DictReader(io.StringIO(proc.stdout)))
         assert len(rows) == 1 and len(rows[0]["digest"]) == 12
         assert float(rows[0]["peak_rss_mb"]) > 0
+        assert int(rows[0]["sweeps"]) > 0
         digests.append(rows[0]["digest"])
     assert digests[0] == digests[1]

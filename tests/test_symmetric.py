@@ -12,13 +12,14 @@ from isingbp import (
     ParameterSet,
     QuantumInstance,
     generate_chain,
+    generate_rrg,
     ss_maxsum_solve,
     symmetric,
 )
 from isingbp.enumeration import quantum_expectation
 from isingbp.exact import dense_hamiltonian
-from isingbp.grids import Grid
-from isingbp.symmetric import _compose, _fronts, _slope_groups, _sweeper, ss_energy
+from isingbp.grids import Grid, tiebreak_order
+from isingbp.symmetric import DEFAULT_COUPLING_GRID, _compose, _fronts, _slope_groups, _sweeper, ss_energy
 from oracles import compose_loop, envelope_loop, ss_chain_minimum, ss_sweep_loop
 
 COARSE = Grid(step=0.05, half_count=16)
@@ -82,10 +83,26 @@ def test_star_grid_optimum(seed):
 
 def test_chain_default_grid_optimum():
     inst = generate_chain(7, law="gaussian", h=0.8, seed=6)
-    from isingbp.symmetric import DEFAULT_COUPLING_GRID
     sol = ss_maxsum_solve(inst)
     assert np.isclose(sol.energy, ss_chain_minimum(inst, DEFAULT_COUPLING_GRID),
                       atol=1e-10)
+
+
+@pytest.mark.parametrize("h", [2.0, 3.0])
+@pytest.mark.parametrize("seed", [77, 5])
+def test_pm_one_regular_graph_closed_form_at_n1000(seed, h):
+    # with zero fields and K_ij = sign(J_ij) kappa, a +-J 3-regular graph
+    # has the Bethe energy e(kappa) = -(3/2) tanh(2 kappa) - h sech(2 kappa)^3
+    # per spin, so ss is the grid minimiser of e, ties in tiebreak_order.
+    # At h = 0.5 the solve takes 8.5 s at this n, in the compositions.
+    inst = generate_rrg(1000, 3, "pm_one", h, seed)
+    vals = DEFAULT_COUPLING_GRID.values
+    e = -1.5 * np.tanh(2.0 * vals) - h / np.cosh(2.0 * vals) ** 3
+    order = tiebreak_order(vals)
+    best = order[np.argmin(e[order])]
+    sol = ss_maxsum_solve(inst)
+    assert np.array_equal(sol.k, np.sign(inst.couplings) * vals[best])
+    assert abs(sol.energy / inst.n - e[best]) <= 1e-12
 
 
 def test_single_bond_closed_form():
