@@ -276,6 +276,36 @@ def _admissible(cfg, tol, tables, dd, nn, ii):
     return (*np.divmod(at, ii.shape[1]), ilo.ravel()[at], ihi.ravel()[at])
 
 
+def _window_blocks(h_sites, cfg, tol, tables, dirs, nbrs):
+    """_window_table's entries one _blocks block at a time: per block that
+    has any, its piece and each entry's best grid field index, from the BP
+    interval test (_admissible), then the log flip-weight sums and site
+    term on the admissible entries.  A consumer that drops each block
+    before the next holds one block's entries at a time."""
+    size = tables.u_in.shape[1]
+    idx, c = _combo_index(size, nbrs.shape[1]), size ** nbrs.shape[1]
+    for gs, cs in _blocks(dirs.size, size, c):
+        dd, nn, ii = dirs[gs], nbrs[gs], idx[:, cs]
+        row, col, ilo, ihi = _admissible(cfg, tol, tables, dd, nn, ii)
+        if not row.size:
+            continue
+        g = row // size
+        flat_gc = g * ii.shape[1] + col
+        lyp = (tables.lyp_in[dd].ravel()[row]
+               + _accumulate(tables.lyp_in, nn, ii).ravel()[flat_gc])
+        lym = (tables.lym_in[dd].ravel()[row]
+               + _accumulate(tables.lym_in, nn, ii).ravel()[flat_gc])
+        del flat_gc  # before the site term adds its own temporaries
+        values, b_idx = _best_field(h_sites[gs][g], cfg, ilo, ihi, lyp, lym)
+        del ilo, ihi, lyp, lym
+        first = np.flatnonzero(np.diff(row, prepend=-1))
+        block = (values, (g + gs.start) * c + (col + cs.start), first,
+                 row[first] + gs.start * size, b_idx)
+        del row, col, g, values, b_idx, first  # the block holds the rest
+        yield block
+        del block  # before the next block is evaluated
+
+
 def _window_table(h_sites, cfg, tol, tables, dirs, nbrs) -> list:
     """Message-independent part of the exhaustive inner max, compressed.
 
@@ -291,46 +321,30 @@ def _window_table(h_sites, cfg, tol, tables, dirs, nbrs) -> list:
     block that holds it, so more than once only where a block splits the
     combinations.
 
-    Works one _blocks block at a time: the interval test of BP consistency
-    first (_admissible), then the sums of the log flip weights and the
-    site term on the admissible entries only.  The table takes 12 bytes
-    per admissible entry, against 8 per entry for the whole table: at
-    S = 12 on a 3-regular graph that is 0.6% of them in the first round
-    and about 64% by the eighth.  Both arrays are reserved at the full
-    table size, but only the pages written become resident, and the final
-    resize hands the rest back without a copy.
+    Packs the blocks of _window_blocks, at 12 bytes per admissible entry
+    against 8 per entry for the whole table: at S = 12 on a 3-regular
+    graph that is 0.6% of them in the first round and about 64% by the
+    eighth.  Both arrays are reserved at the full table size; only the
+    pages written become resident, and resize hands the rest back.
     """
     size = tables.u_in.shape[1]
-    idx = _combo_index(size, nbrs.shape[1])
-    g_total, c = dirs.size, idx.shape[1]
+    g_total, c = dirs.size, _combo_index(size, nbrs.shape[1]).shape[1]
     values = np.empty(g_total * size * c)
     cols = np.empty(values.size, dtype=np.int32 if g_total * c < 2 ** 31
                     else np.int64)
     starts, rows, bounds = [], [], []
     used = piece = piece_seg = n_seg = 0
-    for gs, cs in _blocks(g_total, size, c):
-        dd, nn, ii = dirs[gs], nbrs[gs], idx[:, cs]
-        row, col, ilo, ihi = _admissible(cfg, tol, tables, dd, nn, ii)
-        if not row.size:
-            continue
-        g = row // size
-        flat_gc = g * ii.shape[1] + col
-        lyp = (tables.lyp_in[dd].ravel()[row]
-               + _accumulate(tables.lyp_in, nn, ii).ravel()[flat_gc])
-        lym = (tables.lym_in[dd].ravel()[row]
-               + _accumulate(tables.lym_in, nn, ii).ravel()[flat_gc])
-        del flat_gc  # before the site term adds its own temporaries
-        end = used + row.size
+    for block in _window_blocks(h_sites, cfg, tol, tables, dirs, nbrs):
+        end = used + block[0].size
         if end - piece > _BLOCK_ELEMS and used > piece:
             bounds.append((piece, used, piece_seg, n_seg))
             piece, piece_seg = used, n_seg
-        values[used:end], _ = _best_field(h_sites[gs][g], cfg, ilo, ihi, lyp, lym)
-        cols[used:end] = (g + gs.start) * c + (col + cs.start)
-        first = np.flatnonzero(np.diff(row, prepend=-1))
-        starts.append(first + (used - piece))
-        rows.append(row[first] + gs.start * size)
-        n_seg += first.size
+        values[used:end], cols[used:end] = block[:2]
+        starts.append(block[2] + (used - piece))
+        rows.append(block[3])
+        n_seg += block[2].size
         used = end
+        del block
     if used > piece:
         bounds.append((piece, used, piece_seg, n_seg))
     values.resize(used, refcheck=False)
@@ -425,13 +439,12 @@ def _site_picks(inst, tables, messages, tol, cfg):
 
     Returns (value (n,), b (n,), pick (2m,)), pick[d] being the state of
     directed edge d at the first maximizer of its source site in
-    combination order (out_dirs order, last edge fastest).  The entries
-    (s, c) of the window table of the site's first out-edge d are its
-    admissible combinations; a site value is _window_sweep's total plus
-    the message along d.  The round's cached table is read, else one is
-    built for the first out-edges.  A site without a finite value takes
-    combination 0 and its field (0 if none); an isolated site's field is
-    unconstrained.
+    combination order (out_dirs order, last edge fastest).  The site's
+    admissible combinations are the entries (s, c) of its first out-edge
+    d's window table, read from the round's cache or else block by block
+    and not kept; a site value is _window_sweep's total plus the message
+    along d.  A site without a finite value takes combination 0 and its
+    field (0 if none); an isolated site's field is unconstrained.
     """
     graph = inst.graph
     size = tables.u_in.shape[1]
@@ -443,27 +456,33 @@ def _site_picks(inst, tables, messages, tol, cfg):
             continue
         _check_combos(size, deg)
         first, nbrs = rows[:, 0], rows[:, 1:]
-        idx = _combo_index(size, deg - 1)
-        c = idx.shape[1]
+        idx, c = _combo_index(size, deg - 1), size ** (deg - 1)
         key = (deg - 1, tol, cfg.delta_b, cfg.half_b)
         if key in tables.window:
             dirs, pieces = graph.sweep_groups[deg - 1][0], tables.window[key]
         else:
-            dirs, pieces = first, _window_table(inst.fields[sites], cfg, tol,
-                                                tables, first, nbrs)
+            dirs, pieces = first, _window_blocks(inst.fields[sites], cfg, tol,
+                                                 tables, first, nbrs)
         site_of = np.full(2 * graph.m, -1)
         site_of[first] = np.arange(sites.size)
         site_of = site_of[dirs]  # per table row block g, -1 off first out-edges
-        sum_m = _accumulate(messages, nbrs ^ 1, idx).ravel()
         own = messages[first ^ 1].ravel()
         best, win = np.full(sites.size, -np.inf), np.zeros(sites.size, dtype=np.int64)
-        for values, cols, starts, seg_rows in pieces:
+        for values, cols, starts, seg_rows, *_ in pieces:
             lengths = np.diff(starts, append=values.size)
             kept = site_of[seg_rows // size] >= 0
+            if not kept.any():
+                continue
             at = np.flatnonzero(np.repeat(kept, lengths))
-            row = np.repeat(seg_rows[kept], lengths[kept])
-            p, s, col = site_of[row // size], row % size, cols[at] % c
-            total = values[at] + sum_m[p * c + col] + own[p * size + s]
+            g, s = np.divmod(np.repeat(seg_rows[kept], lengths[kept]), size)
+            col = cols[at] % c
+            # neighbour messages summed for the piece's sites and columns only
+            span, g = site_of[g[0]:g[-1] + 1], g - g[0]
+            lo, width = int(col.min()), int(col.max() - col.min()) + 1
+            sum_m = _accumulate(messages, nbrs[span[span >= 0]] ^ 1,
+                                idx[:, lo:lo + width]).ravel()
+            p, local = span[g], (np.cumsum(span >= 0) - 1)[g]
+            total = values[at] + sum_m[local * width + col - lo] + own[p * size + s]
             # pieces split a site's entries: ties go to the least s * C + c
             top = np.full(sites.size, -np.inf)
             np.maximum.at(top, p, total)
@@ -476,17 +495,12 @@ def _site_picks(inst, tables, messages, tol, cfg):
         s, col = np.divmod(win, c)
         value[sites] = best
         pick[first], pick[nbrs] = s, idx[:, col].T
-        # the winners' fields, by _window_table's own test and evaluation
-        # on tables cut to one state per directed edge
+        # the winners' fields, from their window table on one-state tables
         flat = _SweepTables(*(a.reshape(-1, 1) for a in (
             tables.u_in, tables.lyp_in, tables.lym_in, tables.c_in, tables.nu_out)), None)
         dd, nn = first * size + s, nbrs * size + idx[:, col].T
-        one = np.zeros((deg - 1, 1), dtype=np.int64)
-        at, _, ilo, ihi = _admissible(cfg, tol, flat, dd, nn, one)
-        lyp = flat.lyp_in[dd[at], 0] + _accumulate(flat.lyp_in, nn[at], one)[:, 0]
-        lym = flat.lym_in[dd[at], 0] + _accumulate(flat.lym_in, nn[at], one)[:, 0]
-        _, b_idx = _best_field(inst.fields[sites[at]], cfg, ilo, ihi, lyp, lym)
-        b[sites[at]] = b_idx.astype(np.int64) * cfg.delta_b
+        for *_, at, b_idx in _window_blocks(inst.fields[sites], cfg, tol, flat, dd, nn):
+            b[sites[at]] = b_idx.astype(np.int64) * cfg.delta_b
     return value, b, pick
 
 
@@ -861,8 +875,10 @@ def gs_solve(inst: QuantumInstance, cfg: GSConfig | None = None) -> GSResult:
             changed_shape = np.any(np.isfinite(new) != np.isfinite(messages))
             messages = new
             if not changed_shape and residual <= _SWEEP_TOL:
+                stop = "converged"
                 break
-        stop = "converged" if not changed_shape and residual <= _SWEEP_TOL else "cap"
+        else:
+            stop = "cap"
         total_sweeps += sweeps
 
         weights = gs_weights(inst, spaces, messages)

@@ -708,6 +708,29 @@ def test_site_picks_after_convolution_sweeps(inst):
     _check_site_picks(inst, tables, messages, 0.5, cfg)
 
 
+def test_convolution_extraction_keeps_no_window_table():
+    # 12 sites of degree 4 at S = 20, around a fixed point: 1.4M of the
+    # 1.9M entries of the first out-edges' window table are admissible,
+    # 17 MB at 12 bytes each, and the extraction holds one block at a time
+    inst = generate_rrg(12, 4, law="gaussian", h=0.9, seed=6)
+    cfg = GSConfig(space_size=20, k_cap=1.0, inner="convolution")
+    tables = _sweep_tables(inst, _converged_spaces(inst, cfg, np.random.default_rng(4)))
+    messages = np.random.default_rng(12).standard_normal((2 * inst.m, 20))
+    sites, rows = inst.graph.site_groups[4]
+    blocks = general._window_blocks(inst.fields[sites], cfg, 1.0, tables,
+                                    rows[:, 0], rows[:, 1:])
+    assert sum(block[0].size for block in blocks) > 1_400_000
+    _combo_index(20, 3)
+    tracemalloc.start()
+    try:
+        _site_picks(inst, tables, messages, 1.0, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not tables.window
+    assert peak < 40 * _BLOCK_ELEMS * 8
+
+
 @pytest.mark.parametrize("inst", KERNEL_CASES, ids=KERNEL_IDS)
 def test_grouped_extract_matches_per_site_loop(inst):
     g, cfg, spaces, tables, messages = _kernel_inputs(inst, False)
