@@ -659,6 +659,15 @@ def init_spaces(graph: ClassicalGraph, cfg: GSConfig, rng,
     return SearchSpace(*out.transpose(2, 0, 1))
 
 
+def _snap_one(values: list, step: float, x: float) -> float:
+    """Grid.snap of one float, values being the grid's values as a list.
+
+    The same float expressions as Grid.snap, and round, like np.rint,
+    takes half-way points to the even integer."""
+    i = round((x - values[0]) / step)
+    return values[i] if 0 <= i < len(values) else values[0 if i < 0 else -1]
+
+
 def gs_resample(spaces: SearchSpace, weights: np.ndarray, cfg: GSConfig,
                 rng, centers=None, radius_bins: float | None = None,
                 dead_edges=()):
@@ -668,50 +677,67 @@ def gs_resample(spaces: SearchSpace, weights: np.ndarray, cfg: GSConfig,
     (k, nu_fwd, nu_rev), typically the best state observed); edges whose
     states were all inadmissible are redrawn from scratch.  Returns
     (new_spaces, kept) where kept maps (e, new slot) -> old slot or -1.
+
+    numpy runs once per round (the ranking) and once per proposal batch
+    (the normals); each edge's states are Python floats, and proposals
+    are snapped one at a time by _snap_one.
     """
     m, s = spaces.k.shape
     radius = _PROPOSAL_RADIUS_BINS if radius_bins is None else radius_bins
     n_new = int(round(_RESAMPLE_FRACTION * s))
     k_grid, nu_grid = cfg.k_grid(), cfg.nu_grid()
     k_vals, nu_vals = k_grid.values, nu_grid.values
-    new_k = np.empty_like(spaces.k)
-    new_nf = np.empty_like(spaces.nu_fwd)
-    new_nr = np.empty_like(spaces.nu_rev)
+    k_list, nu_list = k_vals.tolist(), nu_vals.tolist()
+    old = np.stack([spaces.k, spaces.nu_fwd, spaces.nu_rev], axis=2)
+    orders = np.argsort(-weights, axis=1, kind="stable")[:, : s - n_new].tolist()
+    out = np.empty((m, s, 3))
     kept = np.full((m, s), -1, dtype=np.int64)
     for e in range(m):
-        if e in dead_edges:
-            order = []
-        else:
-            order = list(np.argsort(-weights[e], kind="stable")[: s - n_new])
-        states = []
-        have = set()
-        for old in order:
-            st = spaces.state(e, old)
-            if st in have:
-                continue
-            have.add(st)
-            kept[e, len(states)] = old
-            states.append(st)
+        order = [] if e in dead_edges else orders[e]
+        held = old[e].tolist()
+        states, have, slots = [], set(), []
+        for o in order:
+            st = tuple(held[o])
+            if st not in have:
+                have.add(st)
+                slots.append(o)
+                states.append(st)
+        kept[e, :len(slots)] = slots
         center = None if centers is None else centers.get(e)
         if center is None and order:
-            center = spaces.state(e, order[0])
+            center = held[order[0]]
         guard = 0
         while center is not None and guard < 60 and len(states) < s:
             # as many proposals as free slots: each of them would be drawn
             # one at a time too, with its three normals in this order
-            z = rng.standard_normal((min(s - len(states), 60 - guard), 3))
-            for st in zip(
-                k_grid.snap(center[0] + z[:, 0] * radius * cfg.delta_k).tolist(),
-                nu_grid.snap(center[1] + z[:, 1] * radius * cfg.delta_nu).tolist(),
-                nu_grid.snap(center[2] + z[:, 2] * radius * cfg.delta_nu).tolist(),
-            ):
+            c_k, c_f, c_r = map(float, center)
+            for z_k, z_f, z_r in rng.standard_normal(
+                    (min(s - len(states), 60 - guard), 3)).tolist():
+                st = (_snap_one(k_list, k_grid.step, c_k + z_k * radius * cfg.delta_k),
+                      _snap_one(nu_list, nu_grid.step, c_f + z_f * radius * cfg.delta_nu),
+                      _snap_one(nu_list, nu_grid.step, c_r + z_r * radius * cfg.delta_nu))
                 guard += 1
                 if st not in have:
                     have.add(st)
                     states.append(st)
         _fill_uniform(states, have, rng, k_vals, nu_vals, s, guard, 400)
-        new_k[e], new_nf[e], new_nr[e] = map(np.array, zip(*states))
-    return SearchSpace(new_k, new_nf, new_nr), kept
+        out[e] = states
+    return SearchSpace(*out.transpose(2, 0, 1)), kept
+
+
+def _track_best(spaces, weights, best_weight, best_states):
+    """Record the best state seen per edge, in place.
+
+    An edge whose finite row max of weights beats best_weight[e] takes it
+    there, and best_states[e] becomes its state at the first argmax, a
+    (k, nu_fwd, nu_rev) tuple of floats.  Returns the row maxima."""
+    top = weights.max(axis=1)
+    better = np.flatnonzero(np.isfinite(top) & (top > best_weight))
+    best_weight[better] = top[better]
+    pick = weights[better].argmax(axis=1)
+    best_states.update(zip(better.tolist(), zip(
+        *(a[better, pick].tolist() for a in (spaces.k, spaces.nu_fwd, spaces.nu_rev)))))
+    return top
 
 
 @dataclass
@@ -776,7 +802,9 @@ def _refit(inst, candidates, rng):
     candidate, reports holding every start's BPReport.  Fixed points with
     mean |<s^z>| below _DELTA_M are rejected; if none passes, the
     lowest-energy one is used anyway and flagged.  A candidate with no
-    converged start gets its least-residual start, unflagged.
+    converged start gets its least-residual start, unflagged.  Only the
+    starts kept are evaluated: each new fixed point, or else that
+    least-residual start.
     """
     graph = inst.graph
     params = [ParameterSet(b, k) for _, b, k, _ in candidates]
@@ -799,14 +827,13 @@ def _refit(inst, candidates, rng):
         fixed = []
         backup = None
         for nu, rep in zip(nus[rows], reports[rows]):
-            obs = observables(inst, p, nu)
             if rep.converged:
                 if not any(np.max(np.abs(nu - f[1])) < 1e-7 for f in fixed):
-                    fixed.append((obs, nu, rep))
-            elif backup is None or rep.residual < backup[2].residual:
-                backup = (obs, nu, rep)
+                    fixed.append((observables(inst, p, nu), nu, rep))
+            elif backup is None or rep.residual < backup[1].residual:
+                backup = (nu, rep)
         if not fixed:
-            out.append((*backup, False, reports[rows]))
+            out.append((observables(inst, p, backup[0]), *backup, False, reports[rows]))
             continue
         passing = [f for f in fixed
                    if float(np.mean(np.abs(f[0].sigma_z))) >= _DELTA_M]
@@ -864,16 +891,18 @@ def gs_solve(inst: QuantumInstance, cfg: GSConfig | None = None) -> GSResult:
     floor = -_RUNAWAY_SCALE * float(np.abs(inst.couplings).sum() + inst.fields.sum())
     for rnd in range(cfg.outer_rounds):
         tables = _sweep_tables(inst, spaces)
+        finite = np.isfinite(messages)
         for sweeps in range(1, _MAX_SWEEPS + 1):
             new, dead = gs_maxsum_sweep(inst, spaces, messages, tol, cfg,
                                         tables=tables)
-            live = np.isfinite(new) & np.isfinite(messages)
+            new_finite = np.isfinite(new)
+            live = new_finite & finite
             runaway = live & (new < floor) & (messages < floor)
             diff = np.subtract(new, messages, out=np.zeros_like(new),
                                where=live & ~runaway)
             residual = float(np.max(np.abs(diff), initial=0.0))
-            changed_shape = np.any(np.isfinite(new) != np.isfinite(messages))
-            messages = new
+            changed_shape = not np.array_equal(new_finite, finite)
+            messages, finite = new, new_finite
             if not changed_shape and residual <= _SWEEP_TOL:
                 stop = "converged"
                 break
@@ -882,13 +911,9 @@ def gs_solve(inst: QuantumInstance, cfg: GSConfig | None = None) -> GSResult:
         total_sweeps += sweeps
 
         weights = gs_weights(inst, spaces, messages)
-        for e in range(graph.m):
-            w = float(np.max(weights[e]))
-            if np.isfinite(w) and w > best_weight[e]:
-                best_weight[e] = w
-                best_states[e] = spaces.state(e, np.argmax(weights[e]))
+        top = _track_best(spaces, weights, best_weight, best_states)
         e_ms = disagree = None  # no extraction while an edge is dead
-        if np.all(np.isfinite(np.max(weights, axis=1))) or graph.m == 0:
+        if np.all(np.isfinite(top)) or graph.m == 0:
             b, k, nu0, e_ms, disagree = _extract(inst, spaces, messages, tol,
                                                  cfg, tables, weights)
             candidates.append((f"round-{rnd}", b, k, nu0))

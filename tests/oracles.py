@@ -518,6 +518,120 @@ def gs_resample_loop(spaces, weights, cfg, rng, centers=None, radius_bins=None,
     return out[0], out[1], out[2], kept
 
 
+def gs_resample_per_edge(spaces, weights, cfg, rng, centers=None, radius_bins=None,
+                         dead_edges=()):
+    """gs resampling edge by edge, with numpy calls on each edge's arrays.
+
+    The same rule as gs_resample_loop, but each batch of proposals (one per
+    free slot, up to the 60th) is drawn as one (batch, 3) normal array and
+    snapped by Grid.snap, and uniform draws go through general._fill_uniform.
+    Returns (SearchSpace, kept).
+    """
+    from isingbp import general
+
+    m, s = spaces.k.shape
+    radius = general._PROPOSAL_RADIUS_BINS if radius_bins is None else radius_bins
+    n_new = int(round(general._RESAMPLE_FRACTION * s))
+    k_grid, nu_grid = cfg.k_grid(), cfg.nu_grid()
+    k_vals, nu_vals = k_grid.values, nu_grid.values
+    new_k = np.empty_like(spaces.k)
+    new_nf = np.empty_like(spaces.nu_fwd)
+    new_nr = np.empty_like(spaces.nu_rev)
+    kept = np.full((m, s), -1, dtype=np.int64)
+    for e in range(m):
+        if e in dead_edges:
+            order = []
+        else:
+            order = list(np.argsort(-weights[e], kind="stable")[: s - n_new])
+        states = []
+        have = set()
+        for old in order:
+            st = spaces.state(e, old)
+            if st in have:
+                continue
+            have.add(st)
+            kept[e, len(states)] = old
+            states.append(st)
+        center = None if centers is None else centers.get(e)
+        if center is None and order:
+            center = spaces.state(e, order[0])
+        guard = 0
+        while center is not None and guard < 60 and len(states) < s:
+            z = rng.standard_normal((min(s - len(states), 60 - guard), 3))
+            for st in zip(
+                k_grid.snap(center[0] + z[:, 0] * radius * cfg.delta_k).tolist(),
+                nu_grid.snap(center[1] + z[:, 1] * radius * cfg.delta_nu).tolist(),
+                nu_grid.snap(center[2] + z[:, 2] * radius * cfg.delta_nu).tolist(),
+            ):
+                guard += 1
+                if st not in have:
+                    have.add(st)
+                    states.append(st)
+        general._fill_uniform(states, have, rng, k_vals, nu_vals, s, guard, 400)
+        new_k[e], new_nf[e], new_nr[e] = map(np.array, zip(*states))
+    return general.SearchSpace(new_k, new_nf, new_nr), kept
+
+
+def track_best_loop(spaces, weights, best_weight, best_states):
+    """gs best-state bookkeeping one edge at a time: an edge whose finite
+    max weight beats best_weight[e] records it and its state at the first
+    argmax.  Returns the row maxima."""
+    for e in range(weights.shape[0]):
+        w = float(np.max(weights[e]))
+        if np.isfinite(w) and w > best_weight[e]:
+            best_weight[e] = w
+            best_states[e] = spaces.state(e, np.argmax(weights[e]))
+    return np.max(weights, axis=1)
+
+
+def refit_eager(inst, candidates, rng):
+    """gs refit in one batch, evaluating observables at every start.
+
+    The same starts, draws and bp_fixed_points call as general._refit and
+    the same selection rule as refit_one, but each start's observables are
+    computed before it is known to be kept.  Returns one (obs, nu, report,
+    fallback, reports) per candidate.
+    """
+    from isingbp import general
+    from isingbp.classical_bp import ParameterSet, bp_fixed_points, observables
+
+    graph = inst.graph
+    params = [ParameterSet(b, k) for _, b, k, _ in candidates]
+    starts = 2 + general._BP_RESTARTS
+    inits = []
+    for _, _, _, nu_init in candidates:
+        inits += [np.asarray(nu_init), np.zeros(2 * graph.m)]
+        inits += [rng.uniform(-2.0, 2.0, size=2 * graph.m)
+                  for _ in range(general._BP_RESTARTS)]
+    nus, reports = bp_fixed_points(
+        graph,
+        np.repeat(np.stack([p.b for p in params]), starts, axis=0),
+        np.repeat(np.stack([p.k for p in params]), starts, axis=0),
+        np.stack(inits),
+        eps=general._BP_EPS, max_iters=general._BP_MAX_ITERS,
+        patience=general._BP_PATIENCE,
+    )
+    out = []
+    for c, p in enumerate(params):
+        rows = slice(c * starts, (c + 1) * starts)
+        fixed, backup = [], None
+        for nu, rep in zip(nus[rows], reports[rows]):
+            obs = observables(inst, p, nu)
+            if rep.converged:
+                if not any(np.max(np.abs(nu - f[1])) < 1e-7 for f in fixed):
+                    fixed.append((obs, nu, rep))
+            elif backup is None or rep.residual < backup[2].residual:
+                backup = (obs, nu, rep)
+        if not fixed:
+            out.append((*backup, False, reports[rows]))
+            continue
+        passing = [f for f in fixed
+                   if float(np.mean(np.abs(f[0].sigma_z))) >= general._DELTA_M]
+        obs, nu, rep = min(passing or fixed, key=lambda f: f[0].energy)
+        out.append((obs, nu, rep, not passing, reports[rows]))
+    return out
+
+
 def envelope_loop(p, q):
     """Upper envelope of the lines c -> p*c + q on c >= 0.
 

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import testutil
 from isingbp import (
@@ -39,6 +41,7 @@ from isingbp.general import (
     _combo_index,
     _extract,
     _site_picks,
+    _snap_one,
     _sweep_tables,
     _window_sweep,
     _window_table,
@@ -53,12 +56,15 @@ from oracles import (
     conv_field_max_dense,
     extract_loop,
     gs_resample_loop,
+    gs_resample_per_edge,
     init_spaces_loop,
     mf_chain_minimum,
+    refit_eager,
     refit_one,
     site_maxes_dense,
     site_shift_max_loop,
     ss_chain_minimum,
+    track_best_loop,
     window_values_dense,
 )
 
@@ -832,6 +838,92 @@ def test_resample_matches_scalar_loop(centers, dead):
         assert new.nu_rev.tobytes() == nr.tobytes()
         assert np.array_equal(kept, kept_old)
         assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+RESAMPLE_CASES = {
+    # name: (config options, centers, dead edges, radius_bins)
+    "own-best": (dict(space_size=8), None, (), None),
+    "centers-dead": (dict(space_size=8), "best", (0, 3), None),
+    "capped-k": (dict(space_size=8, delta_k=0.1, k_cap=0.3), "best", (), None),
+    "radius-1": (dict(space_size=8), "best", (5,), 1.0),
+    # 3 states in all (k in -0.1, 0, 0.1 and nu 0) for 10 slots: the 60
+    # proposals run out, uniform draws follow and from the 400th try on a
+    # duplicate is kept
+    "tiny-grid": (dict(space_size=10, delta_k=0.1, k_cap=0.1, half_nu=0), "best", (2,), 60.0),
+}
+
+
+@pytest.mark.parametrize("case", list(RESAMPLE_CASES))
+def test_resample_matches_per_edge_batches(case):
+    options, centers, dead, radius = RESAMPLE_CASES[case]
+    cfg = GSConfig(**options)
+    rng = np.random.default_rng(list(RESAMPLE_CASES).index(case))
+    m, s = 14, cfg.space_size
+    k_vals, nu_vals = cfg.k_grid().values, cfg.nu_grid().values
+    # few distinct values per edge, so kept states repeat; tied and -inf weights
+    spaces = SearchSpace(rng.choice(k_vals[:3], size=(m, s)),
+                         rng.choice(nu_vals[-2:], size=(m, s)),
+                         rng.choice(nu_vals, size=(m, s)))
+    weights = rng.integers(0, 3, size=(m, s)).astype(float)
+    weights[rng.random((m, s)) < 0.2] = -np.inf
+    cmap = None if centers is None else {
+        e: spaces.state(e, 1) for e in range(0, m, 2)}
+    rng_new, rng_old = np.random.default_rng(9), np.random.default_rng(9)
+    new, kept = gs_resample(spaces, weights, cfg, rng_new, centers=cmap,
+                            radius_bins=radius, dead_edges=set(dead))
+    old, kept_old = gs_resample_per_edge(spaces, weights, cfg, rng_old, centers=cmap,
+                                         radius_bins=radius, dead_edges=set(dead))
+    for a, b in ((new.k, old.k), (new.nu_fwd, old.nu_fwd), (new.nu_rev, old.nu_rev)):
+        assert a.tobytes() == b.tobytes()
+    assert np.array_equal(kept, kept_old)
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+    assert np.all(kept[list(dead)] == -1)
+    if case == "tiny-grid":
+        assert all(len({new.state(e, j) for j in range(s)}) < s for e in range(m))
+
+
+@settings(max_examples=400, deadline=None)
+@given(step=st.sampled_from([0.05, 0.1, 0.3, 1.0]), half=st.integers(0, 40),
+       cap=st.one_of(st.none(), st.floats(0.0, 3.0)),
+       at=st.integers(-90, 90), frac=st.one_of(
+           st.sampled_from([0.5, -0.5, 0.0]), st.floats(-1.0, 1.0)))
+@example(step=1.0, half=3, cap=None, at=3, frac=0.5)  # 3.5 rounds to 4
+@example(step=1.0, half=3, cap=None, at=2, frac=0.5)  # 2.5 rounds to 2
+@example(step=0.05, half=2, cap=None, at=-90, frac=0.0)
+@example(step=0.05, half=2, cap=None, at=90, frac=0.0)
+def test_scalar_snap_equals_grid_snap(step, half, cap, at, frac):
+    # half-way points between grid values, and points far beyond both ends
+    grid = Grid(step, half, cap=cap)
+    v = grid.values
+    for x in (float(v[0] + (at + frac) * step), (at + frac) * 1e6):
+        assert _snap_one(v.tolist(), step, x) == float(grid.snap(x))
+
+
+SOLVE_CASES = {
+    "rrg_scan": (generate_rrg(30, 3, "pm_one", 2.0, 77),
+                 dict(space_size=12, outer_rounds=8, k_cap=1.5)),
+    "chain_compare": (generate_chain(14, "gaussian", 0.3, 42), dict(outer_rounds=12)),
+    "rrg4": (generate_rrg(10, 4, "pm_one", 1.0, 7),
+             dict(space_size=4, outer_rounds=4, k_cap=1.5)),
+}
+
+
+@pytest.mark.parametrize("case", list(SOLVE_CASES))
+def test_solve_identical_with_per_edge_bookkeeping(case, monkeypatch):
+    # the per-edge resampler, best-state loop and eager refit as a whole
+    # solve: the CSV rows print 10 digits of the energy, this sees every bit
+    inst, options = SOLVE_CASES[case]
+    cfg = GSConfig(**options, seed=cell_seed(0, "gs", float(inst.fields[0])))
+    got = gs_solve(inst, cfg)
+    monkeypatch.setattr(general, "gs_resample", gs_resample_per_edge)
+    monkeypatch.setattr(general, "_track_best", track_best_loop)
+    monkeypatch.setattr(general, "_refit", refit_eager)
+    want = gs_solve(inst, cfg)
+    for name in ("b", "k", "nu", "sigma_z", "sigma_x"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    for name in ("energy", "m_x", "q_z", "maxsum_energy", "converged", "iterations",
+                 "chosen", "delta_m_fallback", "disagreements", "diagnostics"):
+        assert getattr(got, name) == getattr(want, name), name
 
 
 def test_weights_are_bond_scores():
