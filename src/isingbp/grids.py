@@ -1,5 +1,6 @@
-"""Symmetric parameter grids, deterministic arg-max tie-breaking and the
-MaxSum iteration loop shared by the mean-field and symmetric solvers."""
+"""Symmetric parameter grids, deterministic arg-max tie-breaking, and the
+message normalization and loopy MaxSum iteration loop of the mean-field
+and symmetric solvers."""
 
 from __future__ import annotations
 
@@ -78,7 +79,13 @@ def argmax_tiebreak(table: np.ndarray, values: np.ndarray) -> int:
     return int(order[np.argmax(table[order])])
 
 
-_EPS = 1e-9  # message residual at which both MaxSum solvers converge
+_EPS = 1e-9  # message residual at which loopy MaxSum sweeps converge
+
+
+def _normalized(new: np.ndarray) -> np.ndarray:
+    """Shift each message (row) of new in place to max zero; returns new."""
+    new -= new.max(axis=1, keepdims=True)
+    return new
 
 
 def _maxsum_loop(sweep, shape, max_iters: int):
@@ -86,9 +93,12 @@ def _maxsum_loop(sweep, shape, max_iters: int):
     table, normalized to max zero per message, from zero until the residual
     reaches _EPS.
 
-    Without convergence within max_iters sweeps the best-residual message
-    set seen is returned.  sweep must return a new array and leave its
-    input alone, so the best set is kept by reference.  Returns
+    ss_maxsum_solve runs it on loopy graphs only: on a forest both MaxSum
+    solvers compute every message once in graph.forest_schedule order
+    instead, so max_iters, the residual and the sweep count do not apply
+    there.  Without convergence within max_iters sweeps the best-residual
+    message set seen is returned.  sweep must return a new array and
+    leave its input alone, so the best set is kept by reference.  Returns
     (messages, converged, iterations, residual).
     """
     check_count("max_iters", max_iters, 1)
@@ -97,8 +107,7 @@ def _maxsum_loop(sweep, shape, max_iters: int):
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        new = sweep(messages)
-        new -= new.max(axis=1, keepdims=True)
+        new = _normalized(sweep(messages))
         residual = float(np.max(np.abs(new - messages))) if new.size else 0.0
         messages = new
         if residual < best[0]:

@@ -2,11 +2,11 @@
 
 With all pair couplings of the trial measure at zero the variational
 energy is a sum of single-site and single-bond terms in the per-spin
-fields alone.  On forests MaxSum over the grid finds the optimal product
-state; on loopy graphs a colour-class coordinate descent over the same
-grid finds a local optimum.  The energy of a product state is a true
-quantum expectation value, so the result is always an upper bound on the
-ground-state energy.
+fields alone.  On forests one collect/distribute MaxSum pass over the
+grid finds the optimal product state; on loopy graphs a colour-class
+coordinate descent over the same grid finds a local optimum.  The energy
+of a product state is a true quantum expectation value, so the result is
+always an upper bound on the ground-state energy.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical_bp import ParameterSet, observables
-from .grids import (Grid, _maxsum_loop, argmax_tiebreak, check_count,
+from .grids import (Grid, _normalized, argmax_tiebreak, check_count,
                     tiebreak_order)
 from .instance import QuantumInstance
 
@@ -134,12 +134,13 @@ def mf_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_FIELD_GRID,
     """Product state on the field grid; returns its fields, their energy
     and the m_x and q_z of the state.
 
-    On a forest MaxSum finds the exact grid optimum in diameter + 1
-    sweeps; without convergence within max_iters sweeps the extraction
-    uses the best message set seen.  Extraction decides sites in BFS
-    order, conditioning each arg-max on already-decided neighbors, which
-    keeps tied optima globally consistent; remaining ties go to the
-    smallest |b|, negative first.
+    On a forest one collect/distribute pass of MaxSum (_forest_messages)
+    finds the exact grid optimum: it computes every message once, from
+    final inputs, so the result reports converged=True, iterations=1 and
+    residual=0.0, and max_iters does not limit it.  Extraction decides
+    sites in BFS order, conditioning each arg-max on already-decided
+    neighbors, which keeps tied optima globally consistent; remaining
+    ties go to the smallest |b|, negative first.
 
     On a loopy graph, where MaxSum need not converge, a colour-class
     descent (_descent) runs instead and max_iters caps the passes of each
@@ -148,8 +149,9 @@ def mf_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_FIELD_GRID,
     """
     check_count("max_iters", max_iters, 1)
     if inst.graph.is_forest:
-        b_star, converged, iterations, residual = _maxsum(inst, grid.values,
-                                                          max_iters)
+        b_star = _extract_fields(inst, grid.values,
+                                 *_forest_messages(inst, grid.values))
+        converged, iterations, residual = True, 1, 0.0
     else:
         b_star, converged, iterations, residual = _descent(inst, grid,
                                                            max_iters, seed)
@@ -165,26 +167,35 @@ def mf_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_FIELD_GRID,
     )
 
 
-def _maxsum(inst, vals, max_iters):
-    """MaxSum sweeps and extraction; returns (b, converged, sweeps, residual)."""
+def _forest_messages(inst, vals):
+    """MaxSum on a forest in one pass of graph.forest_schedule; returns
+    the messages and their hop tables.
+
+    The message on d = (i -> j) is the site term of i plus the hop rows
+    of the messages into i from its other neighbours, normalized to max
+    zero.  Each batch's hop tables are computed once its messages are
+    final; _hop_tables computes each row on its own, bit for bit, so they
+    are the hop tables of the whole message set.
+    """
     graph = inst.graph
-    nb = vals.size
     tanh_vals = np.tanh(2.0 * vals)
-    site_term = inst.fields[:, None] / np.cosh(2.0 * vals)[None, :]
+    site_term = _site_term(inst, vals)
     j_tanh = inst.couplings[graph.edge_of_dir][:, None] * tanh_vals[None, :]
-    site_src = site_term[graph.src]
-    rev = np.arange(2 * graph.m) ^ 1
+    messages = np.zeros((2 * graph.m, vals.size))
+    hop = np.zeros_like(messages)
+    for dirs, groups in graph.forest_schedule():
+        for ln, (sub, nbrs) in groups.items():
+            new = site_term[graph.src[sub]]
+            for k in range(ln):
+                new += hop[nbrs[:, k] ^ 1]
+            messages[sub] = _normalized(new)
+        hop[dirs] = _hop_tables(j_tanh[dirs], tanh_vals, messages[dirs])
+    return messages, hop
 
-    def sweep(messages):
-        hop = _hop_tables(j_tanh, tanh_vals, messages)
-        hop_sum = np.zeros((graph.n, nb))
-        np.add.at(hop_sum, graph.dst, hop)
-        return site_src + hop_sum[graph.src] - hop[rev]
 
-    messages, converged, iterations, residual = _maxsum_loop(
-        sweep, (2 * graph.m, nb), max_iters)
-    b_star = _extract_fields(inst, vals, tanh_vals, j_tanh, site_term, messages)
-    return b_star, converged, iterations, residual
+def _site_term(inst, vals):
+    """site_term[i][x] = h_i sech(2 b_x), site i's energy gain at b_x."""
+    return inst.fields[:, None] / np.cosh(2.0 * vals)[None, :]
 
 
 _RANDOM_STARTS = 8  # seeded grid draws besides b = 0 and the saturated start
@@ -282,9 +293,10 @@ def _descent(inst, grid, max_iters, seed):
             float(drop[win]))
 
 
-def _extract_fields(inst, vals, tanh_vals, j_tanh, site_term, messages):
+def _extract_fields(inst, vals, messages, hop):
     graph = inst.graph
-    hop = _hop_tables(j_tanh, tanh_vals, messages)
+    tanh_vals = np.tanh(2.0 * vals)
+    site_term = _site_term(inst, vals)
     b_star = np.zeros(inst.n)
     b_idx = np.full(inst.n, -1, dtype=np.int64)
     for site in graph.bfs_order():

@@ -18,10 +18,12 @@ maximum of lines in c, so pruning each neighbor table to its upper
 envelope and composing the envelopes gives the exhaustive answer exactly
 at a fraction of the cost, at any degree.
 
-A sweep computes all 2m new messages from the old ones in batched passes
-over the directed edges, rows in blocks of at most _BLOCK_ELEMS table
-entries.  It keeps every float expression of the one-edge-at-a-time
-sweep (tests/oracles.py), so the messages are the same bytes:
+On a loopy graph a sweep computes all 2m new messages from the old ones
+in batched passes over the directed edges, rows in blocks of at most
+_BLOCK_ELEMS table entries.  On a forest one collect/distribute pass
+runs the same stages once per batch of graph.forest_schedule.  Both keep
+every float expression of the one-edge-at-a-time sweep
+(tests/oracles.py), so the messages are the same bytes:
 
 1. Fronts.  Every message envelopes the lines (sech(2K), M(K)), whose
    slopes are sorted once: each equal-slope group keeps its largest
@@ -51,7 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical_bp import ParameterSet, observables
-from .grids import Grid, _maxsum_loop, tiebreak_order
+from .grids import (Grid, _maxsum_loop, _normalized, check_count,
+                    tiebreak_order)
 from .instance import QuantumInstance
 
 DEFAULT_COUPLING_GRID = Grid(step=0.01, half_count=200)
@@ -353,34 +356,76 @@ def _evaluate(batch, h, slopes):
         yield block, top[:, inverse]
 
 
-def _sweeper(inst: QuantumInstance, grid: Grid):
-    """The MaxSum sweep messages -> new messages of ss_maxsum_solve."""
+def _emitter(inst: QuantumInstance, grid: Grid):
+    """emit(groups, fronts, out) and the slope groups of the grid.
+
+    emit writes into out[d] the new message of each directed edge d of
+    groups, an iterable of (ln, dirs, rows) with rows[g, k] the row of
+    fronts that holds the front of the k-th message dirs[g] reads: the
+    messages into src[d] from its other neighbours, in out_dirs order.
+    The first front is a hull already, and enveloping a hull leaves it
+    unchanged; a leaf keeps the identity front.
+    """
     graph = inst.graph
     vals = grid.values
     sech = 1.0 / np.cosh(2.0 * vals)
     bond_gain = inst.couplings[:, None] * np.tanh(2.0 * vals)[None, :]
     slopes = _slope_groups(sech)
 
-    def sweep(messages):
-        fronts = _fronts(messages, slopes)
-        new = np.empty_like(messages)
-        for ln, (dirs, nbrs) in graph.sweep_groups.items():
-            # the first front is a hull already, and enveloping a hull
-            # leaves it unchanged; a leaf keeps the identity front
+    def emit(groups, fronts, out):
+        for ln, dirs, rows in groups:
             if ln == 0:
                 batch = (_IDENTITY, np.zeros(dirs.size, dtype=np.int64))
             else:
-                batch = (fronts, nbrs[:, 0] ^ 1)
+                batch = (fronts, rows[:, 0])
             for k in range(1, ln):
-                batch = _compose(batch, (fronts, nbrs[:, k] ^ 1))
+                batch = _compose(batch, (fronts, rows[:, k]))
             h = inst.fields[graph.src[dirs]]
-            for rows, top in _evaluate(batch, h, slopes):
-                d = dirs[rows]
+            for block, top in _evaluate(batch, h, slopes):
+                d = dirs[block]
                 top += bond_gain[graph.edge_of_dir[d]]
-                new[d] = top
+                out[d] = top
+
+    return emit, slopes
+
+
+def _sweeper(inst: QuantumInstance, grid: Grid):
+    """The MaxSum sweep messages -> new messages of ss_maxsum_solve on a
+    loopy graph."""
+    emit, slopes = _emitter(inst, grid)
+    groups = inst.graph.sweep_groups
+
+    def sweep(messages):
+        # fronts before new: on large graphs the order of these
+        # allocations moves the process's peak resident memory by MBs
+        fronts = _fronts(messages, slopes)
+        new = np.empty_like(messages)
+        emit(((ln, dirs, nbrs ^ 1) for ln, (dirs, nbrs) in groups.items()),
+             fronts, new)
         return new
 
     return sweep
+
+
+def _forest_messages(inst: QuantumInstance, grid: Grid) -> np.ndarray:
+    """The MaxSum messages of a forest in one pass of graph.forest_schedule.
+
+    Each batch envelopes only the messages it reads, which earlier
+    batches made final, and its new messages are normalized as in
+    _maxsum_loop.  Every stage computes each row on its own, so the
+    messages are the bytes of a fixed point of the loopy sweep.
+    """
+    graph = inst.graph
+    emit, slopes = _emitter(inst, grid)
+    messages = np.zeros((2 * graph.m, grid.size))
+    for dirs, groups in graph.forest_schedule():
+        read = np.unique(np.concatenate([nbrs.ravel() ^ 1
+                                         for _, nbrs in groups.values()]))
+        emit([(ln, sub, np.searchsorted(read, nbrs ^ 1))
+              for ln, (sub, nbrs) in groups.items()],
+             _fronts(messages[read], slopes), messages)
+        messages[dirs] = _normalized(messages[dirs])
+    return messages
 
 
 def ss_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_COUPLING_GRID,
@@ -389,12 +434,24 @@ def ss_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_COUPLING_GRID,
 
         w_e(K) = -J_e tanh(2K) + M_fwd(K) + M_rev(K),
 
-    ties to the smallest |K|, negative first.  Non-convergence (loopy
-    graphs) falls back to the best message set seen.
+    ties to the smallest |K|, negative first.
+
+    On a forest one collect/distribute pass (_forest_messages) computes
+    every message once from final inputs; the result reports
+    converged=True, iterations=1 and residual=0.0, and max_iters does not
+    limit it.  On a loopy graph synchronous sweeps run from zero messages
+    until the residual reaches 1e-9, at most max_iters of them (counted
+    by iterations); without convergence the extraction uses the best
+    message set seen and converged is False.
     """
+    check_count("max_iters", max_iters, 1)
     vals = grid.values
-    messages, converged, iterations, residual = _maxsum_loop(
-        _sweeper(inst, grid), (2 * inst.m, vals.size), max_iters)
+    if inst.graph.is_forest:
+        messages = _forest_messages(inst, grid)
+        converged, iterations, residual = True, 1, 0.0
+    else:
+        messages, converged, iterations, residual = _maxsum_loop(
+            _sweeper(inst, grid), (2 * inst.m, vals.size), max_iters)
 
     # one arg-max per edge over the grid in tie-break order
     order = tiebreak_order(vals)

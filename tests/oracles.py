@@ -172,6 +172,46 @@ def hop_tables_dense(j_tanh, tanh_vals, messages):
     return hop
 
 
+def mf_sweep(inst, grid):
+    """The synchronous mean-field MaxSum sweep messages -> new messages.
+
+    Every message on d = (i -> j) becomes the site term of i plus all hop
+    rows into i, less the hop row of the reverse message.  Iterated from
+    zero to a residual of 1e-9 it is the reference for the one-pass forest
+    messages of mf_maxsum_solve.
+    """
+    from isingbp.meanfield import _hop_tables, _site_term
+
+    graph = inst.graph
+    tanh_vals = np.tanh(2.0 * grid.values)
+    site_src = _site_term(inst, grid.values)[graph.src]
+    j_tanh = inst.couplings[graph.edge_of_dir][:, None] * tanh_vals[None, :]
+    rev = np.arange(2 * graph.m) ^ 1
+
+    def sweep(messages):
+        hop = _hop_tables(j_tanh, tanh_vals, messages)
+        hop_sum = np.zeros((graph.n, tanh_vals.size))
+        np.add.at(hop_sum, graph.dst, hop)
+        return site_src + hop_sum[graph.src] - hop[rev]
+
+    return sweep
+
+
+def mf_maxsum_loop(inst, grid, max_iters=1000):
+    """Mean-field MaxSum on a forest by synchronous sweeps from zero, then
+    meanfield's extraction; returns (b, converged, sweeps, residual)."""
+    from isingbp.grids import _maxsum_loop
+    from isingbp.meanfield import _extract_fields, _hop_tables
+
+    messages, converged, sweeps, residual = _maxsum_loop(
+        mf_sweep(inst, grid), (2 * inst.m, grid.size), max_iters)
+    tanh_vals = np.tanh(2.0 * grid.values)
+    j_tanh = inst.couplings[inst.graph.edge_of_dir][:, None] * tanh_vals[None, :]
+    hop = _hop_tables(j_tanh, tanh_vals, messages)
+    b = _extract_fields(inst, grid.values, messages, hop)
+    return b, converged, sweeps, residual
+
+
 def mf_descent_dense(inst, grid, max_iters, seed):
     """Colour-class descent of meanfield._descent, one start and one site
     at a time, each arg-max taken over the whole grid.

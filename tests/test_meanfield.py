@@ -7,10 +7,11 @@ import pytest
 
 import testutil
 from isingbp import (QuantumInstance, generate_chain, generate_rrg, meanfield,
-                     mf_maxsum_solve)
+                     mf_maxsum_solve, ss_maxsum_solve)
 from isingbp.exact import dense_hamiltonian
-from isingbp.grids import Grid
+from isingbp.grids import Grid, _normalized
 from isingbp.meanfield import DEFAULT_FIELD_GRID, _hop_tables, mf_energy
+from isingbp.symmetric import _sweeper
 from oracles import hop_tables_dense, mf_chain_minimum, mf_descent_dense
 
 COARSE = Grid(step=0.1, half_count=12)
@@ -76,14 +77,26 @@ def test_zero_field_aligns_with_couplings():
 
 
 def test_best_messages_survive_early_stop():
-    # MaxSum on a forest: 3 sweeps are fewer than the tree needs, so the
-    # fields come from the best message set seen
+    # MaxSum on a forest is one collect/distribute pass, exact whatever
+    # max_iters says
     tree = testutil.random_tree(10, np.random.default_rng(4))
-    sol = mf_maxsum_solve(tree, grid=COARSE, max_iters=3)
-    assert not sol.converged
-    assert np.isfinite(sol.energy)
+    sol = mf_maxsum_solve(tree, grid=COARSE, max_iters=1)
+    assert sol.converged and sol.iterations == 1
     e0 = float(np.linalg.eigvalsh(dense_hamiltonian(tree))[0])
     assert sol.energy >= e0 - 1e-9
+    # loopy ss sweeps stopped by max_iters extract from the best message
+    # set seen
+    loopy = generate_rrg(8, 3, law="pm_one", h=1.0, seed=2)
+    sweep = _sweeper(loopy, COARSE)
+    messages, residuals = np.zeros((2 * loopy.m, COARSE.size)), []
+    for _ in range(3):
+        new = _normalized(sweep(messages))
+        residuals.append(float(np.max(np.abs(new - messages))))
+        messages = new
+    sol = ss_maxsum_solve(loopy, grid=COARSE, max_iters=3)
+    assert not sol.converged and sol.iterations == 3
+    assert sol.residual == min(residuals) > 1e-9
+    assert np.isfinite(sol.energy)
     # the loopy descent stopped after one pass, before its winning start
     # reached a fixed point
     loopy = generate_rrg(8, 3, law="pm_one", h=1.0, seed=2)
