@@ -30,9 +30,13 @@ every float expression of the one-edge-at-a-time sweep
    intercept, the first on ties, and a reverse cumulative max drops the
    lines that a steeper one matches or beats.
 2. Compose.  Composing two envelopes takes the envelope of their a*b
-   product lines.  A dominance prefilter on the (a, b) table drops most
-   of them, only lines the envelope drops anyway, and one sort call
-   orders the survivors of a whole block of rows, row by row.
+   product lines.  Line i of a hull wins on a window of c, so the
+   product line (i, j) can win only where the windows of i and j,
+   scaled by their slopes, meet; both run monotone along their hulls,
+   so one merge over a block of rows finds each i's consecutive range
+   of j.  Only those candidates are made (on ±J and Gaussian regular
+   graphs fewer than a + b per composition, nearly all of them on its
+   hull), and one sort call orders those of a block of rows, row by row.
 3. Evaluate.  A front's maximum of p*c + q at each c, one line at a
    time over a block of rows, at the distinct slopes only, since
    c(K) = c(-K).
@@ -59,8 +63,11 @@ from .instance import QuantumInstance
 
 DEFAULT_COUPLING_GRID = Grid(step=0.01, half_count=200)
 
-_DENSE_FRONT_LIMIT = 4096  # fronts with more surviving lines skip the scan
 _BLOCK_ELEMS = 1 << 14  # entries per temporary table of a block of rows
+_SLACK = 1e-6  # relative widening of the composition windows in c
+_ROUNDING = 2.0 ** -40  # rounding a float scan may hide, relative to sizes
+_RANGE = 2.0 ** 511  # products of slopes within [1/_RANGE, _RANGE] are normal
+_FRONT_BITS = 24  # window keys hold front indices below 2**24
 
 # the front of a leaf: max over no neighbours is c itself
 _IDENTITY = (np.ones(1), np.zeros(1), np.array([0, 1]))
@@ -163,10 +170,10 @@ def _settle(p, q, valid):
     Each row holds its lines at the True entries of valid, by strictly
     rising slope, with finite intercepts, and -inf at the other entries.
     A line is dropped when a steeper one of its row is no lower, then
-    rows of at most _DENSE_FRONT_LIMIT lines go through the hull scan:
-    the Python scan where _single_pops cannot foresee it, or where a row
-    has its block to itself.  Returns the fronts (p, q, start): flat
-    arrays, row r's lines at [start[r], start[r + 1]).
+    the rows go through the hull scan: the Python scan where _single_pops
+    cannot foresee it, or where a row has its block to itself.  Returns
+    the fronts (p, q, start): flat arrays, row r's lines at
+    [start[r], start[r + 1]).
     """
     rev_max = np.maximum.accumulate(q[:, ::-1], axis=1)[:, ::-1]
     keep = valid.copy()
@@ -178,11 +185,9 @@ def _settle(p, q, valid):
         popped, redo = _single_pops(rows, p, q)
     else:  # a large front alone in its block: foreseeing costs a scan
         popped, redo = np.zeros(p.size, dtype=bool), np.flatnonzero(count > 2)
-    scanned = count <= _DENSE_FRONT_LIMIT
-    keep = ~(popped & scanned[rows])
+    keep = ~popped
     start = np.zeros(count.size + 1, dtype=np.int64)
     np.cumsum(count, out=start[1:])
-    redo = redo[scanned[redo]]
     if redo.size:
         xs, ys = p.tolist(), q.tolist()
         for lo, hi in zip(start[redo].tolist(), start[redo + 1].tolist()):
@@ -203,19 +208,16 @@ def _join(parts):
             np.concatenate([q for _, q, _ in parts]), start)
 
 
-def _blocks(dims):
-    """Blocks of row indices, in ascending order of the product of the
-    per-row sizes dims, each small enough that its padded table, rows x
-    the largest of each size, holds at most _BLOCK_ELEMS entries (or is
-    one row)."""
-    order = np.argsort(np.prod(dims, axis=0), kind="stable")
-    dims = dims[:, order]
+def _blocks(sizes, budget):
+    """Blocks of row indices, in ascending order of sizes, each small
+    enough that its padded table, rows x the largest size, holds at most
+    budget entries (or is one row)."""
+    order = np.argsort(sizes, kind="stable")
+    sizes = sizes[order]
     s = 0
     while s < order.size:
-        cost = np.arange(1, order.size - s + 1)
-        for dim in dims:
-            cost = cost * np.maximum.accumulate(dim[s:])
-        e = s + max(1, int(np.searchsorted(cost, _BLOCK_ELEMS, side="right")))
+        cost = np.arange(1, order.size - s + 1) * sizes[s:]
+        e = s + max(1, int(np.searchsorted(cost, budget, side="right")))
         yield order[s:e]
         s = e
 
@@ -268,40 +270,112 @@ def _fronts(messages, slopes):
     return _join(parts)
 
 
-def _products(fa, ra, fb, rb):
-    """The product lines (pa_i * pb_j, qa_i + qb_j) of fronts ra[g] of fa
-    and rb[g] of fb that survive a dominance prefilter, row g of a
-    (rows, width) table in row-major (i, j) order, then slope +inf and
-    intercept -inf; and the mask of the lines.
+def _window_keys(fronts, delta):
+    """Integer keys of the scaled c-windows of every line of every front:
+    (lo, hi), ordered by (front, end) and monotone along each front.
 
-    A line is dropped when an anti-diagonal neighbour in the (i, j)
-    table, (i+1, j-1) or (i-1, j+1), is strictly steeper and no lower.
-    The envelope drops every such line anyway, with every line of equal
-    (p, q): the steeper one, or the end of a chain of such neighbours,
-    dominates them all and survives.  The survivors keep their row-major
-    order, so a stable sort breaks ties as on the full product and the
-    envelope is the same bytes.  On hulls, with slopes rising and
-    intercepts falling along both axes, what is left is a small multiple
-    of the product's Pareto staircase.
+    On a hull, with slopes p strictly rising and intercepts strictly
+    falling, and no _pops on consecutive lines, line k wins p*c + q on the
+    window between its crossings with its neighbours (0 before the first
+    line, inf after the last).  A float scan can keep a line that misses
+    by rounding, so each crossing moves out to where the neighbour comes
+    within delta plus _ROUNDING times the slope terms, and the window,
+    scaled by p_k, widens by _SLACK.  Every line of a front that is not
+    such a hull, or has slopes or intercepts outside _RANGE, gets [0, inf].
+
+    A key holds the front index in its top _FRONT_BITS bits and below them
+    the top bits of the end's float64 pattern, which order like the end
+    itself for ends >= 0; truncation rounds lo down and hi up.  A reverse
+    cumulative min of lo and a cumulative max of hi along each front make
+    its windows monotone and only widen them.  The fronts go in chunks of
+    at most _BLOCK_ELEMS lines (or one front), to bound the temporaries.
     """
-    pa, qa, va = _pad(fa, ra)
-    pb, qb, vb = _pad(fb, rb)
-    p = pa[:, :, None] * pb[:, None, :]
-    q = qa[:, :, None] + qb[:, None, :]
-    drop = np.zeros(p.shape, dtype=bool)
-    # (i, j) against (i+1, j-1), and (i+1, j-1) against (i, j); a padded
-    # neighbour has intercept -inf and drops nothing
-    lo_p, lo_q = p[:, :-1, 1:], q[:, :-1, 1:]
-    hi_p, hi_q = p[:, 1:, :-1], q[:, 1:, :-1]
-    drop[:, :-1, 1:] = (hi_p > lo_p) & (hi_q >= lo_q)
-    drop[:, 1:, :-1] |= (lo_p > hi_p) & (lo_q >= hi_q)
-    keep = va[:, :, None] & vb[:, None, :] & ~drop
-    count = keep.sum(axis=(1, 2))
-    valid = np.arange(count.max()) < count[:, None]
-    p2 = np.full(valid.shape, np.inf)
-    q2 = np.full(valid.shape, -np.inf)
-    p2[valid], q2[valid] = p[keep], q[keep]
-    return p2, q2, valid
+    p_all, q_all, start = fronts
+    lo_keys = np.empty(p_all.size, dtype=np.int64)
+    hi_keys = np.empty(p_all.size, dtype=np.int64)
+    f = 0
+    while f < start.size - 1:
+        e = max(f + 1, int(np.searchsorted(start, start[f] + _BLOCK_ELEMS, side="right")) - 1)
+        lines = slice(start[f], start[e])
+        p, q = p_all[lines], q_all[lines]
+        count = np.diff(start[f:e + 1])
+        front = np.repeat(np.arange(f, e), count)
+        same = front[1:] == front[:-1]  # lines k and k + 1 in one front
+        # the arithmetic on fronts that are not hulls is discarded
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            bad = ~((p >= 1.0 / _RANGE) & (p <= _RANGE) & (np.abs(q) <= _RANGE ** 2))
+            bad[1:] |= same & ~((p[1:] > p[:-1]) & (q[1:] < q[:-1]))
+            bad[1:-1] |= same[1:] & same[:-1] & _pops(
+                p, q, slice(None, -2), slice(1, -1), slice(2, None))
+            hull = (np.bincount(front[bad] - f, minlength=count.size) == 0)[front - f]
+            dq, dp = q[:-1] - q[1:], p[1:] - p[:-1]
+            slack = _ROUNDING * p[1:]
+            lo = np.zeros(p.size)
+            lo[1:] = np.where(same, (dq - delta) / (dp + slack), 0.0)
+            hi = np.full(p.size, np.inf)
+            hi[:-1] = np.where(same & (dp > slack), (dq + delta) / (dp - slack), np.inf)
+            lo = np.where(hull & (lo > 0), lo * p * (1.0 - _SLACK), 0.0)
+            hi = np.where(hull, hi * p * (1.0 + _SLACK), np.inf)
+        top = front << (63 - _FRONT_BITS)
+        lo = top | (lo.view(np.int64) >> _FRONT_BITS)
+        hi = top | ((hi.view(np.int64) + ((1 << _FRONT_BITS) - 1)) >> _FRONT_BITS)
+        lo_keys[lines] = np.minimum.accumulate(lo[::-1])[::-1]
+        hi_keys[lines] = np.maximum.accumulate(hi)
+        f = e
+    return lo_keys, hi_keys
+
+
+def _ranges(fa, keys_a, ra, keys_b, rb):
+    """The candidate lines of rows ra, rb: for each line i of front ra[g]
+    of every row g, its flat index in fa, and the flat index in fb of the
+    first of the lines j of front rb[g] whose scaled windows meet i's, and
+    their number (they are consecutive).  The lines of a row come in
+    order, rows after each other.  Also returns the line count of each
+    front ra[g].
+    """
+    start = fa[2]
+    a = start[ra + 1] - start[ra]
+    ia = np.arange(a.sum()) + np.repeat(start[ra] - (np.cumsum(a) - a), a)
+    other = np.repeat(rb << (63 - _FRONT_BITS), a)
+    mask = (1 << (63 - _FRONT_BITS)) - 1
+    j0 = np.searchsorted(keys_b[1], other | (keys_a[0][ia] & mask), side="left")
+    j1 = np.searchsorted(keys_b[0], other | (keys_a[1][ia] & mask), side="right")
+    return ia, j0, np.maximum(j1 - j0, 0), a
+
+
+def _sizes(fa, keys_a, ra, keys_b, rb):
+    """The candidate count of every row of _ranges, rows in blocks of at
+    most _BLOCK_ELEMS lines of fa."""
+    size = np.empty(ra.size, dtype=np.int64)
+    for block in _blocks(np.diff(fa[2])[ra], _BLOCK_ELEMS):
+        _, _, count, a = _ranges(fa, keys_a, ra[block], keys_b, rb[block])
+        total = np.concatenate([[0], np.cumsum(count)])
+        ends = np.cumsum(a)
+        size[block] = total[ends] - total[ends - a]
+    return size
+
+
+def _candidates(fa, keys_a, ra, fb, keys_b, rb, size):
+    """The candidate lines (pa_i * pb_j, qa_i + qb_j) of rows ra, rb, size
+    of them per row, made in row-major (i, j) order: the (rows, width)
+    slope and intercept tables by slope, the highest first, ties in
+    row-major order, then slope +inf and intercept -inf; and the mask of
+    the first line of each slope, where the other intercepts are -inf.
+    """
+    ia, j0, count, _ = _ranges(fa, keys_a, ra, keys_b, rb)
+    ia = np.repeat(ia, count)
+    jb = np.arange(ia.size) + np.repeat(j0 - (np.cumsum(count) - count), count)
+    first = np.arange(size.max()) < size[:, None]
+    p = np.full(first.shape, np.inf)
+    q = np.full(first.shape, -np.inf)
+    p[first] = fa[0][ia] * fb[0][jb]
+    q[first] = fa[1][ia] + fb[1][jb]
+    order = np.lexsort((-q, p), axis=1)
+    p = np.take_along_axis(p, order, axis=1)
+    q = np.take_along_axis(q, order, axis=1)
+    first[:, 1:] &= p[:, 1:] > p[:, :-1]
+    q[~first] = -np.inf
+    return p, q, first
 
 
 def _compose(batch_a, batch_b):
@@ -310,21 +384,27 @@ def _compose(batch_a, batch_b):
     A batch is (fronts, rows): row g composes front rows_a[g] of the
     first with front rows_b[g] of the second.  Returns the batch of the
     composed fronts.
+
+    A product line can win at c only where i wins in the first front at
+    c * pb_j and j in the second at c * pa_i, that is where their scaled
+    windows (_window_keys) meet.  Only those lines are made, in row-major
+    (i, j) order, so a stable sort breaks ties as on the full product and
+    the envelope is the same bytes.
     """
     (fa, ra), (fb, rb) = batch_a, batch_b
+    # rounding of the product lines, in intercept terms
+    delta = _ROUNDING * sum(max(-q.min(initial=0.0), q.max(initial=0.0))
+                            for q in (fa[1], fb[1]))
+    keys_a = _window_keys(fa, delta)
+    keys_b = keys_a if fb is fa else _window_keys(fb, delta)
+    size = _sizes(fa, keys_a, ra, keys_b, rb)
     parts = []
-    blocks = list(_blocks(np.stack([np.diff(fa[2])[ra], np.diff(fb[2])[rb]])))
+    # a quarter of the budget: these tables reach _settle while the sweep
+    # holds its fronts, their window keys and the new messages
+    blocks = list(_blocks(size, _BLOCK_ELEMS // 4))
     for block in blocks:
-        p, q, valid = _products(fa, ra[block], fb, rb[block])
-        # by slope, the highest first, ties in row-major order; the first
-        # line of each slope stays
-        order = np.lexsort((-q, p), axis=1)
-        p = np.take_along_axis(p, order, axis=1)
-        q = np.take_along_axis(q, order, axis=1)
-        first = valid.copy()
-        first[:, 1:] &= p[:, 1:] > p[:, :-1]
-        q[~first] = -np.inf
-        parts.append(_settle(p, q, first))
+        parts.append(_settle(*_candidates(fa, keys_a, ra[block], fb, keys_b,
+                                          rb[block], size[block])))
     # the composed fronts come in block order
     rows = np.empty(ra.size, dtype=np.int64)
     rows[np.concatenate(blocks)] = np.arange(ra.size)

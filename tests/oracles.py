@@ -677,12 +677,10 @@ def envelope_loop(p, q):
 
     Sort by slope (ties: highest intercept first) and keep one line per
     slope; drop lines whose intercept some steeper line matches or beats;
-    then, unless more than the dense limit remain, a convex-hull scan on
-    numpy scalars pops the last hull line while the new one reaches the
-    line before it no later than the last did.  Returns (p, q) arrays.
+    then a convex-hull scan on numpy scalars pops the last hull line while
+    the new one reaches the line before it no later than the last did.
+    Returns (p, q) arrays.
     """
-    from isingbp.symmetric import _DENSE_FRONT_LIMIT
-
     order = np.lexsort((-q, p))
     p, q = p[order], q[order]
     keep = np.ones(p.size, dtype=bool)
@@ -692,8 +690,6 @@ def envelope_loop(p, q):
     keep = np.ones(p.size, dtype=bool)
     keep[:-1] = q[:-1] > rev_max[1:]
     p, q = p[keep], q[keep]
-    if p.size > _DENSE_FRONT_LIMIT:
-        return p, q
     hull_p, hull_q = [], []
     for x, y in zip(p, q):
         while len(hull_p) >= 2:

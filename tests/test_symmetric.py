@@ -18,7 +18,7 @@ from isingbp import (
 )
 from isingbp.enumeration import quantum_expectation
 from isingbp.exact import dense_hamiltonian
-from isingbp.grids import Grid, tiebreak_order
+from isingbp.grids import Grid, _normalized, tiebreak_order
 from isingbp.symmetric import DEFAULT_COUPLING_GRID, _compose, _fronts, _slope_groups, _sweeper, ss_energy
 from oracles import compose_loop, envelope_loop, ss_chain_minimum, ss_sweep_loop
 
@@ -88,13 +88,14 @@ def test_chain_default_grid_optimum():
                       atol=1e-10)
 
 
-@pytest.mark.parametrize("h", [2.0, 3.0])
-@pytest.mark.parametrize("seed", [77, 5])
+@pytest.mark.parametrize("seed,h", [(77, 0.5), (77, 2.0), (77, 3.0),
+                                    (5, 2.0), (5, 3.0)])
 def test_pm_one_regular_graph_closed_form_at_n1000(seed, h):
     # with zero fields and K_ij = sign(J_ij) kappa, a +-J 3-regular graph
     # has the Bethe energy e(kappa) = -(3/2) tanh(2 kappa) - h sech(2 kappa)^3
     # per spin, so ss is the grid minimiser of e, ties in tiebreak_order.
-    # At h = 0.5 the solve takes 8.5 s at this n, in the compositions.
+    # h = 0.5 has the largest fronts (kappa at the grid edge) and takes
+    # about 2 s, the other fields under 1 s.
     inst = generate_rrg(1000, 3, "pm_one", h, seed)
     vals = DEFAULT_COUPLING_GRID.values
     e = -1.5 * np.tanh(2.0 * vals) - h / np.cosh(2.0 * vals) ** 3
@@ -240,6 +241,73 @@ def test_compose_matches_envelope_of_full_product(lines_a, lines_b, hulls):
         assert a.tobytes() == b.tobytes()
 
 
+_SECH4 = float(1.0 / np.cosh(4.0))  # the slope at the default grid's edge
+
+
+def _ulp_run(slope, drops):
+    # slopes one ulp apart from slope on, intercepts falling by drops
+    p = [slope]
+    for _ in drops[1:]:
+        p.append(float(np.nextafter(p[-1], np.inf)))
+    return list(zip(p, (-np.cumsum(drops)).tolist()))
+
+
+def _quarter_run(steps):
+    # rising slopes and falling intercepts on the quarter lattice: equal
+    # steps put consecutive lines through one point
+    p = np.cumsum([a / 4 for a, _ in steps])
+    q = -np.cumsum([b / 4 for _, b in steps])
+    return list(zip(p.tolist(), q.tolist()))
+
+
+# products of up to four grid slopes reach sech(4)^4, as at degree 5
+_GRID_SLOPES = st.builds(lambda i, m: float(1.0 / np.cosh(0.02 * i)) ** m,
+                         st.integers(0, 200), st.integers(1, 4))
+_HULLS = st.one_of(
+    st.lists(st.tuples(st.integers(1, 3), st.integers(0, 3)),
+             min_size=1, max_size=12).map(_quarter_run),
+    st.builds(_ulp_run, st.floats(_SECH4 ** 4, 2.0),
+              st.lists(st.one_of(_QUARTERS.map(abs), st.floats(0.0, 1e-12),
+                                 st.sampled_from([4e-16, 1e-300])),
+                       min_size=1, max_size=8)),
+    st.lists(st.tuples(_GRID_SLOPES, st.one_of(_QUARTERS, st.floats(-5.0, 5.0))),
+             min_size=1, max_size=30),
+    st.tuples(_GRID_SLOPES, _QUARTERS).map(lambda line: [line]),
+    st.just(_IDENTITY),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_HULLS, _HULLS, st.booleans())
+@example([(1.0, 0.0), (2.0, -1.0), (3.0, -2.0)], _IDENTITY, True)  # collinear
+@example([(0.5, 0.0), (float(np.nextafter(0.5, 1.0)), -1e-13)],
+         [(0.5, 1.0), (float(np.nextafter(0.5, 1.0)), 0.0)], False)  # one ulp
+@example([(_SECH4 ** 4, 0.0), (_SECH4 ** 2, -0.5), (1.0, -2.0)], _IDENTITY, True)
+# qa_0 + qb_1 rounds to qa_0 + qb_0, so the steeper (0, 1) wins although
+# its window in the second front starts far beyond the first's window
+@example([(_SECH4 ** 4, 5.0), (1.0, 0.0)], [(0.5, 0.0), (0.5 + 5e-15, -4e-16)], False)
+# subnormal product slopes: their rounding is not relative
+@example([(0.2008286382914463, 5.51722530228778), (0.22474959776862363, 1.0030848933709096)],
+         [(1.236499489594864e-308, 1.0), (1.3267039918889044e-308, 4e-16)], False)
+# a slope step of 1e-12 widens the last window below the one before it
+@example([(0.25, 2.0), (0.5, 1.0), (0.5 + 1e-12, 1.0 - 5e-12)], _IDENTITY, True)
+def test_compose_windows_keep_every_hull_line(lines_a, lines_b, same):
+    # the scaled windows must keep every product line the float envelope of
+    # the full product keeps; composing a hull with itself ties (p, q) at
+    # (i, j) and (j, i)
+    front_a = _envelope(*_arrays(lines_a))
+    front_b = front_a if same else _envelope(*_arrays(lines_b))
+    got = _compose_pair(front_a, front_b)
+    want = compose_loop(front_a, front_b)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    # the merge searches the keys, so they must be sorted
+    for p, q in (front_a, front_b):
+        delta = symmetric._ROUNDING * 2.0 * np.abs(q).max(initial=0.0)
+        for keys in symmetric._window_keys((p, q, np.array([0, p.size])), delta):
+            assert np.all(np.diff(keys) >= 0)
+
+
 # degrees 4, 2, 2, 3, 1, 1, 1: a degree-4 site (two compositions per
 # message), a degree-3 site (one), degree-2 sites and leaves
 _MIXED_EDGES = [[0, 1], [0, 2], [0, 3], [0, 4], [1, 2], [3, 5], [3, 6]]
@@ -283,26 +351,69 @@ def _messages(inst, grid, kind, seed, sweeps):
        sweeps=st.integers(0, 3),
        mirrored=st.booleans(),
        seed=st.integers(0, 2**32 - 1),
-       block=st.sampled_from([1, 40, 700, symmetric._BLOCK_ELEMS]),
-       limit=st.sampled_from([2, 6, symmetric._DENSE_FRONT_LIMIT]))
+       block=st.sampled_from([1, 40, 700, symmetric._BLOCK_ELEMS]))
 @example(topology="mixed", grid=COARSE, kind="sweeps", sweeps=3, mirrored=False,
-         seed=1, block=symmetric._BLOCK_ELEMS, limit=symmetric._DENSE_FRONT_LIMIT)
+         seed=1, block=symmetric._BLOCK_ELEMS)
 def test_sweep_matches_per_edge_oracle(topology, grid, kind, sweeps, mirrored,
-                                       seed, block, limit):
+                                       seed, block):
     # the batched sweep against the per-edge one, bytes, no tolerance:
-    # mirrored messages tie M(K) = M(-K) on every slope; a limit below the
-    # front sizes skips the hull scan as grids above _DENSE_FRONT_LIMIT do;
-    # small blocks split the rows of every stage
+    # mirrored messages tie M(K) = M(-K) on every slope; small blocks split
+    # the rows of every stage
     inst = _sweep_case(topology, seed, grid)
     messages = _messages(inst, grid, kind, seed, sweeps)
     if mirrored:
         messages = np.minimum(messages, messages[:, ::-1])
-    with mock.patch.object(symmetric, "_BLOCK_ELEMS", block), \
-            mock.patch.object(symmetric, "_DENSE_FRONT_LIMIT", limit):
+    with mock.patch.object(symmetric, "_BLOCK_ELEMS", block):
         got = _sweeper(inst, grid)(messages.copy())
         want = ss_sweep_loop(inst, grid, messages.copy())
     assert got.dtype == want.dtype == np.float64
     assert got.tobytes() == want.tobytes()
+
+
+def _solver_messages(inst, sweeps):
+    # the messages of ss_maxsum_solve after the given number of sweeps
+    sweep = _sweeper(inst, DEFAULT_COUPLING_GRID)
+    messages = np.zeros((2 * inst.m, DEFAULT_COUPLING_GRID.size))
+    for _ in range(sweeps):
+        messages = _normalized(sweep(messages))
+    return sweep, messages
+
+
+@pytest.mark.parametrize("degree,law,n", [(4, "gaussian", 12), (5, "pm_one", 10)])
+def test_sweep_matches_per_edge_oracle_at_degree_4_and_5(degree, law, n):
+    # two and three compositions per message, with composed fronts of
+    # hundreds of lines composed again
+    inst = generate_rrg(n, degree, law, 1.0, 7)
+    sweep, messages = _solver_messages(inst, 3)
+    got = sweep(messages)
+    want = ss_sweep_loop(inst, DEFAULT_COUPLING_GRID, messages)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_compositions_make_few_of_the_products():
+    # the rrg_glass instance at h=0.5, where fronts hold about 200 lines:
+    # a fall back to the dense a x b products would fail here
+    inst = generate_rrg(12, 3, "pm_one", 0.5, 7)
+    sweep, messages = _solver_messages(inst, 4)
+    compose, sizes = symmetric._compose, symmetric._sizes
+    products, made = [], []
+
+    def counting_compose(batch_a, batch_b):
+        (fa, ra), (fb, rb) = batch_a, batch_b
+        products.append(int(np.sum(np.diff(fa[2])[ra] * np.diff(fb[2])[rb])))
+        return compose(batch_a, batch_b)
+
+    def counting_sizes(*args):
+        size = sizes(*args)
+        made.append(int(size.sum()))
+        return size
+
+    with mock.patch.object(symmetric, "_compose", counting_compose), \
+            mock.patch.object(symmetric, "_sizes", counting_sizes):
+        sweep(messages)
+    assert len(made) == len(products) == 1
+    assert products[0] > 36 * 150 ** 2
+    assert made[0] < 0.05 * products[0]
 
 
 # steps between consecutive lines: rising slope, falling intercept; on
@@ -346,13 +457,11 @@ def _same_fronts(got, want):
 @given(kind=st.sampled_from(["quarters", "normal", "zeros"]),
        rows=st.integers(1, 12),
        seed=st.integers(0, 2**32 - 1),
-       block=st.sampled_from([1, 40, 700, symmetric._BLOCK_ELEMS]),
-       limit=st.sampled_from([2, 6, symmetric._DENSE_FRONT_LIMIT]))
-def test_fronts_and_compositions_match_per_row_oracle(kind, rows, seed, block, limit):
+       block=st.sampled_from([1, 40, 700, symmetric._BLOCK_ELEMS]))
+def test_fronts_and_compositions_match_per_row_oracle(kind, rows, seed, block):
     # the batched fronts of a message table and batched compositions of
-    # pairs of them, row by row against envelope_loop and compose_loop; a
-    # limit below the front sizes skips the hull scan, small blocks split
-    # the rows, and "zeros" ties +0.0 with -0.0
+    # pairs of them, row by row against envelope_loop and compose_loop;
+    # small blocks split the rows, and "zeros" ties +0.0 with -0.0
     rng = np.random.default_rng(seed)
     sech = 1.0 / np.cosh(2.0 * COARSE.values)
     if kind == "zeros":
@@ -362,8 +471,7 @@ def test_fronts_and_compositions_match_per_row_oracle(kind, rows, seed, block, l
     else:
         messages = rng.standard_normal((rows, COARSE.size))
     pairs = rng.integers(0, rows, size=(2, int(rng.integers(1, 2 * rows + 1))))
-    with mock.patch.object(symmetric, "_BLOCK_ELEMS", block), \
-            mock.patch.object(symmetric, "_DENSE_FRONT_LIMIT", limit):
+    with mock.patch.object(symmetric, "_BLOCK_ELEMS", block):
         fronts = _fronts(messages, _slope_groups(sech))
         want = [envelope_loop(sech, row) for row in messages]
         composed, order = _compose((fronts, pairs[0]), (fronts, pairs[1]))
@@ -372,12 +480,12 @@ def test_fronts_and_compositions_match_per_row_oracle(kind, rows, seed, block, l
     _same_fronts([_front_rows(composed)[g] for g in order], want_composed)
 
 
-def test_front_above_dense_limit_skips_the_scan():
-    # 4501 distinct slopes, every line above all steeper ones: the front
-    # keeps them all without the hull scan, which would drop most
+def test_large_front_matches_envelope_loop():
+    # 4501 distinct slopes, every line above all steeper ones: a front
+    # alone in its block goes through the Python hull scan, which drops
+    # most of them
     grid = Grid(step=1e-3, half_count=4500)
     sech = 1.0 / np.cosh(2.0 * grid.values)
     messages = np.abs(grid.values)[None, :]
     fronts = _front_rows(_fronts(messages, _slope_groups(sech)))
     _same_fronts(fronts, [envelope_loop(sech, messages[0])])
-    assert fronts[0][0].size == 4501 > symmetric._DENSE_FRONT_LIMIT
