@@ -1,6 +1,7 @@
-"""Symmetric parameter grids, deterministic arg-max tie-breaking, and the
-message normalization and loopy MaxSum iteration loop of the mean-field
-and symmetric solvers."""
+"""Symmetric parameter grids, deterministic arg-max tie-breaking, the
+message normalization of the MaxSum solvers, and the MaxSum iteration
+loop that the symmetric solver runs on loopy graphs (the mean-field
+solver descends on loopy graphs, and both take one pass on forests)."""
 
 from __future__ import annotations
 

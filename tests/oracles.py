@@ -66,6 +66,24 @@ def classical_ground_energy(inst) -> float:
     return float(best)
 
 
+def forest_check(graph) -> bool:
+    """Whether the graph has no cycle, by union-find over its edges."""
+    parent = list(range(graph.n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i, j in graph.edge_index:
+        ri, rj = find(int(i)), find(int(j))
+        if ri == rj:
+            return False
+        parent[ri] = rj
+    return True
+
+
 def free_fermion_chain_energy(inst) -> float:
     """Ground energy of an open transverse-field Ising chain, edges (i, i+1).
 

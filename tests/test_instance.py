@@ -14,6 +14,7 @@ from isingbp import (
     load_instance,
     save_instance,
 )
+from oracles import forest_check
 
 
 def test_minimal_instance():
@@ -155,7 +156,7 @@ def test_directed_edge_convention():
         lo, hi = g.edge_index[e]
         assert g.src[2 * e] == lo and g.dst[2 * e] == hi
         assert g.src[2 * e + 1] == hi and g.dst[2 * e + 1] == lo
-        assert g.reverse(2 * e) == 2 * e + 1
+        assert (2 * e) ^ 1 == 2 * e + 1
     assert np.array_equal(g.degrees, [1, 2, 2, 1])
     assert g.edge_of_dir[5] == 2
 
@@ -197,6 +198,13 @@ def test_bfs_order_covers_components():
     order = g.bfs_order()
     assert sorted(order.tolist()) == [0, 1, 2, 3, 4]
     assert order[0] == 0 and order[1] == 1
+
+
+@pytest.mark.parametrize("root", [-1, 4, True])
+def test_bfs_order_rejects_roots_outside_the_graph(root):
+    g = ClassicalGraph(4, [[0, 1], [1, 2], [2, 3]])
+    with pytest.raises(ValueError, match="root"):
+        g.bfs_order(root)
 
 
 @settings(max_examples=25, deadline=None)
@@ -288,6 +296,31 @@ def test_csr_adjacency_matches_quadratic_scan(kind, seed):
         assert dirs.shape == (len(want), deg)
         for s, row in zip(want, dirs):
             assert np.array_equal(row, out_dirs[s])
+
+
+@pytest.mark.parametrize("kind", ["gnp", "forest", "rrg"])
+@pytest.mark.parametrize("seed", range(8))
+def test_is_forest_matches_union_find(kind, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9)) * 2 + (kind == "gnp")
+    g = ClassicalGraph(n, _random_graph_edges(kind, n, rng))
+    assert g.is_forest == forest_check(g)
+    # one edge more joins two trees of a forest or closes a cycle
+    i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
+    if [i, j] not in g.edge_index.tolist():
+        g = ClassicalGraph(n, np.vstack([g.edge_index, [[i, j]]]))
+        assert g.is_forest == forest_check(g)
+
+
+@pytest.mark.parametrize("n, edges", [
+    (1, np.zeros((0, 2), dtype=np.int64)),
+    (4, np.zeros((0, 2), dtype=np.int64)),
+    # fewer edges than sites, yet a cycle
+    (5, [[0, 1], [0, 2], [1, 2]]),
+])
+def test_is_forest_matches_union_find_on_sparse_graphs(n, edges):
+    g = ClassicalGraph(n, edges)
+    assert g.is_forest == forest_check(g)
 
 
 def test_csr_adjacency_without_edges():
