@@ -12,6 +12,7 @@ from .classical_bp import (
     BPReport,
     Observables,
     ParameterSet,
+    Solution,
     bond_energy,
     bp_fixed_point,
     field_shift,
@@ -52,16 +53,16 @@ from .instance import (
     load_instance,
     save_instance,
 )
-from .meanfield import MFSolution, mf_energy, mf_maxsum_solve
+from .meanfield import mf_energy, mf_maxsum_solve
 from .records import ResultRecord, write_csv, write_jsonl
 from .runner import run_cell, run_grid
-from .symmetric import SSSolution, ss_energy, ss_maxsum_solve
+from .symmetric import ss_energy, ss_maxsum_solve
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BPReport", "Observables", "ParameterSet", "bond_energy", "bp_fixed_point",
-    "field_shift", "logcosh", "observables", "site_energy",
+    "BPReport", "Observables", "ParameterSet", "Solution", "bond_energy",
+    "bp_fixed_point", "field_shift", "logcosh", "observables", "site_energy",
     "GroundState", "apply_h", "dense_hamiltonian", "ground_state",
     "GSConfig", "GSResult", "SearchSpace", "convolution_inner_max",
     "exhaustive_inner_max", "gs_maxsum_sweep", "gs_resample", "gs_solve",
@@ -71,8 +72,8 @@ __all__ = [
     "homog_fixed_point", "homog_from_instance", "homog_scan",
     "ClassicalGraph", "GenerationError", "InstanceError", "QuantumInstance",
     "generate_chain", "generate_rrg", "load_instance", "save_instance",
-    "MFSolution", "mf_energy", "mf_maxsum_solve",
+    "mf_energy", "mf_maxsum_solve",
     "ResultRecord", "write_csv", "write_jsonl",
     "run_cell", "run_grid",
-    "SSSolution", "ss_energy", "ss_maxsum_solve",
+    "ss_energy", "ss_maxsum_solve",
 ]

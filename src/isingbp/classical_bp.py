@@ -116,6 +116,33 @@ class Observables:
     q_z: float
 
 
+@dataclass(kw_only=True)
+class Solution:
+    """A solver's state: its total energy, one-spin averages, stopping report
+    and trial parameters (residual, b, k, nu: None where a solver has none).
+
+    energy_kind is "bound" for an upper bound on the ground energy E0 and
+    "bethe" for a Bethe estimate, which can fall below E0."""
+
+    energy: float
+    m_x: float | None
+    q_z: float
+    converged: bool
+    iterations: int
+    energy_kind: str
+    residual: float | None = None
+    b: np.ndarray | None = None
+    k: np.ndarray | None = None
+    nu: np.ndarray | None = None
+
+
+def energy_kind_of(graph: ClassicalGraph, k) -> str:
+    """Solution.energy_kind of a Bethe energy with trial couplings k (None for
+    a product state).  On a forest or with every coupling zero it is the
+    exact expectation value, so >= E0; elsewhere it is an estimate."""
+    return "bound" if graph.is_forest or not np.any(k) else "bethe"
+
+
 def _check_sizes(graph: ClassicalGraph, params: ParameterSet, nu) -> np.ndarray:
     nu = np.asarray(nu, dtype=np.float64).reshape(-1)
     if params.b.shape != (graph.n,) or params.k.shape != (graph.m,):

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classical_bp import Solution
 from .grids import check_count, check_positive
 from .instance import QuantumInstance
 
@@ -121,13 +122,10 @@ def dense_hamiltonian(inst: QuantumInstance) -> np.ndarray:
     return ham
 
 
-@dataclass
-class GroundState:
-    energy: float
+@dataclass(kw_only=True)
+class GroundState(Solution):
     vector: np.ndarray
     sigma_x: np.ndarray
-    iterations: int
-    converged: bool
 
 
 def sigma_x_expectations(inst: QuantumInstance, v: np.ndarray) -> np.ndarray:
@@ -153,9 +151,10 @@ def ground_state(inst: QuantumInstance, seed: int = 0, tol: float = 1e-8,
     residual and generically by the residual squared over the even-sector
     gap, so the default tol gives energies good to ~1e-12.
 
-    `iterations` counts applications of H.  `vector` is the full 2^n state,
-    Pi-even (equal to its reverse) and normalized, so every <sigma_i^z> of
-    it is 0.  Memory is KRYLOV * 2^(n-1) * 8 bytes for the basis.
+    `iterations` counts applications of H and `residual` is the last Ritz
+    residual.  `vector` is the full 2^n state, Pi-even (equal to its
+    reverse) and normalized.  Memory is KRYLOV * 2^(n-1) * 8 bytes for the
+    basis.
     """
     _check_size(inst, APPLY_LIMIT)
     check_positive("tol", tol)
@@ -200,6 +199,10 @@ def ground_state(inst: QuantumInstance, seed: int = 0, tol: float = 1e-8,
         if converged or applications >= max_iters:
             break
     vector = np.concatenate([u, u[::-1]]) / np.sqrt(2.0)
-    return GroundState(energy=theta, vector=vector,
-                       sigma_x=sigma_x_expectations(inst, vector),
-                       iterations=applications, converged=converged)
+    sigma_x = sigma_x_expectations(inst, vector)
+    # the state is parity-even, so every <sigma_i^z> is 0; a Ritz value
+    # lies above E0
+    return GroundState(energy=theta, vector=vector, sigma_x=sigma_x,
+                       m_x=float(np.mean(sigma_x)) if np.any(inst.fields) else None,
+                       q_z=0.0, iterations=applications, converged=converged,
+                       energy_kind="bound", residual=abs(b * float(y[-1])))

@@ -40,10 +40,12 @@ import numpy as np
 
 from .classical_bp import (
     ParameterSet,
+    Solution,
     _log_y,
     bond_energy,
     bp_fixed_point,  # noqa: F401  (perfbench/tracing.py wraps general.bp_fixed_point)
     bp_fixed_points,
+    energy_kind_of,
     field_shift,
     observables,
 )
@@ -740,19 +742,11 @@ def _track_best(spaces, weights, best_weight, best_states):
     return top
 
 
-@dataclass
-class GSResult:
-    energy: float
-    b: np.ndarray
-    k: np.ndarray
-    nu: np.ndarray
+@dataclass(kw_only=True)
+class GSResult(Solution):
     sigma_z: np.ndarray
     sigma_x: np.ndarray
-    m_x: float | None
-    q_z: float
     maxsum_energy: float
-    converged: bool
-    iterations: int
     chosen: str
     delta_m_fallback: bool
     disagreements: int
@@ -958,6 +952,8 @@ def gs_solve(inst: QuantumInstance, cfg: GSConfig | None = None) -> GSResult:
         maxsum_energy=float(last["maxsum_energy"]) if last else float("nan"),
         converged=rep.converged,
         iterations=total_sweeps,
+        energy_kind=energy_kind_of(graph, k),
+        residual=rep.residual,
         chosen=label,
         delta_m_fallback=fallback,
         disagreements=int(last["disagreements"]) if last else 0,

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical_bp import _log_y, _sigma_x_from_logs, bond_energy, field_shift
+from .classical_bp import (Solution, _log_y, _sigma_x_from_logs, bond_energy,
+                           energy_kind_of, field_shift)
 from .grids import check_positive
 
 MZ_THRESHOLD = 1e-3
@@ -174,11 +175,13 @@ def critical_field(degree: int, h_lo: float, h_hi: float,
     return 0.5 * (lo + hi)
 
 
-def homog_from_instance(inst, cfg: HomogConfig | None = None):
+def homog_from_instance(inst, cfg: HomogConfig | None = None) -> Solution:
     """Run the scan for an instance that is actually homogeneous.
 
     Requires a degree-regular graph with unit ferromagnetic couplings and
-    a uniform transverse field."""
+    a uniform transverse field.  The scan's optimum is returned with its
+    total energy, its (B, K, nu) on every site, edge and directed edge,
+    q_z = m_z^2 and iterations = 1."""
     degs = np.unique(inst.graph.degrees)
     if degs.size != 1 or degs[0] < 1:
         raise ValueError("homogeneous solver needs a degree-regular graph")
@@ -187,4 +190,8 @@ def homog_from_instance(inst, cfg: HomogConfig | None = None):
     if not np.allclose(inst.fields, inst.fields[0]):
         raise ValueError("homogeneous solver needs a uniform field")
     point, _ = homog_scan(float(inst.fields[0]), int(degs[0]), cfg)
-    return point
+    k = np.full(inst.m, point.k)
+    return Solution(energy=point.energy * inst.n, m_x=point.m_x,
+                    q_z=point.m_z ** 2, converged=point.converged, iterations=1,
+                    energy_kind=energy_kind_of(inst.graph, k),
+                    b=np.full(inst.n, point.b), k=k, nu=np.full(2 * inst.m, point.nu))

@@ -11,11 +11,9 @@ always an upper bound on the ground-state energy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .classical_bp import ParameterSet, observables
+from .classical_bp import ParameterSet, Solution, energy_kind_of, observables
 from .grids import (Grid, _normalized, argmax_tiebreak, check_count,
                     tiebreak_order)
 from .instance import QuantumInstance
@@ -35,17 +33,6 @@ def _observables(inst, b):
     # at K = 0 every cavity field 2b at its source is an exact BP fixed point
     return observables(inst, ParameterSet(b, np.zeros(inst.m)),
                        2.0 * b[inst.graph.src])
-
-
-@dataclass
-class MFSolution:
-    b: np.ndarray
-    energy: float
-    m_x: float | None
-    q_z: float
-    converged: bool
-    iterations: int
-    residual: float
 
 
 # Row groups of the hop kernel: more groups give tighter bounds and
@@ -130,7 +117,7 @@ def _hop_tables(j_tanh, tanh_vals, messages):
 
 
 def mf_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_FIELD_GRID,
-                    max_iters: int = 1000, seed: int = 0) -> MFSolution:
+                    max_iters: int = 1000, seed: int = 0) -> Solution:
     """Product state on the field grid; returns its fields, their energy
     and the m_x and q_z of the state.
 
@@ -156,15 +143,10 @@ def mf_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_FIELD_GRID,
         b_star, converged, iterations, residual = _descent(inst, grid,
                                                            max_iters, seed)
     obs = _observables(inst, b_star)
-    return MFSolution(
-        b=b_star,
-        energy=obs.energy,
-        m_x=obs.m_x,
-        q_z=obs.q_z,
-        converged=converged,
-        iterations=iterations,
-        residual=residual,
-    )
+    return Solution(energy=obs.energy, m_x=obs.m_x, q_z=obs.q_z,
+                    converged=converged, iterations=iterations,
+                    energy_kind=energy_kind_of(inst.graph, None),
+                    residual=residual, b=b_star)
 
 
 def _forest_messages(inst, vals):

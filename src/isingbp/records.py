@@ -28,6 +28,9 @@ class ResultRecord:
     converged: bool
     iters: int
     time_ms: float
+    # Solution.energy_kind, in JSONL but not in the CSV; a record that does
+    # not say claims no bound
+    energy_kind: str = "bethe"
 
     def row(self) -> list:
         data = asdict(self)

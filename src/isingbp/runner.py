@@ -91,39 +91,32 @@ def _grid_override(options: dict, step_key: str, half_key: str,
     return {"grid": Grid(float(step), half, cap=cap)}
 
 
-# Per-method adapters: (instance, seed, options) -> (E_per_spin, m_x, q_z,
-# converged, iters).  They look the solvers up as module globals at call
-# time, so a caller may rebind them (to trace them, say).
+# Per-method adapters: (instance, seed, options) -> Solution.  They look
+# the solvers up as module globals at call time, so a caller may rebind
+# them (to trace them, say).
 
 def _mf(work, seed, options):
     grid = _grid_override(options, "delta_b", "half_b")
-    sol = mf_maxsum_solve(work, seed=seed, **grid,
-                          **_options(mf_maxsum_solve, options))
-    return sol.energy / work.n, sol.m_x, sol.q_z, sol.converged, sol.iterations
+    return mf_maxsum_solve(work, seed=seed, **grid,
+                           **_options(mf_maxsum_solve, options))
 
 
 def _ss(work, seed, options):
     grid = _grid_override(options, "delta_k", "half_k", cap_key="k_cap")
-    sol = ss_maxsum_solve(work, **grid, **_options(ss_maxsum_solve, options))
-    return sol.energy / work.n, sol.m_x, sol.q_z, sol.converged, sol.iterations
+    return ss_maxsum_solve(work, **grid, **_options(ss_maxsum_solve, options))
 
 
 def _gs(work, seed, options):
-    sol = gs_solve(work, GSConfig(**_options(GSConfig, options), seed=seed))
-    return sol.energy / work.n, sol.m_x, sol.q_z, sol.converged, sol.iterations
+    return gs_solve(work, GSConfig(**_options(GSConfig, options), seed=seed))
 
 
 def _homog(work, seed, options):
-    point = homog_from_instance(work, HomogConfig(**_options(HomogConfig, options)))
-    return point.energy, point.m_x, point.m_z ** 2, point.converged, 1
+    return homog_from_instance(work, HomogConfig(**_options(HomogConfig, options)))
 
 
 def _exact(work, seed, options):
     ground_state = exact_mod.ground_state
-    ref = ground_state(work, seed=seed, **_options(ground_state, options))
-    # the state is parity-even, so every <sigma_i^z> is 0
-    return (ref.energy / work.n, np.mean(ref.sigma_x), 0.0, ref.converged,
-            ref.iterations)
+    return ground_state(work, seed=seed, **_options(ground_state, options))
 
 
 _ADAPTERS = {"mf": _mf, "ss": _ss, "gs": _gs, "homog": _homog, "exact": _exact}
@@ -144,14 +137,12 @@ def run_cell(inst: QuantumInstance, name: str, method: str, h: float | None,
     else:
         h_report = float(h)
     t0 = time.perf_counter()
-    adapter = _ADAPTERS[method]
-    energy, m_x, q_z, converged, iters = adapter(work, seed, dict(overrides or {}))
+    sol = _ADAPTERS[method](work, seed, dict(overrides or {}))
     dt = (time.perf_counter() - t0) * 1000.0
     return ResultRecord(instance=name, seed=seed, method=method, h=h_report,
-                        E_per_spin=energy,
-                        m_x=None if not np.any(work.fields) else float(m_x),
-                        q_z=float(q_z), converged=converged, iters=iters,
-                        time_ms=dt)
+                        E_per_spin=sol.energy / work.n, m_x=sol.m_x, q_z=sol.q_z,
+                        converged=sol.converged, iters=sol.iterations,
+                        time_ms=dt, energy_kind=sol.energy_kind)
 
 
 def run_grid(inst: QuantumInstance, name: str, methods, h_values,

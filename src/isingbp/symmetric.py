@@ -52,11 +52,9 @@ block to itself, where foreseeing the run costs about what the scan does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .classical_bp import ParameterSet, observables
+from .classical_bp import ParameterSet, Solution, energy_kind_of, observables
 from .grids import (Grid, _maxsum_loop, _normalized, check_count,
                     tiebreak_order)
 from .instance import QuantumInstance
@@ -85,17 +83,6 @@ def _observables(inst, k):
     # at B = 0 the zero cavity fields are an exact BP fixed point
     return observables(inst, ParameterSet(np.zeros(inst.n), k),
                        np.zeros(2 * inst.m))
-
-
-@dataclass
-class SSSolution:
-    k: np.ndarray
-    energy: float
-    m_x: float | None
-    q_z: float
-    converged: bool
-    iterations: int
-    residual: float
 
 
 def _hull_scan(xs: list, ys: list, lo: int, hi: int) -> list:
@@ -509,7 +496,7 @@ def _forest_messages(inst: QuantumInstance, grid: Grid) -> np.ndarray:
 
 
 def ss_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_COUPLING_GRID,
-                    max_iters: int = 1000) -> SSSolution:
+                    max_iters: int = 1000) -> Solution:
     """MaxSum over the coupling grid; extraction is a per-edge arg-max of
 
         w_e(K) = -J_e tanh(2K) + M_fwd(K) + M_rev(K),
@@ -539,12 +526,7 @@ def ss_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_COUPLING_GRID,
     weight = -bond_gain + messages[0::2] + messages[1::2]
     k_star = vals[order[np.argmax(weight[:, order], axis=1)]]
     obs = _observables(inst, k_star)
-    return SSSolution(
-        k=k_star,
-        energy=obs.energy,
-        m_x=obs.m_x,
-        q_z=obs.q_z,
-        converged=converged,
-        iterations=iterations,
-        residual=residual,
-    )
+    return Solution(energy=obs.energy, m_x=obs.m_x, q_z=obs.q_z,
+                    converged=converged, iterations=iterations,
+                    energy_kind=energy_kind_of(inst.graph, k_star),
+                    residual=residual, k=k_star)

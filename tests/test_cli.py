@@ -6,7 +6,6 @@ import functools
 import inspect
 import io
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ import isingbp.runner
 from isingbp import (
     GSConfig,
     HomogConfig,
+    Solution,
     cli,
     generate_chain,
     ground_state,
@@ -259,8 +259,8 @@ def test_set_surface_is_frozen():
 @pytest.mark.parametrize("method", sorted(SET_KEYS))
 def test_set_keys_reach_the_solver(method, monkeypatch):
     calls = []
-    result = SimpleNamespace(energy=-1.0, m_x=0.5, q_z=0.0, m_z=0.0,
-                             sigma_x=np.zeros(3), converged=True, iterations=1)
+    result = Solution(energy=-1.0, m_x=0.5, q_z=0.0, converged=True,
+                      iterations=1, energy_kind="bound")
     for owner, name in ((isingbp.runner, "mf_maxsum_solve"),
                         (isingbp.runner, "ss_maxsum_solve"),
                         (isingbp.runner, "gs_solve"),

@@ -94,10 +94,14 @@ def test_mf_only_restricts_couplings():
 def test_from_instance_matches_scan():
     inst = generate_rrg(12, 3, law="ferro", h=1.0, seed=1)
     cfg = HomogConfig(delta=0.05)
-    point = homog_from_instance(inst, cfg)
+    sol = homog_from_instance(inst, cfg)
     ref, _ = homog_scan(1.0, 3, cfg)
-    assert point.energy == ref.energy
-    assert (point.b, point.k) == (ref.b, ref.k)
+    assert sol.energy == ref.energy * inst.n
+    assert (sol.m_x, sol.q_z, sol.converged) == (ref.m_x, ref.m_z ** 2, ref.converged)
+    assert np.all(sol.b == ref.b) and sol.b.shape == (inst.n,)
+    assert np.all(sol.k == ref.k) and sol.k.shape == (inst.m,)
+    assert np.all(sol.nu == ref.nu) and sol.nu.shape == (2 * inst.m,)
+    assert sol.energy_kind == "bethe"  # a loopy graph and K > 0
 
 
 @pytest.mark.parametrize("build", [

@@ -8,7 +8,18 @@ import json
 import numpy as np
 import pytest
 
-from isingbp import QuantumInstance, generate_chain, generate_rrg, ground_state
+from isingbp import (
+    GSConfig,
+    HomogConfig,
+    QuantumInstance,
+    generate_chain,
+    generate_rrg,
+    ground_state,
+    gs_solve,
+    homog_from_instance,
+    mf_maxsum_solve,
+    ss_maxsum_solve,
+)
 from isingbp.records import (
     CSV_COLUMNS,
     ResultRecord,
@@ -17,6 +28,7 @@ from isingbp.records import (
     write_jsonl,
 )
 from isingbp.runner import (
+    METHODS,
     cell_seed,
     parse_overrides,
     run_cell,
@@ -58,13 +70,15 @@ def test_write_csv():
 def test_write_jsonl_echoes_config():
     buf = io.StringIO()
     config = {"methods": ["mf"], "h": [0.5]}
-    write_jsonl([_record(), _record(h=1.0)], buf, config)
+    write_jsonl([_record(), _record(h=1.0, energy_kind="bound")], buf, config)
     lines = [json.loads(line) for line in buf.getvalue().splitlines()]
     assert len(lines) == 2
     for line in lines:
         assert line["config"] == config
         assert line["digest"] == config_digest(config)
+        assert line["energy_kind"] in ("bound", "bethe")
     assert lines[1]["h"] == 1.0
+    assert lines[1]["energy_kind"] == "bound"
 
 
 def test_config_digest_stable():
@@ -135,6 +149,29 @@ def test_run_cell_own_fields_and_zero_field():
     cold = run_cell(inst, "cold", "mf", 0.0, seed=1)
     assert cold.m_x is None
     assert cold.row()[CSV_COLUMNS.index("m_x")] == ""
+
+
+# each method's run_cell options and the direct solver call they amount to
+_DIRECT = {
+    "mf": ({}, lambda inst, seed: mf_maxsum_solve(inst, seed=seed)),
+    "ss": ({}, lambda inst, seed: ss_maxsum_solve(inst)),
+    "gs": ({"outer_rounds": 2},
+           lambda inst, seed: gs_solve(inst, GSConfig(outer_rounds=2, seed=seed))),
+    "homog": ({"delta": 0.05},
+              lambda inst, seed: homog_from_instance(inst, HomogConfig(delta=0.05))),
+    "exact": ({}, lambda inst, seed: ground_state(inst, seed=seed)),
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_run_cell_reports_the_solution(method):
+    inst = generate_rrg(8, 3, law="ferro", h=1.0, seed=0)
+    options, solve = _DIRECT[method]
+    rec = run_cell(inst, "rrg", method, None, seed=6, overrides=options)
+    sol = solve(inst, 6)
+    assert rec.E_per_spin == sol.energy / inst.n
+    assert (rec.m_x, rec.q_z, rec.converged, rec.iters, rec.energy_kind) == \
+        (sol.m_x, sol.q_z, sol.converged, sol.iterations, sol.energy_kind)
 
 
 def test_run_cell_homog():

@@ -7,6 +7,10 @@ a Gaussian 4-regular graph.  Each CSV row but time_ms must equal the
 checked-in tests/data/regression_rows.csv.  A change that moves any
 printed digit of any solver output fails here.
 
+The same records check what each energy_kind claims: a "bound" energy
+lies at or above the ground energy E0, and the loopy rrg_glass ss and gs
+energies, some of which fall below E0, say "bethe".
+
 The file was written by this module's generator at a commit whose outputs
 are the reference, and is rewritten only when a change is meant to move
 the numbers:
@@ -19,7 +23,9 @@ import io
 import sys
 from pathlib import Path
 
-from isingbp import generate_chain, generate_rrg
+import pytest
+
+from isingbp import generate_chain, generate_rrg, ground_state
 from isingbp.records import CSV_COLUMNS
 from isingbp.runner import run_grid
 
@@ -49,18 +55,46 @@ CASES = [
 ]
 
 
-def regression_rows() -> list[list[str]]:
-    rows = [CSV_COLUMNS[:-1]]
+def case_records() -> dict:
+    """name -> (instance, run_grid records) for every case."""
+    out = {}
     for name, build, methods, fields, overrides in CASES:
-        records = run_grid(build(), name, methods, fields, overrides=overrides)
+        inst = build()
+        out[name] = inst, run_grid(inst, name, methods, fields, overrides=overrides)
+    return out
+
+
+def regression_rows(cases: dict) -> list[list[str]]:
+    rows = [CSV_COLUMNS[:-1]]
+    for _, records in cases.values():
         rows.extend(rec.row()[:-1] for rec in records)
     return rows
 
 
-def test_rows_match_the_checked_in_file():
+@pytest.fixture(scope="module")
+def cases():
+    return case_records()
+
+
+def test_rows_match_the_checked_in_file(cases):
     expected = list(csv.reader(io.StringIO(DATA.read_text())))
-    assert regression_rows() == expected
+    assert regression_rows(cases) == expected
+
+
+def test_bound_energies_lie_above_e0(cases):
+    for name in ("chain_compare", "rrg_glass"):
+        inst, records = cases[name]
+        e0 = {h: ground_state(inst.with_uniform_field(h)).energy / inst.n
+              for h in {rec.h for rec in records}}
+        for rec in records:
+            if rec.energy_kind == "bound":
+                assert rec.E_per_spin >= e0[rec.h] - 1e-9, rec
+            else:
+                assert rec.energy_kind == "bethe", rec
+    glass = [rec for rec in cases["rrg_glass"][1] if rec.method in ("ss", "gs")]
+    assert len(glass) == 6 and all(rec.energy_kind == "bethe" for rec in glass)
 
 
 if __name__ == "__main__":
-    csv.writer(sys.stdout, lineterminator="\n").writerows(regression_rows())
+    csv.writer(sys.stdout, lineterminator="\n").writerows(
+        regression_rows(case_records()))
