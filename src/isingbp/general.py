@@ -441,7 +441,7 @@ def _site_picks(inst, tables, messages, tol, cfg):
 
     Returns (value (n,), b (n,), pick (2m,)), pick[d] being the state of
     directed edge d at the first maximizer of its source site in
-    combination order (out_dirs order, last edge fastest).  The site's
+    combination order (dir_order order, last edge fastest).  The site's
     admissible combinations are the entries (s, c) of its first out-edge
     d's window table, read from the round's cache or else block by block
     and not kept; a site value is _window_sweep's total plus the message
@@ -596,7 +596,7 @@ def convolution_inner_max(inst: QuantumInstance, spaces: SearchSpace,
     sequential convolution.  Returns per-target-state values (without the
     bond term), matching exhaustive_inner_max up to binning error.
     """
-    dirs = inst.graph.out_dirs[site]
+    dirs = inst.graph.dir_order[inst.graph.dir_start[site]:inst.graph.dir_start[site + 1]]
     return _inner_convolution(
         inst.fields[site], cfg, tol, _sweep_tables(inst, spaces), messages,
         target_dir, dirs[dirs != target_dir],
@@ -609,8 +609,8 @@ def exhaustive_inner_max(inst: QuantumInstance, spaces: SearchSpace,
     """Reference inner maximization (full enumeration), same contract as
     convolution_inner_max: the batched sweep kernel for one directed edge."""
     tables = _sweep_tables(inst, spaces)
-    out_dirs = inst.graph.out_dirs[site]
-    nbrs = out_dirs[out_dirs != target_dir][None, :]
+    around = inst.graph.dir_order[inst.graph.dir_start[site]:inst.graph.dir_start[site + 1]]
+    nbrs = around[around != target_dir][None, :]
     dirs = np.array([target_dir], dtype=np.int64)
     pieces = _window_table(inst.fields[[site]], cfg, tol, tables, dirs, nbrs)
     return _window_sweep(pieces, messages, nbrs)[0]

@@ -155,10 +155,6 @@ class ClassicalGraph:
         self.dir_order = np.argsort(self.src, kind="stable")
         self.degrees = np.bincount(self.src, minlength=self.n)
         self.dir_start = np.concatenate([[0], np.cumsum(self.degrees)])
-        self.out_dirs = [
-            self.dir_order[self.dir_start[s]:self.dir_start[s + 1]]
-            for s in range(self.n)
-        ]
         # m >= n edges close a cycle; else a forest has one BFS run per
         # component and n - m components
         self.is_forest = (self.m < self.n
@@ -167,7 +163,7 @@ class ClassicalGraph:
     def _bfs(self, roots) -> tuple:
         """Breadth-first runs from each root that no earlier run reached.
 
-        A run takes sites in FIFO order and their neighbours in out_dirs
+        A run takes sites in FIFO order and their neighbours in dir_order
         order.  Returns (runs, parent_dir): the sites of each run in visit
         order, and per site the directed edge into it from its BFS parent
         (-1 at a root).
@@ -198,7 +194,7 @@ class ClassicalGraph:
         """Directed edges bucketed by the number of other edges at their source.
 
         Returns {ln: (dirs (G,), nbrs (G, ln))}: dirs in increasing order,
-        nbrs[g] the other directed edges leaving src[dirs[g]] in out_dirs
+        nbrs[g] the other directed edges leaving src[dirs[g]] in dir_order
         order.  Groups appear in order of their first directed edge.
         """
         ln_of_dir = self.degrees[self.src] - 1
@@ -280,7 +276,7 @@ class ClassicalGraph:
         """Sites bucketed by degree.
 
         Returns {deg: (sites (G,), dirs (G, deg))}: sites in increasing
-        order, dirs[g] the directed edges leaving sites[g] in out_dirs
+        order, dirs[g] the directed edges leaving sites[g] in dir_order
         order.  Groups appear in order of increasing degree.
         """
         groups = {}
@@ -300,7 +296,7 @@ class ClassicalGraph:
         """
         colour = np.empty(self.n, dtype=np.int64)
         for s in range(self.n):
-            nbrs = self.dst[self.out_dirs[s]]
+            nbrs = self.dst[self.dir_order[self.dir_start[s]:self.dir_start[s + 1]]]
             taken = set(colour[nbrs[nbrs < s]].tolist())
             colour[s] = min(set(range(len(taken) + 1)) - taken)
         return [np.flatnonzero(colour == c)

@@ -35,9 +35,10 @@ def _observables(inst, b):
                        2.0 * b[inst.graph.src])
 
 
-# Row groups of the hop kernel: more groups give tighter bounds and
-# narrower windows but more bound passes; eight measured fastest at nb = 301.
-_ROW_GROUPS = 8
+# Row groups of the hop kernel: more give narrower windows but more bound
+# passes.  At nb = 301, 2 / 4 / 8 groups took 200 / 206 / 281 us per call on 1-2
+# rows (chain_compare), 19.9 / 12.4 / 13.9 ms on 214 rows (random tree n=3000).
+_ROW_GROUPS = 4
 
 
 def _hop_tables(j_tanh, tanh_vals, messages):
@@ -284,7 +285,7 @@ def _extract_fields(inst, vals, messages, hop):
     for site in graph.bfs_order():
         site = int(site)
         weight = site_term[site].copy()
-        for d in graph.out_dirs[site]:
+        for d in graph.dir_order[graph.dir_start[site]:graph.dir_start[site + 1]]:
             other = int(graph.dst[d])
             rev = int(d) ^ 1
             if b_idx[other] >= 0:

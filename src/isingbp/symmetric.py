@@ -37,9 +37,10 @@ every float expression of the one-edge-at-a-time sweep
    of j.  Only those candidates are made (on ±J and Gaussian regular
    graphs fewer than a + b per composition, nearly all of them on its
    hull), and one sort call orders those of a block of rows, row by row.
-3. Evaluate.  A front's maximum of p*c + q at each c, one line at a
-   time over a block of rows, at the distinct slopes only, since
-   c(K) = c(-K).
+3. Evaluate.  A front's maximum of p*c + q at each c, at the distinct
+   slopes only, since c(K) = c(-K): the float max over the few lines
+   whose unscaled windows hold c, found for a block of rows by one
+   search of the window ends among the c values.
 
 Both envelope stages end in the convex-hull scan, a sequential stack
 pass.  Where it pops each line it pops at the next line, one at a time,
@@ -62,7 +63,7 @@ from .instance import QuantumInstance
 DEFAULT_COUPLING_GRID = Grid(step=0.01, half_count=200)
 
 _BLOCK_ELEMS = 1 << 14  # entries per temporary table of a block of rows
-_SLACK = 1e-6  # relative widening of the composition windows in c
+_SLACK = 1e-6  # relative widening of the line windows in c
 _ROUNDING = 2.0 ** -40  # rounding a float scan may hide, relative to sizes
 _RANGE = 2.0 ** 511  # products of slopes within [1/_RANGE, _RANGE] are normal
 _FRONT_BITS = 24  # window keys hold front indices below 2**24
@@ -209,16 +210,9 @@ def _blocks(sizes, budget):
         s = e
 
 
-def _pad(fronts, rows):
-    """(rows, width) slope and intercept tables of the given fronts, with
-    slope 0 and intercept -inf after each front's lines, and the mask of
-    its lines."""
-    p, q, start = fronts
-    lo, hi = start[rows], start[rows + 1]
-    idx = lo[:, None] + np.arange(int((hi - lo).max()))
-    valid = idx < hi[:, None]
-    idx = np.where(valid, idx, lo[:, None])
-    return np.where(valid, p[idx], 0.0), np.where(valid, q[idx], -np.inf), valid
+def _flat(first, count):
+    """The count[g] indices first[g], first[g] + 1, ... of every g in turn."""
+    return np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
 
 
 def _slope_groups(sech):
@@ -257,25 +251,30 @@ def _fronts(messages, slopes):
     return _join(parts)
 
 
-def _window_keys(fronts, delta):
-    """Integer keys of the scaled c-windows of every line of every front:
-    (lo, hi), ordered by (front, end) and monotone along each front.
+def _keys(front, x):
+    """Keys of the values x >= 0 (or their bit patterns) of fronts, rounded down."""
+    return (front << (63 - _FRONT_BITS)) | (x.view(np.int64) >> _FRONT_BITS)
+
+
+def _window_keys(fronts, delta, scaled=True):
+    """Integer keys (lo, hi) of the c-windows of every line of every front,
+    times its slope if scaled: ordered by (front, end), monotone per front.
 
     On a hull, with slopes p strictly rising and intercepts strictly
     falling, and no _pops on consecutive lines, line k wins p*c + q on the
     window between its crossings with its neighbours (0 before the first
-    line, inf after the last).  A float scan can keep a line that misses
-    by rounding, so each crossing moves out to where the neighbour comes
-    within delta plus _ROUNDING times the slope terms, and the window,
-    scaled by p_k, widens by _SLACK.  Every line of a front that is not
-    such a hull, or has slopes or intercepts outside _RANGE, gets [0, inf].
+    line, inf after the last).  A float scan or max can keep a line that
+    misses by rounding, so each crossing moves out to where the neighbour
+    comes within delta plus _ROUNDING times the slope terms, and the
+    window widens by _SLACK.  Every line of a front that is not such a
+    hull, or has slopes or intercepts outside _RANGE, gets [0, inf].
 
-    A key holds the front index in its top _FRONT_BITS bits and below them
-    the top bits of the end's float64 pattern, which order like the end
-    itself for ends >= 0; truncation rounds lo down and hi up.  A reverse
-    cumulative min of lo and a cumulative max of hi along each front make
-    its windows monotone and only widen them.  The fronts go in chunks of
-    at most _BLOCK_ELEMS lines (or one front), to bound the temporaries.
+    A key (_keys) holds the front index in its top _FRONT_BITS bits and
+    below them the top bits of the end's float64 pattern, which order like
+    the end itself for ends >= 0; truncation rounds lo down and hi up.  A
+    reverse cumulative min of lo and a cumulative max of hi along each
+    front make its windows monotone and only widen them.  The fronts go in
+    chunks of at most _BLOCK_ELEMS lines (or one front).
     """
     p_all, q_all, start = fronts
     lo_keys = np.empty(p_all.size, dtype=np.int64)
@@ -285,7 +284,7 @@ def _window_keys(fronts, delta):
         e = max(f + 1, int(np.searchsorted(start, start[f] + _BLOCK_ELEMS, side="right")) - 1)
         lines = slice(start[f], start[e])
         p, q = p_all[lines], q_all[lines]
-        count = np.diff(start[f:e + 1])
+        count = start[f + 1:e + 1] - start[f:e]
         front = np.repeat(np.arange(f, e), count)
         same = front[1:] == front[:-1]  # lines k and k + 1 in one front
         # the arithmetic on fronts that are not hulls is discarded
@@ -301,13 +300,12 @@ def _window_keys(fronts, delta):
             lo[1:] = np.where(same, (dq - delta) / (dp + slack), 0.0)
             hi = np.full(p.size, np.inf)
             hi[:-1] = np.where(same & (dp > slack), (dq + delta) / (dp - slack), np.inf)
-            lo = np.where(hull & (lo > 0), lo * p * (1.0 - _SLACK), 0.0)
-            hi = np.where(hull, hi * p * (1.0 + _SLACK), np.inf)
-        top = front << (63 - _FRONT_BITS)
-        lo = top | (lo.view(np.int64) >> _FRONT_BITS)
-        hi = top | ((hi.view(np.int64) + ((1 << _FRONT_BITS) - 1)) >> _FRONT_BITS)
-        lo_keys[lines] = np.minimum.accumulate(lo[::-1])[::-1]
-        hi_keys[lines] = np.maximum.accumulate(hi)
+            w = p if scaled else 1.0
+            lo = np.where(hull & (lo > 0), lo * w * (1.0 - _SLACK), 0.0)
+            hi = np.where(hull, hi * w * (1.0 + _SLACK), np.inf)
+        lo_keys[lines] = np.minimum.accumulate(_keys(front, lo)[::-1])[::-1]
+        hi_keys[lines] = np.maximum.accumulate(
+            _keys(front, hi.view(np.int64) + ((1 << _FRONT_BITS) - 1)))
         f = e
     return lo_keys, hi_keys
 
@@ -322,7 +320,7 @@ def _ranges(fa, keys_a, ra, keys_b, rb):
     """
     start = fa[2]
     a = start[ra + 1] - start[ra]
-    ia = np.arange(a.sum()) + np.repeat(start[ra] - (np.cumsum(a) - a), a)
+    ia = _flat(start[ra], a)
     other = np.repeat(rb << (63 - _FRONT_BITS), a)
     mask = (1 << (63 - _FRONT_BITS)) - 1
     j0 = np.searchsorted(keys_b[1], other | (keys_a[0][ia] & mask), side="left")
@@ -350,8 +348,7 @@ def _candidates(fa, keys_a, ra, fb, keys_b, rb, size):
     the first line of each slope, where the other intercepts are -inf.
     """
     ia, j0, count, _ = _ranges(fa, keys_a, ra, keys_b, rb)
-    ia = np.repeat(ia, count)
-    jb = np.arange(ia.size) + np.repeat(j0 - (np.cumsum(count) - count), count)
+    ia, jb = np.repeat(ia, count), _flat(j0, count)
     first = np.arange(size.max()) < size[:, None]
     p = np.full(first.shape, np.inf)
     q = np.full(first.shape, -np.inf)
@@ -402,25 +399,33 @@ def _evaluate(batch, h, slopes):
     """Yield (rows, maxima) over blocks of rows: row g's maximum of
     p*c + q over its front's lines at c = h[g] * sech(2K) on the grid.
 
-    c(K) = c(-K), so the maxima are taken at the distinct slopes only,
-    one line at a time.
+    Only at the distinct slopes, as c(K) = c(-K), and only over the
+    consecutive lines whose unscaled windows (_window_keys) hold c: a line
+    outside is below a neighbour by more than the rounding of both.
     """
-    fronts, rows = batch
+    (p, q, start), rows = batch
     u, inverse = slopes[:2]
-    # rows by front size, so that a block pads few lines
-    order = np.argsort(np.diff(fronts[2])[rows], kind="stable")
-    step = max(1, _BLOCK_ELEMS // inverse.size)
-    for s in range(0, order.size, step):
-        block = order[s:s + step]
-        p, q, _ = _pad(fronts, rows[block])
-        c = h[block, None] * u[None, :]
-        top = np.full(c.shape, -np.inf)
-        value = np.empty(c.shape)
-        for line in range(p.shape[1]):
-            np.multiply(p[:, line, None], c, out=value)
-            value += q[:, line, None]
-            np.maximum(top, value, out=top)
-        yield block, top[:, inverse]
+    delta = _ROUNDING * max(-q.min(initial=0.0), q.max(initial=0.0))
+    a = start[rows + 1] - start[rows]
+    for block in _blocks(a + u.size, _BLOCK_ELEMS):
+        lines = _flat(start[rows[block]], a[block])
+        lp, lq = p[lines], q[lines]
+        lo_keys, hi_keys = _window_keys(
+            (lp, lq, np.concatenate([[0], np.cumsum(a[block])])), delta, scaled=False)
+        c = (h[block, None] * u).ravel()
+        # sorted, as h >= 0; |c| turns the c = -0.0 of a field -0.0 into 0.0
+        key = _keys(np.arange(block.size).repeat(u.size), np.abs(c))
+        # line k's window holds the c_j, lo <= j < hi: the first line of
+        # each c_j, then the rare further ones in line order
+        lo = np.searchsorted(key, lo_keys, side="left")
+        hi = np.searchsorted(key, hi_keys, side="right")
+        first = np.repeat(np.arange(lines.size), hi - np.concatenate([[0], hi[:-1]]))
+        top = lp[first] * c + lq[first]
+        more = np.maximum(hi[:-1] - lo[1:], 0)
+        if more.any():
+            line, j = np.repeat(np.arange(1, lines.size), more), _flat(lo[1:], more)
+            np.maximum.at(top, j, lp[line] * c[j] + lq[line])
+        yield block, top.reshape(block.size, -1)[:, inverse]
 
 
 def _emitter(inst: QuantumInstance, grid: Grid):
@@ -429,7 +434,7 @@ def _emitter(inst: QuantumInstance, grid: Grid):
     emit writes into out[d] the new message of each directed edge d of
     groups, an iterable of (ln, dirs, rows) with rows[g, k] the row of
     fronts that holds the front of the k-th message dirs[g] reads: the
-    messages into src[d] from its other neighbours, in out_dirs order.
+    messages into src[d] from its other neighbours, in dir_order order.
     The first front is a hull already, and enveloping a hull leaves it
     unchanged; a leaf keeps the identity front.
     """
@@ -447,11 +452,9 @@ def _emitter(inst: QuantumInstance, grid: Grid):
                 batch = (fronts, rows[:, 0])
             for k in range(1, ln):
                 batch = _compose(batch, (fronts, rows[:, k]))
-            h = inst.fields[graph.src[dirs]]
-            for block, top in _evaluate(batch, h, slopes):
+            for block, top in _evaluate(batch, inst.fields[graph.src[dirs]], slopes):
                 d = dirs[block]
-                top += bond_gain[graph.edge_of_dir[d]]
-                out[d] = top
+                out[d] = top + bond_gain[graph.edge_of_dir[d]]
 
     return emit, slopes
 

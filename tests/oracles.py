@@ -8,6 +8,8 @@ solvers they check.
 
 import numpy as np
 
+import testutil
+
 
 def mf_chain_minimum(inst, grid) -> float:
     """Exact minimum of the product-state energy over grid fields on a chain.
@@ -249,7 +251,7 @@ def mf_descent_dense(inst, grid, max_iters, seed):
         vals.size, size=(_RANDOM_STARTS, inst.n))
     starts = [np.full(inst.n, np.argmin(np.abs(vals))),
               np.full(inst.n, vals.size - 1), *draws]
-    runs = []
+    runs, out_dirs = [], testutil.out_dirs_of(graph)
     for idx in starts:
         idx = idx.copy()
         converged, passes, drop = False, max_iters, 0.0
@@ -260,7 +262,7 @@ def mf_descent_dense(inst, grid, max_iters, seed):
                 gains = np.zeros(sites.size)
                 new = idx.copy()
                 for pos, i in enumerate(sites):
-                    out = graph.out_dirs[i]
+                    out = out_dirs[i]
                     local = np.sum(t[graph.dst[out]]
                                    * inst.couplings[graph.edge_of_dir[out]])
                     score = inst.fields[i] * sech_v + local * tanh_v
@@ -364,7 +366,7 @@ def conv_field_max_dense(h_site, cfg, tol, sums, val, t_u, t_nu, t_lyp, t_lym):
 def site_maxes_dense(inst, tables, messages, tol, cfg):
     """Joint max at every site over the whole (sites, S**degree) table.
 
-    For each combination of incident edge states (out_dirs order, last
+    For each combination of incident edge states (dir_order order, last
     edge fastest) the local field may take the grid values b with
     2b + sum(u_in) inside [max(c_in) - tol, min(c_in) + tol]; the best is
     the site term at the unconstrained optimum b* = (sum(lym) -
@@ -406,7 +408,7 @@ def site_shift_max_loop(inst, tables, messages, tol, cfg, site):
     """Joint max at one site, one incident edge at a time.
 
     Seen from the site's first out-edge d, as the MaxSum sweep sees it:
-    over every combination of incident edge states (out_dirs order, last
+    over every combination of incident edge states (dir_order order, last
     edge fastest; d's own state s first) the local field may take the
     grid values b with 2b + sum(u_in of the other edges) inside
     [max(nu_out_d(s), max(c_in) - u_d(s)) - tol, min(nu_out_d(s),
@@ -417,7 +419,7 @@ def site_shift_max_loop(inst, tables, messages, tol, cfg, site):
     isolated site takes b = 0.  Returns (value, b_value, {dir: state}).
     """
     h = inst.fields[site]
-    dirs = [int(x) for x in inst.graph.out_dirs[site]]
+    dirs = [int(x) for x in testutil.out_dirs_of(inst.graph)[site]]
     size = tables.u_in.shape[1]
     if not dirs:
         return float(_site_term(h, 0.0, 0.0, 0.0)), 0.0, {}
@@ -753,7 +755,7 @@ def ss_sweep_loop(inst, grid, messages):
     Each message M is enveloped as the lines (sech(2K), M(K)); the new
     message on d = (i -> j) is -J tanh(2K) plus the maximum, at
     c = h_i sech(2K), of the composition of the fronts of the other
-    messages into i, in out_dirs order (the first as it is, a leaf the
+    messages into i, in dir_order order (the first as it is, a leaf the
     identity front).
     """
     graph = inst.graph
@@ -762,9 +764,10 @@ def ss_sweep_loop(inst, grid, messages):
     bond_gain = inst.couplings[:, None] * np.tanh(2.0 * vals)[None, :]
     fronts = [envelope_loop(sech, messages[d]) for d in range(2 * graph.m)]
     new = np.empty_like(messages)
+    out_dirs = testutil.out_dirs_of(graph)
     for d in range(2 * graph.m):
         site = int(graph.src[d])
-        others = [fronts[int(d_out) ^ 1] for d_out in graph.out_dirs[site]
+        others = [fronts[int(d_out) ^ 1] for d_out in out_dirs[site]
                   if int(d_out) != d]
         front = others[0] if others else (np.ones(1), np.zeros(1))
         for other in others[1:]:

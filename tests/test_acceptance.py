@@ -328,12 +328,13 @@ def test_criterion_7_convolution_brackets_exhaustive():
         messages = rng.standard_normal((2 * g.m, cfg.space_size))
         messages -= messages.max(axis=1, keepdims=True)
         tol = 0.4
-        target_dir = int(g.out_dirs[0][0])
-        steps = len(g.out_dirs[0]) - 1
+        out0 = testutil.out_dirs_of(g)[0]
+        target_dir = int(out0[0])
+        steps = len(out0) - 1
         dx = (steps + 1) * cfg.delta_nu
 
         tables = _sweep_tables(inst, spaces)
-        others = [int(d) for d in g.out_dirs[0] if int(d) != target_dir]
+        others = [int(d) for d in out0 if int(d) != target_dir]
         y_span = max(sum(
             max(float(np.max(np.abs(tables.lyp_in[d]))),
                 float(np.max(np.abs(tables.lym_in[d]))))

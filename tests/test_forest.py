@@ -78,6 +78,7 @@ def test_schedule_reads_only_earlier_batches(inst):
     # batches as rooting each tree at a centre gives
     graph = inst.graph
     schedule = graph.forest_schedule()
+    out_dirs = testutil.out_dirs_of(graph)
     batch_of = np.full(2 * graph.m, -1)
     for b, (dirs, groups) in enumerate(schedule):
         assert dirs.size and np.all(batch_of[dirs] == -1)
@@ -88,7 +89,7 @@ def test_schedule_reads_only_earlier_batches(inst):
             assert np.all(graph.degrees[graph.src[sub]] == ln + 1)
             assert nbrs.shape == (sub.size, ln)
             for d, others in zip(sub, nbrs):
-                out = graph.out_dirs[graph.src[d]]
+                out = out_dirs[graph.src[d]]
                 assert others.tolist() == out[out != d].tolist()
                 assert np.all(batch_of[others ^ 1] < b)
     assert np.all(batch_of >= 0)

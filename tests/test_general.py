@@ -422,12 +422,13 @@ def test_convolution_brackets_exhaustive(degree):
         messages = rng.standard_normal((2 * g.m, cfg.space_size))
         messages -= messages.max(axis=1, keepdims=True)
         tol = 0.4
-        target_dir = int(g.out_dirs[0][0])
-        steps = len(g.out_dirs[0]) - 1
+        out0 = testutil.out_dirs_of(g)[0]
+        target_dir = int(out0[0])
+        steps = len(out0) - 1
         dx = (steps + 1) * cfg.delta_nu
 
         tables = _sweep_tables(inst, spaces)
-        others = [int(d) for d in g.out_dirs[0] if int(d) != target_dir]
+        others = [int(d) for d in out0 if int(d) != target_dir]
         y_span = max(sum(
             max(float(np.max(np.abs(tables.lyp_in[d]))),
                 float(np.max(np.abs(tables.lym_in[d]))))
@@ -472,7 +473,7 @@ def test_convolution_field_max_matches_dense_oracle(monkeypatch):
             spaces = init_spaces(g, cfg, rng)
             messages = rng.standard_normal((2 * g.m, cfg.space_size))
             for tol in (0.2, 0.6):
-                for target in g.out_dirs[0]:
+                for target in testutil.out_dirs_of(g)[0]:
                     convolution_inner_max(inst, spaces, messages, 0, int(target),
                                           tol, cfg)
     gs_solve(generate_rrg(8, 3, law="pm_one", h=1.5, seed=7),
@@ -685,9 +686,10 @@ def _check_site_maxes(inst, infeasible):
         assert infeasible_sites > 0
     # with every message into a site -inf its maximum is -inf, and its
     # field and states are those of combination 0, feasible or not
+    out_dirs = testutil.out_dirs_of(g)
     for site in np.flatnonzero(g.degrees):
         cut = messages.copy()
-        cut[g.out_dirs[site] ^ 1] = -np.inf
+        cut[out_dirs[site] ^ 1] = -np.inf
         value = _check_site_picks(inst, tables, cut, 1.0, cfg)
         assert value[site] == -np.inf
 
@@ -765,7 +767,7 @@ def test_combination_limit_raises_before_allocating():
             with pytest.raises(SearchSpaceError, match="64000000.*space_size"):
                 if call == "inner":
                     exhaustive_inner_max(inst, spaces, messages, 0,
-                                         int(g.out_dirs[0][0]), 0.2, cfg)
+                                         int(testutil.out_dirs_of(g)[0][0]), 0.2, cfg)
                 else:
                     _extract(inst, spaces, messages, 0.2, cfg)
             _, peak = tracemalloc.get_traced_memory()

@@ -1,5 +1,6 @@
 """Zero-field solver: oracle equality, closed forms, envelope pruning."""
 
+import random
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,7 @@ from isingbp.enumeration import quantum_expectation
 from isingbp.exact import dense_hamiltonian
 from isingbp.grids import Grid, _normalized, tiebreak_order
 from isingbp.symmetric import DEFAULT_COUPLING_GRID, _compose, _fronts, _slope_groups, _sweeper, ss_energy
-from oracles import compose_loop, envelope_loop, ss_chain_minimum, ss_sweep_loop
+from oracles import compose_loop, envelope_loop, eval_front_loop, ss_chain_minimum, ss_sweep_loop
 
 COARSE = Grid(step=0.05, half_count=16)
 
@@ -306,6 +307,84 @@ def test_compose_windows_keep_every_hull_line(lines_a, lines_b, same):
         delta = symmetric._ROUNDING * 2.0 * np.abs(q).max(initial=0.0)
         for keys in symmetric._window_keys((p, q, np.array([0, p.size])), delta):
             assert np.all(np.diff(keys) >= 0)
+
+
+_COARSE_SECH = 1.0 / np.cosh(2.0 * COARSE.values)
+_COARSE_SLOPES = _slope_groups(_COARSE_SECH)
+# slopes at and next to the ends of the range where windows are computed
+_EDGE_SLOPES = [float(np.nextafter(x, y)) for x in (2.0 ** -511, 2.0 ** 511)
+                for y in (0.0, x, np.inf)]
+
+
+def _through(c0, v0, slopes, ulps):
+    # lines of rising slopes through (c0, v0), each intercept moved by a few
+    # ulps: consecutive lines cross within a few ulps of c0
+    q = v0 - np.asarray(slopes) * c0
+    for k, steps in enumerate(ulps):
+        for _ in range(abs(steps)):
+            q[k] = np.nextafter(q[k], np.copysign(np.inf, steps))
+    return list(zip(slopes, q.tolist()))
+
+
+@st.composite
+def _evaluate_rows(draw):
+    # (lines, envelope them?, h) of one row of _evaluate
+    h = draw(st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0, 2.5]),
+                       st.floats(0.0, 4.0)))
+    kind = draw(st.sampled_from(["hull", "degenerate", "edge", "raw", "identity"]))
+    if kind == "hull":
+        return draw(_HULLS), True, h
+    if kind == "degenerate":
+        if draw(st.booleans()):
+            slopes = sorted(set(draw(st.lists(_GRID_SLOPES, min_size=2, max_size=12))))
+        else:  # a relative 1e-6 to 1e-12 apart: rounding moves their
+            # crossings by more than the window keys resolve
+            steps = np.arange(draw(st.integers(2, 12))) * 10.0 ** -draw(st.integers(6, 12))
+            slopes = sorted(set((draw(_GRID_SLOPES) * (1.0 + steps)).tolist()))
+        c0 = h *draw(st.sampled_from(_COARSE_SLOPES[0].tolist()))
+        ulps = draw(st.lists(st.integers(-3, 3), min_size=len(slopes),
+                             max_size=len(slopes)))
+        v0 = draw(st.sampled_from([0.0, 1.0, 1e8, -1e8]))
+        return _through(c0, v0, slopes, ulps), draw(st.booleans()), h
+    if kind == "edge":
+        lines = draw(st.lists(st.tuples(st.sampled_from(_EDGE_SLOPES),
+                                        st.floats(-5.0, 5.0)), min_size=1, max_size=6))
+        return lines, draw(st.booleans()), h
+    if kind == "raw":  # not a hull: unsorted, tied, collinear
+        return draw(_LINES.filter(len)), False, h
+    return draw(st.sampled_from([_IDENTITY, [(0.5, -1.0)]])), True, h
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_evaluate_rows(), min_size=1, max_size=5),
+       st.randoms(use_true_random=False),
+       st.sampled_from([1, 40, symmetric._BLOCK_ELEMS]))
+@example([([(1.0, 0.0), (2.0, -1.0), (3.0, -2.0)], False, 1.0)],  # collinear
+         random.Random(0), symmetric._BLOCK_ELEMS)
+# slopes 1e-10 apart: without the widening, a query rounding puts above
+# the other line falls outside its window
+@example([([(1.0, -0.16230498102245425), (1.0000000001, -0.16230498113868477)], False, 2.5)],
+         random.Random(0), symmetric._BLOCK_ELEMS)
+def test_evaluate_matches_per_line_maximum(rows, rnd, block):
+    # the window search must give every row the bytes of the maximum over
+    # all of its front's lines, for any finite front: rows in any order,
+    # fronts shared between rows, blocks of any size
+    fronts = []
+    for lines, envelope, _ in rows:
+        p, q = _arrays(lines)
+        fronts.append(_envelope(p, q) if envelope else (p, q))
+    pick = [rnd.randrange(len(rows)) for _ in range(rnd.randint(1, 2 * len(rows)))]
+    start = np.concatenate([[0], np.cumsum([p.size for p, _ in fronts])])
+    flat = (np.concatenate([p for p, _ in fronts]),
+            np.concatenate([q for _, q in fronts]), start)
+    h = np.array([rows[r][2] for r in pick])
+    got = np.full((len(pick), COARSE.size), np.nan)
+    with mock.patch.object(symmetric, "_BLOCK_ELEMS", block):
+        for b, top in symmetric._evaluate((flat, np.array(pick)), h, _COARSE_SLOPES):
+            got[b] = top
+    for g, r in enumerate(pick):
+        want = eval_front_loop(fronts[r], h[g] * _COARSE_SECH)
+        assert got[g].tobytes() == want.tobytes()
 
 
 # degrees 4, 2, 2, 3, 1, 1, 1: a degree-4 site (two compositions per

@@ -5,6 +5,12 @@ import numpy as np
 from isingbp import ParameterSet, QuantumInstance
 
 
+def out_dirs_of(graph):
+    """The directed edges leaving each site, in increasing index order."""
+    return [graph.dir_order[graph.dir_start[s]:graph.dir_start[s + 1]]
+            for s in range(graph.n)]
+
+
 def canonical_pairs(pairs):
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     lo = pairs.min(axis=1)
