@@ -6,6 +6,9 @@ fields 2B and couplings 2K.  Cavity marginals are parametrized by a single
 field per directed edge, mu_{i->j}(s_i) ~ exp(nu_{i->j} s_i), and all
 energies below are averages over that measure in the Bethe approximation
 (exact on trees).
+
+iterate_rows is the one stopping loop of BP (bp_fixed_points) and of the
+symmetric solver's loopy MaxSum sweeps.
 """
 
 from __future__ import annotations
@@ -105,6 +108,73 @@ class BPReport:
     residual: float
 
 
+def iterate_rows(step, x, data, eps: float, max_iters: int,
+                 patience: int | None = None):
+    """Iterate R independent fixed-point problems as one batch of rows.
+
+    x holds the start iterates, shape (R, width), and data a tuple of
+    per-row arrays.  step(x, *data) gets the active rows and returns (new,
+    nxt): max|new - x| is a row's residual, nxt (new or a damped mix) its
+    next iterate.  Iterates are kept by reference, so step must return new
+    arrays and leave its inputs alone; the start may be overwritten.
+
+    Each row stops on its own: converged once its residual reaches eps,
+    stalled once its least residual has not fallen for `patience`
+    iterations (never when patience is None), or at max_iters.  A stopped
+    row leaves the batch, so only the others keep iterating.  It returns
+    its least-residual iterate with that residual and the iteration at
+    which it stopped; for a converged row that is its last iterate.
+    Returns (iterates of shape (R, width), one BPReport per row).
+    """
+    check_count("max_iters", max_iters, 1)
+    if patience is not None:
+        check_count("patience", patience, 1)
+    rows = x.shape[0]
+    if not rows:
+        return x, []
+    reports: list = [None] * rows
+    out = None  # the stopped rows' iterates, made when a row stops early
+    active = np.arange(rows)
+    best = x
+    # per active row: least residual so far, and the iteration reaching it
+    best_res = np.full(rows, np.inf)
+    best_it = np.zeros(rows, dtype=np.int64)
+    for it in range(1, max_iters + 1):
+        new, nxt = step(x, *data)
+        residual = np.max(np.abs(new - x), axis=1, initial=0.0)
+        x = nxt
+        better = residual < best_res
+        improved = np.count_nonzero(better)  # cheaper than all() and any()
+        if improved == better.size:
+            best = x
+        elif improved:
+            np.copyto(best, x, where=better[:, None])
+        np.copyto(best_res, residual, where=better)
+        best_it[better] = it
+        # a row at eps stops now, so a stopping row converged iff best_res <= eps
+        stop = best_res <= eps
+        if patience is not None:
+            stop |= it - best_it >= patience
+        if it == max_iters:
+            stop[:] = True
+        if np.count_nonzero(stop):
+            for r, res in zip(active[stop], best_res[stop]):
+                reports[r] = BPReport(converged=bool(res <= eps), iterations=it,
+                                      residual=float(res))
+            keep = ~stop
+            if out is None:
+                if not keep.any():
+                    return best, reports
+                out = np.empty_like(best)
+            out[active[stop]] = best[stop]
+            if not keep.any():
+                break
+            active, x, best = active[keep], x[keep], best[keep]
+            best_res, best_it = best_res[keep], best_it[keep]
+            data = tuple(d[keep] for d in data)
+    return out, reports
+
+
 @dataclass
 class Observables:
     energy: float
@@ -186,13 +256,9 @@ def bp_fixed_points(graph: ClassicalGraph, b, k, inits, damping: float | None = 
     """Iterate R independent BP problems on one graph as one batch.
 
     Row r has fields b[r] (n), couplings k[r] (m) and start inits[r] (2m),
-    and damps as bp_fixed_point does.  Each row stops on its own: converged
-    once its residual reaches eps, stalled once its least residual has not
-    fallen for `patience` iterations (never when patience is None), or at
-    max_iters.  A stopped row leaves the batch, so only the others keep
-    iterating.  It returns its least-residual iterate with that residual
-    and the iteration at which it stopped; for a converged row that is its
-    last iterate.  Returns (nu of shape (R, 2m), one BPReport per row).
+    and damps as bp_fixed_point does.  The rows stop as iterate_rows says,
+    on eps, patience and max_iters.  Returns (nu of shape (R, 2m), one
+    BPReport per row).
     """
     b = np.asarray(b, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
@@ -202,49 +268,17 @@ def bp_fixed_points(graph: ClassicalGraph, b, k, inits, damping: float | None = 
         raise ValueError("parameter shapes do not match the graph")
     if nu.shape != (rows, 2 * graph.m):
         raise ValueError("need one cavity field per directed edge")
-    check_count("max_iters", max_iters, 1)
-    if patience is not None:
-        check_count("patience", patience, 1)
-    reports: list = [None] * rows
-    if not rows:
-        return nu, reports
     if damping is None:
         damping = 0.0 if graph.is_forest else 0.5
     rev = np.arange(2 * graph.m) ^ 1
-    b2_src = 2.0 * b[:, graph.src]
-    k2_dir = 2.0 * k[:, graph.edge_of_dir]
     sites = (graph.src + graph.n * np.arange(rows)[:, None]).reshape(-1)
-    active = np.arange(rows)
-    act = nu
-    # per active row: least residual so far, its iterate and its iteration
-    best_res = np.full(rows, np.inf)
-    best = nu.copy()
-    best_it = np.zeros(rows, dtype=np.int64)
-    for it in range(1, max_iters + 1):
+
+    def step(act, b2_src, k2_dir):
         new = _bp_step(graph, act, b2_src, k2_dir, rev, sites[:act.size])
-        residual = np.max(np.abs(new - act), axis=1, initial=0.0)
-        act = (1.0 - damping) * new + damping * act
-        better = residual < best_res
-        np.copyto(best_res, residual, where=better)
-        np.copyto(best, act, where=better[:, None])
-        best_it[better] = it
-        # a row at eps stops now, so a stopping row converged iff best_res <= eps
-        stop = best_res <= eps
-        if patience is not None:
-            stop |= it - best_it >= patience
-        if it == max_iters:
-            stop[:] = True
-        if stop.any():
-            nu[active[stop]] = best[stop]
-            for r, res in zip(active[stop], best_res[stop]):
-                reports[r] = BPReport(converged=bool(res <= eps), iterations=it,
-                                      residual=float(res))
-            keep = ~stop
-            active, act, b2_src, k2_dir = active[keep], act[keep], b2_src[keep], k2_dir[keep]
-            best_res, best, best_it = best_res[keep], best[keep], best_it[keep]
-            if not active.size:
-                break
-    return nu, reports
+        return new, (1.0 - damping) * new + damping * act
+
+    return iterate_rows(step, nu, (2.0 * b[:, graph.src], 2.0 * k[:, graph.edge_of_dir]),
+                        eps, max_iters, patience)
 
 
 def bp_fixed_point(graph: ClassicalGraph, params: ParameterSet, init=None,

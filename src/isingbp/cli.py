@@ -139,7 +139,7 @@ def main(argv=None) -> int:
             print(f"unknown methods: {bad}", file=sys.stderr)
             return 1
         return _cmd_run(args, methods, "gs")
-    except (InstanceError, GenerationError, FileNotFoundError, ValueError) as exc:
+    except (InstanceError, GenerationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # solver-level failure

@@ -1,7 +1,5 @@
-"""Symmetric parameter grids, deterministic arg-max tie-breaking, the
-message normalization of the MaxSum solvers, and the MaxSum iteration
-loop that the symmetric solver runs on loopy graphs (the mean-field
-solver descends on loopy graphs, and both take one pass on forests)."""
+"""Symmetric parameter grids, deterministic arg-max tie-breaking, option
+checks and the message normalization of the MaxSum solvers."""
 
 from __future__ import annotations
 
@@ -80,42 +78,8 @@ def argmax_tiebreak(table: np.ndarray, values: np.ndarray) -> int:
     return int(order[np.argmax(table[order])])
 
 
-_EPS = 1e-9  # message residual at which loopy MaxSum sweeps converge
-
-
 def _normalized(new: np.ndarray) -> np.ndarray:
     """Shift each message (row) of new in place to max zero; returns new."""
     new -= new.max(axis=1, keepdims=True)
     return new
 
-
-def _maxsum_loop(sweep, shape, max_iters: int):
-    """Iterate sweep(messages) -> messages over a (directed edge, grid value)
-    table, normalized to max zero per message, from zero until the residual
-    reaches _EPS.
-
-    ss_maxsum_solve runs it on loopy graphs only: on a forest both MaxSum
-    solvers compute every message once in graph.forest_schedule order
-    instead, so max_iters, the residual and the sweep count do not apply
-    there.  Without convergence within max_iters sweeps the best-residual
-    message set seen is returned.  sweep must return a new array and
-    leave its input alone, so the best set is kept by reference.  Returns
-    (messages, converged, iterations, residual).
-    """
-    check_count("max_iters", max_iters, 1)
-    messages = np.zeros(shape)
-    best = (np.inf, messages)
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        new = _normalized(sweep(messages))
-        residual = float(np.max(np.abs(new - messages))) if new.size else 0.0
-        messages = new
-        if residual < best[0]:
-            best = (residual, messages)
-        if residual <= _EPS:
-            converged = True
-            break
-    if not converged:
-        residual, messages = best
-    return messages, converged, iterations, residual

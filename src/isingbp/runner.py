@@ -1,17 +1,15 @@
 """Method dispatch: evaluate solvers over a field grid on one instance.
 
 Each (method, field) cell gets its own deterministic seed derived from the
-base seed, so runs reproduce regardless of execution order.  Cells run in
-a thread pool when ISINGBP_THREADS asks for more than one worker.
+base seed, so runs reproduce regardless of execution order.  Cells run
+one after another in the calling thread.
 """
 
 from __future__ import annotations
 
 import inspect
-import os
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,14 +22,6 @@ from .instance import QuantumInstance
 from .meanfield import mf_maxsum_solve
 from .records import ResultRecord
 from .symmetric import ss_maxsum_solve
-
-
-def thread_count() -> int:
-    raw = os.environ.get("ISINGBP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def cell_seed(base_seed: int, method: str, h: float | None) -> int:
@@ -151,19 +141,7 @@ def run_grid(inst: QuantumInstance, name: str, methods, h_values,
 
     An empty h_values list runs each method once on the instance's own
     fields."""
-    overrides = overrides or {}
     hs = [None] if not h_values else [float(h) for h in h_values]
-    cells = [(m, h) for m in methods for h in hs]
-
-    def work(cell):
-        method, h = cell
-        return run_cell(inst, name, method, h, cell_seed(base_seed, method, h),
-                        overrides.get(method))
-
-    workers = thread_count()
-    if workers > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, cells))
-    else:
-        results = [work(c) for c in cells]
-    return results
+    return [run_cell(inst, name, method, h, cell_seed(base_seed, method, h),
+                     (overrides or {}).get(method))
+            for method in methods for h in hs]

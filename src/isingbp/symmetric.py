@@ -55,13 +55,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .classical_bp import ParameterSet, Solution, energy_kind_of, observables
-from .grids import (Grid, _maxsum_loop, _normalized, check_count,
-                    tiebreak_order)
+from .classical_bp import (BPReport, ParameterSet, Solution, energy_kind_of,
+                           iterate_rows, observables)
+from .grids import Grid, _normalized, check_count, tiebreak_order
 from .instance import QuantumInstance
 
 DEFAULT_COUPLING_GRID = Grid(step=0.01, half_count=200)
 
+_EPS = 1e-9  # message residual at which loopy MaxSum sweeps converge
 _BLOCK_ELEMS = 1 << 14  # entries per temporary table of a block of rows
 _SLACK = 1e-6  # relative widening of the line windows in c
 _ROUNDING = 2.0 ** -40  # rounding a float scan may hide, relative to sizes
@@ -481,8 +482,8 @@ def _forest_messages(inst: QuantumInstance, grid: Grid) -> np.ndarray:
     """The MaxSum messages of a forest in one pass of graph.forest_schedule.
 
     Each batch envelopes only the messages it reads, which earlier
-    batches made final, and its new messages are normalized as in
-    _maxsum_loop.  Every stage computes each row on its own, so the
+    batches made final, and its new messages are normalized as the loopy
+    sweeps' are.  Every stage computes each row on its own, so the
     messages are the bytes of a fixed point of the loopy sweep.
     """
     graph = inst.graph
@@ -509,19 +510,25 @@ def ss_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_COUPLING_GRID,
     On a forest one collect/distribute pass (_forest_messages) computes
     every message once from final inputs; the result reports
     converged=True, iterations=1 and residual=0.0, and max_iters does not
-    limit it.  On a loopy graph synchronous sweeps run from zero messages
-    until the residual reaches 1e-9, at most max_iters of them (counted
-    by iterations); without convergence the extraction uses the best
-    message set seen and converged is False.
+    limit it.  On a loopy graph synchronous sweeps from zero messages run
+    as a one-row classical_bp.iterate_rows batch until the residual reaches
+    _EPS, at most max_iters of them (counted by iterations); without
+    convergence the extraction uses the least-residual messages.
     """
     check_count("max_iters", max_iters, 1)
     vals = grid.values
+    shape = (2 * inst.m, vals.size)
     if inst.graph.is_forest:
-        messages = _forest_messages(inst, grid)
-        converged, iterations, residual = True, 1, 0.0
+        messages, report = _forest_messages(inst, grid), BPReport(True, 1, 0.0)
     else:
-        messages, converged, iterations, residual = _maxsum_loop(
-            _sweeper(inst, grid), (2 * inst.m, vals.size), max_iters)
+        sweep = _sweeper(inst, grid)
+
+        def step(row):  # one sweep of the flattened message table
+            new = _normalized(sweep(row.reshape(shape))).reshape(row.shape)
+            return new, new
+
+        flat, (report,) = iterate_rows(step, np.zeros((1, np.prod(shape))), (), _EPS, max_iters)
+        messages = flat.reshape(shape)
 
     # one arg-max per edge over the grid in tie-break order
     order = tiebreak_order(vals)
@@ -530,6 +537,6 @@ def ss_maxsum_solve(inst: QuantumInstance, grid: Grid = DEFAULT_COUPLING_GRID,
     k_star = vals[order[np.argmax(weight[:, order], axis=1)]]
     obs = _observables(inst, k_star)
     return Solution(energy=obs.energy, m_x=obs.m_x, q_z=obs.q_z,
-                    converged=converged, iterations=iterations,
+                    converged=report.converged, iterations=report.iterations,
                     energy_kind=energy_kind_of(inst.graph, k_star),
-                    residual=residual, k=k_star)
+                    residual=report.residual, k=k_star)

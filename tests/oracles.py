@@ -217,13 +217,35 @@ def mf_sweep(inst, grid):
     return sweep
 
 
+def maxsum_loop(sweep, shape, max_iters, eps=1e-9):
+    """Iterate sweep(messages) -> new messages over a (directed edge, grid
+    value) table, each message shifted to max zero, from zero until the
+    residual max|new - old| reaches eps, at most max_iters sweeps.
+
+    Without convergence it returns the least-residual message set seen
+    (the first of equal residuals).  Returns (messages, converged,
+    iterations, residual).
+    """
+    messages = np.zeros(shape)
+    best = (np.inf, messages)
+    for iterations in range(1, max_iters + 1):
+        new = sweep(messages)
+        new = new - new.max(axis=1, keepdims=True)
+        residual = float(np.max(np.abs(new - messages))) if new.size else 0.0
+        messages = new
+        if residual < best[0]:
+            best = (residual, messages)
+        if residual <= eps:
+            return messages, True, iterations, residual
+    return best[1], False, max_iters, best[0]
+
+
 def mf_maxsum_loop(inst, grid, max_iters=1000):
     """Mean-field MaxSum on a forest by synchronous sweeps from zero, then
     meanfield's extraction; returns (b, converged, sweeps, residual)."""
-    from isingbp.grids import _maxsum_loop
     from isingbp.meanfield import _extract_fields, _hop_tables
 
-    messages, converged, sweeps, residual = _maxsum_loop(
+    messages, converged, sweeps, residual = maxsum_loop(
         mf_sweep(inst, grid), (2 * inst.m, grid.size), max_iters)
     tanh_vals = np.tanh(2.0 * grid.values)
     j_tanh = inst.couplings[inst.graph.edge_of_dir][:, None] * tanh_vals[None, :]

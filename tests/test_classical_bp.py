@@ -9,10 +9,12 @@ import testutil
 from isingbp import ClassicalGraph, ParameterSet, bp_fixed_point, classical_bp, observables
 from isingbp.classical_bp import (
     NU_CAP,
+    BPReport,
     bond_energy,
     bp_fixed_points,
     bp_update,
     field_shift,
+    iterate_rows,
     logcosh,
     site_energy,
 )
@@ -283,3 +285,68 @@ def test_batched_shape_validation():
     for bad in ({"max_iters": 0}, {"patience": 0}, {"patience": 2.5}):
         with pytest.raises(ValueError):
             bp_fixed_points(graph, *ok, **bad)
+
+
+# residuals each row's update makes, iteration by iteration: row 0
+# converges at 2, row 1 stalls after its least residual at 2 and stops on
+# a patience of 3 at 5, row 2 falls to 0.25 at 4 and stops at the cap of
+# 6 with that residual (binary fractions, so the sums below are exact)
+_SCRIPT = np.array([[3.0, 2.0 ** -40, 5.0, 5.0, 5.0, 5.0],
+                    [3.0, 2.0, 2.5, 2.5, 2.5, 2.5],
+                    [3.0, 0.5, 1.0, 0.25, 0.375, 0.625]])
+
+
+def test_iterate_rows_stops_each_row_on_its_own_rule():
+    seen = []
+
+    def step(x, ids):
+        # x = (row id, running sum of its residuals); ids is the per-row data
+        assert np.array_equal(x[:, 0], ids[:, 0])
+        seen.append(ids[:, 0].tolist())
+        new = x.copy()
+        new[:, 1] += _SCRIPT[ids[:, 0].astype(int), len(seen) - 1]
+        return new, new
+
+    ids = np.arange(3.0)[:, None]
+    start = np.hstack([ids, np.zeros((3, 1))])
+    out, reports = iterate_rows(step, start, (ids,), eps=1e-9, max_iters=6,
+                                patience=3)
+    # a stopped row leaves the batch: the step sees only the active rows
+    assert seen == [[0, 1, 2]] * 2 + [[1, 2]] * 3 + [[2]]
+    assert reports == [
+        BPReport(converged=True, iterations=2, residual=2.0 ** -40),
+        BPReport(converged=False, iterations=5, residual=2.0),
+        BPReport(converged=False, iterations=6, residual=0.25),
+    ]
+    # each row ends at its least-residual iterate, in its own place
+    assert out.tolist() == [[0.0, 3.0 + 2.0 ** -40], [1.0, 5.0], [2.0, 4.75]]
+
+
+def test_iterate_rows_damped_step_and_empty_batch():
+    def step(x):
+        new = x + 1.0
+        return new, 0.5 * new + 0.5 * x
+
+    # the residual is the undamped change, 1 every time, and the iterate
+    # the damped one; of equal residuals the first iterate is kept
+    out, (report,) = iterate_rows(step, np.zeros((1, 2)), (), eps=1e-9, max_iters=3)
+    assert out.tolist() == [[0.5, 0.5]]
+    assert report == BPReport(converged=False, iterations=3, residual=1.0)
+
+    def no_step(*args):
+        raise AssertionError("a batch without rows must not step")
+
+    out, reports = iterate_rows(no_step, np.zeros((0, 4)), (), eps=1e-9, max_iters=10)
+    assert out.shape == (0, 4) and reports == []
+
+
+@pytest.mark.parametrize("bad", [{"max_iters": 0}, {"max_iters": 2.5},
+                                 {"max_iters": True}, {"patience": 0},
+                                 {"patience": 1.5}])
+def test_iterate_rows_rejects_bad_counts(bad):
+    def no_step(*args):
+        raise AssertionError("a rejected call must not step")
+
+    options = {"max_iters": 10, **bad}
+    with pytest.raises(ValueError):
+        iterate_rows(no_step, np.zeros((2, 3)), (), eps=1e-9, **options)

@@ -187,6 +187,15 @@ def test_bad_h_and_bad_override_exit_one(tmp_path):
                      "--h", "0.5", "--set", "not_an_option=1"]) == 1
 
 
+@pytest.mark.parametrize("flag", ["--instance", "--csv", "--jsonl"])
+def test_directory_path_is_bad_input(tmp_path, capsys, flag):
+    # open() on a directory raises IsADirectoryError, an OSError: bad input,
+    # not a solver failure (a second --instance replaces the first)
+    assert cli.main(["run", "--method", "mf", "--h", "0.5", "--instance",
+                     str(_gen(tmp_path)), flag, str(tmp_path)]) == 1
+    assert "solver failure" not in capsys.readouterr().err
+
+
 def test_h_ranges_expand_with_linspace(tmp_path, capsys):
     path = _gen(tmp_path)
     capsys.readouterr()

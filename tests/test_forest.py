@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 import testutil
 from isingbp import (QuantumInstance, generate_rrg, meanfield, mf_maxsum_solve,
                      ss_maxsum_solve, symmetric)
-from isingbp.grids import Grid, _maxsum_loop, _normalized
+from isingbp.grids import Grid, _normalized
 from isingbp.meanfield import DEFAULT_FIELD_GRID, _hop_tables
 from isingbp.symmetric import DEFAULT_COUPLING_GRID, _sweeper
-from oracles import mf_maxsum_loop, mf_sweep
+from oracles import maxsum_loop, mf_maxsum_loop, mf_sweep
 
 GRIDS = st.sampled_from([Grid(step=0.1, half_count=12),
                          Grid(step=0.25, half_count=3),
@@ -134,7 +134,7 @@ def test_ss_one_pass_is_the_sweep_fixed_point(inst, grid):
 
     sol = ss_maxsum_solve(inst, grid=grid)
     assert (sol.converged, sol.iterations, sol.residual) == (True, 1, 0.0)
-    loop = _maxsum_loop(sweep, messages.shape, 1000)
+    loop = maxsum_loop(sweep, messages.shape, 1000)
     assert loop[1]
     with mock.patch.object(symmetric, "_forest_messages", lambda *_: loop[0]):
         want = ss_maxsum_solve(inst, grid=grid)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from isingbp.grids import Grid, _maxsum_loop, argmax_tiebreak, tiebreak_order
+from isingbp.grids import Grid, argmax_tiebreak, tiebreak_order
 
 
 def test_grid_values_symmetric():
@@ -80,23 +80,3 @@ def test_argmax_tiebreak():
     assert vals[argmax_tiebreak(two_peaks, vals)] == -0.5
     single = np.array([0.0, 0.0, 0.0, 7.0, 0.0])
     assert vals[argmax_tiebreak(single, vals)] == 0.5
-
-
-def test_maxsum_loop_returns_least_residual_messages():
-    # normalized to max zero the sweeps give residuals 3, 1, 2 and 4, so a
-    # run that never converges returns the second table and its residual
-    tables = iter([[3.0, 0.0], [2.0, 0.0], [4.0, 0.0], [0.0, 0.0]])
-    seen = []
-
-    def sweep(messages):
-        seen.append(messages.copy())
-        return np.array([next(tables)])
-
-    messages, converged, iterations, residual = _maxsum_loop(sweep, (1, 2), 4)
-    assert not converged
-    assert iterations == 4
-    assert residual == 1.0
-    assert messages.tobytes() == np.array([[0.0, -2.0]]).tobytes()
-    # each sweep saw the table the one before returned, normalized
-    assert [m.tolist() for m in seen] == [[[0.0, 0.0]], [[0.0, -3.0]],
-                                         [[0.0, -2.0]], [[0.0, -4.0]]]

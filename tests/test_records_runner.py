@@ -33,7 +33,6 @@ from isingbp.runner import (
     parse_overrides,
     run_cell,
     run_grid,
-    thread_count,
 )
 
 
@@ -104,17 +103,6 @@ def test_parse_overrides_types():
                    "f": False}
     with pytest.raises(ValueError):
         parse_overrides(["missing-equals"])
-
-
-def test_thread_count(monkeypatch):
-    monkeypatch.delenv("ISINGBP_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("ISINGBP_THREADS", "4")
-    assert thread_count() == 4
-    monkeypatch.setenv("ISINGBP_THREADS", "junk")
-    assert thread_count() == 1
-    monkeypatch.setenv("ISINGBP_THREADS", "-2")
-    assert thread_count() == 1
 
 
 def test_run_cell_mf_deterministic():
@@ -235,7 +223,7 @@ def test_run_cell_calls_rebound_solvers(monkeypatch):
     assert calls == [{"seed": 7, "max_iters": 50}]
 
 
-def test_run_grid_layout_and_threads(monkeypatch):
+def test_run_grid_layout():
     inst = generate_chain(5, law="gaussian", h=0.3, seed=2)
     recs = run_grid(inst, "c5", ["mf", "ss"], [0.5, 1.5], base_seed=3)
     assert [(r.method, r.h) for r in recs] == [
@@ -244,8 +232,3 @@ def test_run_grid_layout_and_threads(monkeypatch):
 
     own = run_grid(inst, "c5", ["mf"], [], base_seed=3)
     assert len(own) == 1 and own[0].h == 0.3
-
-    monkeypatch.setenv("ISINGBP_THREADS", "2")
-    threaded = run_grid(inst, "c5", ["mf", "ss"], [0.5, 1.5], base_seed=3)
-    assert [(r.method, r.h, r.E_per_spin) for r in threaded] == \
-        [(r.method, r.h, r.E_per_spin) for r in recs]

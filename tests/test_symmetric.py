@@ -21,7 +21,8 @@ from isingbp.enumeration import quantum_expectation
 from isingbp.exact import dense_hamiltonian
 from isingbp.grids import Grid, _normalized, tiebreak_order
 from isingbp.symmetric import DEFAULT_COUPLING_GRID, _compose, _fronts, _slope_groups, _sweeper, ss_energy
-from oracles import compose_loop, envelope_loop, eval_front_loop, ss_chain_minimum, ss_sweep_loop
+from oracles import (compose_loop, envelope_loop, eval_front_loop, maxsum_loop,
+                     ss_chain_minimum, ss_sweep_loop)
 
 COARSE = Grid(step=0.05, half_count=16)
 
@@ -568,3 +569,27 @@ def test_large_front_matches_envelope_loop():
     messages = np.abs(grid.values)[None, :]
     fronts = _front_rows(_fronts(messages, _slope_groups(sech)))
     _same_fronts(fronts, [envelope_loop(sech, messages[0])])
+
+
+@pytest.mark.parametrize("law", ["pm_one", "gaussian"])
+@pytest.mark.parametrize("h", [0.5, 1.5])
+@pytest.mark.parametrize("max_iters", [1000, 2])
+def test_loopy_solve_matches_the_oracle_loop(law, h, max_iters):
+    # the loopy sweeps run through classical_bp.iterate_rows; the oracle
+    # iterates the same sweep on its own, and at max_iters=2 both fall
+    # back to the least-residual message set
+    inst = generate_rrg(12, 3, law=law, h=h, seed=5)
+    grid = DEFAULT_COUPLING_GRID
+    messages, converged, iterations, residual = maxsum_loop(
+        _sweeper(inst, grid), (2 * inst.m, grid.size), max_iters)
+    vals = grid.values
+    order = tiebreak_order(vals)
+    weight = (-inst.couplings[:, None] * np.tanh(2.0 * vals)
+              + messages[0::2] + messages[1::2])
+    k = vals[order[np.argmax(weight[:, order], axis=1)]]
+
+    sol = ss_maxsum_solve(inst, grid=grid, max_iters=max_iters)
+    assert sol.k.tobytes() == k.tobytes()
+    assert (sol.converged, sol.iterations, sol.residual) == (
+        converged, iterations, residual)
+    assert converged == (max_iters == 1000)
