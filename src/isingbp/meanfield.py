@@ -36,8 +36,9 @@ def _observables(inst, b):
 
 
 # Row groups of the hop kernel: more give narrower windows but more bound
-# passes.  At nb = 301, 2 / 4 / 8 groups took 200 / 206 / 281 us per call on 1-2
-# rows (chain_compare), 19.9 / 12.4 / 13.9 ms on 214 rows (random tree n=3000).
+# passes.  At nb = 301, 2 / 4 / 8 groups took 120-180 / 200 / 180-300 us per
+# call on 1 edge, 260-330 / 275 / 335-490 us on 2 (chain_compare) and
+# 31 / 24-27 / 29-34 ms on 214 (random tree n=3000); BENCH_pr35.json.
 _ROW_GROUPS = 4
 
 
@@ -60,11 +61,8 @@ def _hop_tables(j_tanh, tanh_vals, messages):
     the maximum over the columns from the first to the last one with
     U(y) >= L is the dense maximum bit for bit, without any margin.
 
-    The (group, edge) windows are sorted by width and evaluated in blocks
-    of at most nb * nb values (0.72 MB at the default nb = 301), each
-    window padded to the block's widest and shifted left where it would
-    pass the last column.  The rows of a group are padded to a common
-    count by repeating its last row; the repeats write the same value.
+    Each (group, edge) window is evaluated on its own, as the float
+    values fl(fl(a_x t_y) + M_d(y)) of the group's rows over its columns.
     """
     ndir, nb = j_tanh.shape
     hop = np.empty((ndir, nb))
@@ -72,48 +70,19 @@ def _hop_tables(j_tanh, tanh_vals, messages):
         return hop
     groups = min(_ROW_GROUPS, nb)
     bounds = np.arange(groups + 1) * nb // groups
-    rows = int(np.max(np.diff(bounds)))
-    row_idx = np.minimum(bounds[:-1, None] + np.arange(rows),
-                         bounds[1:, None] - 1)
-
     a_lo = np.minimum.reduceat(j_tanh, bounds[:-1], axis=1)
     a_hi = np.maximum.reduceat(j_tanh, bounds[:-1], axis=1)
-    first = np.empty((groups, ndir), dtype=np.intp)
-    last = np.empty((groups, ndir), dtype=np.intp)
-    upper = np.empty((ndir, nb))
-    p_hi = np.empty((ndir, nb))
-    lower = np.empty((ndir, nb))
-    keep = np.empty((ndir, nb), dtype=bool)
     for g in range(groups):
-        np.multiply(a_lo[:, g, None], tanh_vals, out=upper)
-        np.multiply(a_hi[:, g, None], tanh_vals, out=p_hi)
-        np.minimum(upper, p_hi, out=lower)
-        lower += messages
-        np.maximum(upper, p_hi, out=upper)
-        upper += messages
-        np.greater_equal(upper, lower.max(axis=1)[:, None], out=keep)
-        first[g] = keep.argmax(axis=1)
-        last[g] = nb - 1 - keep[:, ::-1].argmax(axis=1)
-
-    start = first.ravel()
-    width = last.ravel() - start + 1
-    order = np.argsort(width, kind="stable")
-    flat = np.empty(nb * nb)
-    cols = np.arange(nb)
-    end = order.size
-    while end > 0:
-        w = int(width[order[end - 1]])
-        beg = max(0, end - nb * nb // (rows * w))
-        task = order[beg:end]
-        g, d = np.divmod(task, ndir)
-        y = np.minimum(start[task], nb - w)[:, None] + cols[:w]
-        x = row_idx[g]
-        buf = flat[:task.size * w * rows].reshape(task.size, w, rows)
-        np.multiply(tanh_vals[y][:, :, None], j_tanh[d[:, None], x][:, None, :],
-                    out=buf)
-        buf += messages[d[:, None], y][:, :, None]
-        hop[d[:, None], x] = buf.max(axis=1)
-        end = beg
+        p_lo = a_lo[:, g, None] * tanh_vals
+        p_hi = a_hi[:, g, None] * tanh_vals
+        lower = (np.minimum(p_lo, p_hi) + messages).max(axis=1)
+        keep = np.maximum(p_lo, p_hi) + messages >= lower[:, None]
+        first = keep.argmax(axis=1)
+        stop = nb - keep[:, ::-1].argmax(axis=1)
+        rows = slice(bounds[g], bounds[g + 1])
+        for d, lo, hi in zip(range(ndir), first, stop):
+            hop[d, rows] = (j_tanh[d, rows, None] * tanh_vals[lo:hi]
+                            + messages[d, lo:hi]).max(axis=1)
     return hop
 
 

@@ -47,8 +47,7 @@ pass.  Where it pops each line it pops at the next line, one at a time,
 as it does on almost every front at degree 3, numpy foresees the whole
 run from one test per line (_single_pops); a row that pops nothing is
 the simplest such case.  Only the other rows run the Python scan
-(_hull_scan), line by line, and so does a large front that has its
-block to itself, where foreseeing the run costs about what the scan does.
+(_hull_scan), line by line.
 """
 
 from __future__ import annotations
@@ -160,7 +159,7 @@ def _settle(p, q, valid):
     rising slope, with finite intercepts, and -inf at the other entries.
     A line is dropped when a steeper one of its row is no lower, then
     the rows go through the hull scan: the Python scan where _single_pops
-    cannot foresee it, or where a row has its block to itself.  Returns
+    cannot foresee it.  Returns
     the fronts (p, q, start): flat arrays, row r's lines at
     [start[r], start[r + 1]).
     """
@@ -170,10 +169,7 @@ def _settle(p, q, valid):
     count = keep.sum(axis=1)
     rows = np.repeat(np.arange(count.size), count)
     p, q = p[keep], q[keep]
-    if len(count) > 1:
-        popped, redo = _single_pops(rows, p, q)
-    else:  # a large front alone in its block: foreseeing costs a scan
-        popped, redo = np.zeros(p.size, dtype=bool), np.flatnonzero(count > 2)
+    popped, redo = _single_pops(rows, p, q)
     keep = ~popped
     start = np.zeros(count.size + 1, dtype=np.int64)
     np.cumsum(count, out=start[1:])

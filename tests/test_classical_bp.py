@@ -182,6 +182,12 @@ def test_shape_validation():
         bp_update(graph, ParameterSet(np.zeros(3), np.zeros(3)), np.zeros(6))
 
 
+@pytest.mark.parametrize("b,k", [([0.0, np.nan], [0.0]), ([0.0, 0.0], [np.inf])])
+def test_parameters_must_be_finite(b, k):
+    with pytest.raises(ValueError, match="finite"):
+        ParameterSet(b, k)
+
+
 def _assert_rows_match_loop(graph, b, k, inits, damping, eps, max_iters,
                             explicit_damping=False, patience=None):
     """The kernel (default damping unless explicit) against the loop per row."""

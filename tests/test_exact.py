@@ -6,8 +6,10 @@ import pytest
 import testutil
 from isingbp import QuantumInstance, generate_chain, ground_state
 from isingbp.enumeration import (
+    ENUM_LIMIT,
     classical_expectations,
     quantum_expectation,
+    spin_table,
     trial_vector,
 )
 from isingbp.exact import (
@@ -120,6 +122,14 @@ def test_size_limits():
                           fields=np.zeros(13))
     with pytest.raises(SizeError):
         dense_hamiltonian(mid)
+    with pytest.raises(ValueError, match="n <= 20"):
+        spin_table(ENUM_LIMIT + 1)
+
+
+def test_apply_h_rejects_a_vector_of_the_wrong_length():
+    inst = generate_chain(3, law="ferro", h=1.0, seed=0)
+    with pytest.raises(ValueError, match="2\\^n"):
+        apply_h(inst, np.zeros(7))
 
 
 def test_ground_state_deterministic():

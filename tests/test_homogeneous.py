@@ -8,6 +8,7 @@ from isingbp import ParameterSet, bp_fixed_point, observables
 from isingbp.classical_bp import field_shift
 from isingbp.homogeneous import (
     HomogConfig,
+    critical_field,
     homog_energy,
     homog_fixed_point,
     homog_from_instance,
@@ -117,6 +118,15 @@ def test_from_instance_matches_scan():
 def test_from_instance_rejects_inhomogeneous(build):
     with pytest.raises(ValueError):
         homog_from_instance(build())
+
+
+@pytest.mark.parametrize("h_lo,h_hi,phase", [
+    (5.0, 6.0, "h_lo=5.0 is not in the ordered"),
+    (0.5, 1.0, "h_hi=1.0 is not in the disordered"),
+], ids=["disordered-h_lo", "ordered-h_hi"])
+def test_critical_field_needs_a_bracket(h_lo, h_hi, phase):
+    with pytest.raises(ValueError, match=phase):
+        critical_field(3, h_lo, h_hi, HomogConfig(delta=0.1))
 
 
 def test_negative_field_rejected():

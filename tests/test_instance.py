@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import testutil
 from isingbp import (
     ClassicalGraph,
+    GenerationError,
     InstanceError,
     QuantumInstance,
     generate_chain,
@@ -106,6 +107,13 @@ def test_load_canonicalizes_edges():
 def test_load_rejects_bad_documents(text):
     with pytest.raises(InstanceError):
         load_instance(text)
+
+
+def test_rrg_generation_errors():
+    with pytest.raises(InstanceError, match=">= 0"):
+        generate_rrg(10, 3, "pm_one", -0.5, 0)
+    with pytest.raises(GenerationError, match="in 0 restarts"):
+        generate_rrg(10, 3, "pm_one", 0.5, 0, max_restarts=0)
 
 
 def test_chain_generation():

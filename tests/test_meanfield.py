@@ -240,7 +240,8 @@ def test_solve_identical_with_dense_hop_tables(inst, monkeypatch):
 @pytest.mark.parametrize("law", ["zero", "pm_one"])
 def test_hop_tables_peak_memory(law, messages):
     # constant messages give the widest windows (with zero couplings every
-    # column of every group survives), uniform ones the most windows per block
+    # column of every group survives), uniform ones the narrowest, where the
+    # (ndir, nb) arrays of the bound pass are most of the peak
     ndir = 90
     rng = np.random.default_rng(0)
     tanh_vals = np.tanh(2.0 * DEFAULT_FIELD_GRID.values)

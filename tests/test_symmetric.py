@@ -561,9 +561,9 @@ def test_fronts_and_compositions_match_per_row_oracle(kind, rows, seed, block):
 
 
 def test_large_front_matches_envelope_loop():
-    # 4501 distinct slopes, every line above all steeper ones: a front
-    # alone in its block goes through the Python hull scan, which drops
-    # most of them
+    # 4501 distinct slopes, every line above all steeper ones: the hull
+    # scan drops most of them, and a front alone in its block takes the
+    # same _single_pops path as a batch of rows
     grid = Grid(step=1e-3, half_count=4500)
     sech = 1.0 / np.cosh(2.0 * grid.values)
     messages = np.abs(grid.values)[None, :]
